@@ -318,17 +318,6 @@ def tanh(x) -> Value:
     return out
 
 
-def exp(x) -> Value:
-    x = _coerce(x)
-    out = make_node(np.exp(x.data), (x,), "exp")
-    if out.requires_grad:
-        def _bw():
-            if x.requires_grad:
-                x.grad += out.grad * out.data
-        out._backward = _bw
-    return out
-
-
 def log(x) -> Value:
     """Natural log with the input clamped at LOG_CLAMP (keeps -inf out)."""
     x = _coerce(x)
@@ -412,41 +401,6 @@ def sum_along(x, axis: int | None = None) -> Value:
             if x.requires_grad:
                 g = out.grad if axis is None else np.expand_dims(out.grad, axis)
                 x.grad += np.broadcast_to(g, x.shape)
-        out._backward = _bw
-    return out
-
-
-def conv1d(x, weights, bias, width: int) -> Value:
-    """Valid 1-D convolution over a (length, channels) sequence.
-
-    `weights` is (filters, width*channels): each filter sees a flattened
-    window of `width` consecutive positions.  Output is (length-width+1,
-    filters).
-    """
-    x, weights, bias = _coerce(x), _coerce(weights), _coerce(bias)
-    length, channels = x.shape
-    if length < width:
-        raise ShapeError(f"conv1d: sequence length {length} < width {width}")
-    if weights.shape[1] != width * channels:
-        raise ShapeError(
-            f"conv1d: weights {weights.shape} incompatible with width {width} "
-            f"x channels {channels}")
-    n_out = length - width + 1
-    windows = np.concatenate(
-        [x.data[i:i + n_out] for i in range(width)], axis=1)  # (n_out, width*C)
-    data = windows @ weights.data.T + bias.data
-    out = make_node(data, (x, weights, bias), "conv1d")
-    if out.requires_grad:
-        def _bw():
-            g = out.grad  # (n_out, filters)
-            if weights.requires_grad:
-                weights.grad += g.T @ windows
-            if bias.requires_grad:
-                bias.grad += g.sum(axis=0)
-            if x.requires_grad:
-                gw = g @ weights.data  # (n_out, width*C)
-                for i in range(width):
-                    x.grad[i:i + n_out] += gw[:, i * channels:(i + 1) * channels]
         out._backward = _bw
     return out
 

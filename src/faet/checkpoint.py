@@ -3,18 +3,19 @@
 Layout: magic "FAET", little-endian u32 format version, length-prefixed
 config JSON, length-prefixed vocab JSON, then a u32 parameter count
 followed by name/shape/float64 blobs in sorted-name order.  Round-trips
-are bitwise exact.
+are bitwise exact.  A save writes a temporary file beside the target and
+renames it into place, so a failed save leaves the previous file intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
 
 from .corpus import Vocab
-from .embedding import TextEncoder
 from .model import Model, TrainConfig
 
 MAGIC = b"FAET"
@@ -26,28 +27,39 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(model: Model, path: str) -> None:
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            _write(fh, model)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _write(fh, model: Model) -> None:
     params = model.parameters()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        for blob in (
-            json.dumps(model.config.to_json_dict(), sort_keys=True).encode(),
-            json.dumps(model.vocab.to_json_dict(), sort_keys=True,
-                       ensure_ascii=False).encode(),
-        ):
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
-        names = sorted(params)
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            data = params[name].data
-            encoded = name.encode()
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", data.ndim))
-            for dim in data.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+    fh.write(MAGIC)
+    fh.write(struct.pack("<I", VERSION))
+    for blob in (
+        json.dumps(model.config.to_json_dict(), sort_keys=True).encode(),
+        json.dumps(model.vocab.to_json_dict(), sort_keys=True,
+                   ensure_ascii=False).encode(),
+    ):
+        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(blob)
+    names = sorted(params)
+    fh.write(struct.pack("<I", len(names)))
+    for name in names:
+        data = params[name].data
+        encoded = name.encode()
+        fh.write(struct.pack("<H", len(encoded)))
+        fh.write(encoded)
+        fh.write(struct.pack("<B", data.ndim))
+        for dim in data.shape:
+            fh.write(struct.pack("<Q", dim))
+        fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
 
 
 def _read(fh, n: int, what: str) -> bytes:
@@ -82,10 +94,9 @@ def read_config(path: str) -> TrainConfig:
     return config
 
 
-def load_checkpoint(path: str,
-                    text_encoder: TextEncoder | None = None) -> Model:
+def load_checkpoint(path: str) -> Model:
     """Rebuild a model from file; shapes are verified against the embedded
-    config.  Precomputed-encoder checkpoints need the encoder passed in."""
+    config."""
     with open(path, "rb") as fh:
         config, vocab = _read_header(fh, path)
 
@@ -103,7 +114,7 @@ def load_checkpoint(path: str,
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after parameters")
 
-    model = Model(config, vocab, text_encoder=text_encoder)
+    model = Model(config, vocab)
     try:
         model.load_state(state)
     except ValueError as exc:

@@ -8,8 +8,6 @@ max-over-time pooling; pooled features map affinely to two logits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autograd as ag
@@ -44,13 +42,6 @@ class TextCnnParams:
         out["out_w"] = self.out_w
         out["out_b"] = self.out_b
         return out
-
-
-@dataclass
-class Prediction:
-    probs: np.ndarray   # (2,), sums to 1
-    label: int          # argmax; exact tie -> 0 (negative)
-    logits: np.ndarray  # (2,)
 
 
 def textcnn_forward_batch(states: Value, summaries: Value,
@@ -91,18 +82,6 @@ def textcnn_forward_batch(states: Value, summaries: Value,
         feats = ag.dropout(feats, dropout_rate, dropout_rng)
     logits = ag.add(ag.matmul(feats, params.out_w), params.out_b)
     return ag.softmax(logits, axis=1), logits
-
-
-def textcnn_forward(hidden: Value, fused: Value, params: TextCnnParams,
-                    dropout_rate: float = 0.0,
-                    dropout_rng: np.random.Generator | None = None
-                    ) -> tuple[Value, Value]:
-    """(L, 2d) hidden states + (4d,) fused vector -> (probs, logits)."""
-    states = ag.reshape(hidden, (1,) + hidden.shape)
-    summaries = ag.reshape(fused, (1, fused.shape[0]))
-    probs, logits = textcnn_forward_batch(states, summaries, params,
-                                          dropout_rate, dropout_rng)
-    return ag.reshape(probs, (2,)), ag.reshape(logits, (2,))
 
 
 def predict_label(probs) -> int:

@@ -13,14 +13,12 @@ import json
 import os
 import sys
 
-from .checkpoint import (
-    CheckpointError, load_checkpoint, read_config, save_checkpoint,
-)
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .corpus import (
     CorpusError, SplitSpec, build_vocab, encode_doc, read_jsonl, split_corpus,
     split_report, write_jsonl,
 )
-from .embedding import TextEncoder, load_pretrained_emoji_vectors
+from .embedding import load_pretrained_emoji_vectors
 from .model import Model, TrainConfig
 from .synthetic import gen_overfit, gen_xor
 from .trainer import NanLossError, ablate, evaluate, gradient_check_report, train
@@ -63,11 +61,9 @@ def _add_config_flags(sub) -> None:
     for flag, typ, _ in _CONFIG_FLAGS:
         sub.add_argument(flag, type=typ, default=None)
     sub.add_argument("--variant", choices=("fine", "coarse"), default=None)
-    sub.add_argument("--encoder-mode",
-                     choices=("trainable_table", "precomputed_file"),
-                     default=None)
     sub.add_argument("--config", default=None,
-                     help="JSON config file; flags override file values")
+                     help="JSON config file; flags override file values; "
+                          "unknown keys are an error")
 
 
 def _resolve_config(args) -> TrainConfig:
@@ -75,23 +71,18 @@ def _resolve_config(args) -> TrainConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             values.update(json.load(fh))
+        unknown = sorted(set(values) - set(TrainConfig.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"{args.config}: unknown config key(s): "
+                             f"{', '.join(unknown)}")
     for _, _, name in _CONFIG_FLAGS:
         flag_value = getattr(args, name)
         if flag_value is not None:
             values[name] = flag_value
-    for name in ("variant", "encoder_mode"):
-        if getattr(args, name) is not None:
-            values[name] = getattr(args, name)
+    if args.variant is not None:
+        values["variant"] = args.variant
     values.setdefault("seed", _env_seed())
     return TrainConfig.from_json_dict(values)
-
-
-def _maybe_text_encoder(args, config: TrainConfig) -> TextEncoder | None:
-    if config.encoder_mode != "precomputed_file":
-        return None
-    if not getattr(args, "text_vectors", None):
-        raise CorpusError("precomputed_file encoder mode needs --text-vectors")
-    return TextEncoder.from_precomputed(args.text_vectors, config.d_w)
 
 
 def build_parser() -> _Parser:
@@ -111,7 +102,6 @@ def build_parser() -> _Parser:
                    help="best-validation checkpoint; '<out>.final' gets the "
                         "final epoch")
     p.add_argument("--log", default=None, help="per-epoch JSONL log path")
-    p.add_argument("--text-vectors", default=None)
     p.add_argument("--emoji-vectors", default=None,
                    help="word2vec-style text file initializing emoji senses "
                         "(_pos/_neg suffixes pick one sense)")
@@ -120,13 +110,11 @@ def build_parser() -> _Parser:
     p = subs.add_parser("eval", help="evaluate a checkpoint on labeled data")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--text-vectors", default=None)
     p.add_argument("--pretty", action="store_true")
 
     p = subs.add_parser("predict", help="per-line predictions")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--text-vectors", default=None)
     p.add_argument("--explain", action="store_true",
                    help="attach attention dumps per document")
 
@@ -172,16 +160,15 @@ def _cmd_train(args) -> int:
     config = _resolve_config(args)
     train_docs = read_jsonl(args.train_file, mode="train")
     val_docs = read_jsonl(args.val_file, mode="train")
-    encoder = _maybe_text_encoder(args, config)
     model = None
     loaded_vectors = None
     if args.emoji_vectors:
         vocab = build_vocab(train_docs, min_count=config.min_count)
-        model = Model(config, vocab, text_encoder=encoder)
+        model = Model(config, vocab)
         loaded_vectors = load_pretrained_emoji_vectors(
             args.emoji_vectors, model.emoji_table, vocab)
-    result = train(train_docs, val_docs, config, text_encoder=encoder,
-                   model=model, log_path=args.log)
+    result = train(train_docs, val_docs, config, model=model,
+                   log_path=args.log)
     final_path = args.out + ".final"
     save_checkpoint(result.model, final_path)
     result.model.load_state(result.best_state)
@@ -197,29 +184,20 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model = load_checkpoint(args.model, text_encoder=_eval_encoder(args))
+    model = load_checkpoint(args.model)
     docs = read_jsonl(args.data, mode="train")
     report = evaluate(model, docs)
     _emit(report.to_dict(), pretty=args.pretty)
     return EXIT_OK
 
 
-def _eval_encoder(args):
-    if getattr(args, "text_vectors", None):
-        config = read_config(args.model)
-        return TextEncoder.from_precomputed(args.text_vectors, config.d_w)
-    return None
-
-
 def _cmd_predict(args) -> int:
-    model = load_checkpoint(args.model, text_encoder=_eval_encoder(args))
+    model = load_checkpoint(args.model)
     docs = read_jsonl(args.data, mode="predict")
-    for index, doc in enumerate(docs):
-        text_ids, emoji_ids = encode_doc(doc, model.vocab,
-                                         model.config.max_len)
-        result = model.predict_doc(text_ids, emoji_ids, explain=args.explain,
-                                   doc_index=index)
-        _emit(result)
+    encoded = [encode_doc(doc, model.vocab, model.config.max_len)
+               for doc in docs]
+    for out in model.score(encoded):
+        _emit(out.prediction(args.explain))
     return EXIT_OK
 
 

@@ -7,8 +7,6 @@ against the document context, yielding one vector per emoji position.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from . import autograd as ag
@@ -17,70 +15,26 @@ from .corpus import CorpusError, PAD_ID, Vocab
 
 
 class TextEncoder:
-    """Pluggable token encoder: a trainable lookup table, or fixed
-    per-document vectors loaded from file.
+    """Trainable token lookup table.
 
-    The PAD row of the trainable table is frozen at zero: PAD positions
-    embed to zero vectors and contribute no gradient.
+    The PAD row starts at zero.  Padding never reaches `embed`: the model
+    embeds only the true (unpadded) prefix of each document.
     """
 
-    def __init__(self, dim: int, vocab_size: int | None = None,
-                 rng: np.random.Generator | None = None,
-                 doc_vectors: dict[int, np.ndarray] | None = None):
+    def __init__(self, dim: int, vocab_size: int,
+                 rng: np.random.Generator | None = None):
         self.dim = dim
-        if doc_vectors is not None:
-            self.mode = "precomputed_file"
-            self.doc_vectors = doc_vectors
-            self.table = None
-        else:
-            self.mode = "trainable_table"
-            rng = rng or np.random.default_rng(0)
-            init = rng.uniform(-0.1, 0.1, size=(vocab_size, dim))
-            init[PAD_ID] = 0.0
-            self.table = ag.param(init)
-            self.doc_vectors = None
-
-    @classmethod
-    def from_precomputed(cls, path: str, dim: int) -> "TextEncoder":
-        """Load fixed text vectors: JSONL, line k = {"vectors": [...]} for
-        document k of the corpus, one vector per text token."""
-        doc_vectors: dict[int, np.ndarray] = {}
-        with open(path, encoding="utf-8") as fh:
-            for i, line in enumerate(fh):
-                if not line.strip():
-                    continue
-                try:
-                    vecs = np.asarray(json.loads(line)["vectors"], dtype=np.float64)
-                except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                    raise CorpusError(f"bad vector record: {exc}", i + 1) from exc
-                if vecs.ndim != 2 or vecs.shape[1] != dim:
-                    raise CorpusError(
-                        f"vectors of dimension {vecs.shape[-1] if vecs.ndim else '?'}"
-                        f" != configured {dim}", i + 1)
-                doc_vectors[i] = vecs
-        return cls(dim, doc_vectors=doc_vectors)
+        rng = rng or np.random.default_rng(0)
+        init = rng.uniform(-0.1, 0.1, size=(vocab_size, dim))
+        init[PAD_ID] = 0.0
+        self.table = ag.param(init)
 
     def parameters(self) -> dict[str, Value]:
-        if self.mode == "trainable_table":
-            return {"text_embed": self.table}
-        return {}
+        return {"text_embed": self.table}
 
-    def embed(self, token_ids, doc_index: int | None = None) -> Value:
-        """(n,) token ids -> (n, dim); PAD positions are zero vectors."""
-        token_ids = np.asarray(token_ids, dtype=np.int64)
-        if self.mode == "precomputed_file":
-            if doc_index is None or doc_index not in self.doc_vectors:
-                raise CorpusError(
-                    f"no precomputed vectors for document {doc_index!r}")
-            vecs = self.doc_vectors[doc_index]
-            if len(token_ids) > len(vecs):
-                raise CorpusError(
-                    f"document {doc_index}: {len(token_ids)} tokens but only "
-                    f"{len(vecs)} precomputed vectors")
-            return ag.constant(vecs[:len(token_ids)])
-        rows = ag.take_rows(self.table, token_ids)
-        mask = (token_ids != PAD_ID).astype(np.float64)[:, None]
-        return ag.mul(rows, ag.constant(mask))
+    def embed(self, token_ids) -> Value:
+        """(n,) token ids -> (n, dim) table rows."""
+        return ag.take_rows(self.table, np.asarray(token_ids, dtype=np.int64))
 
 
 class BisenseEmojiEmbedding:

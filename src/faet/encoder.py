@@ -2,28 +2,24 @@
 
 Emoji positions are encoded in-sequence after the text positions; each
 output row is the concatenation [forward hidden ; backward hidden], so the
-feature size is 2d.  The backward pass runs over the reversed non-PAD
-prefix and PAD rows come out as zeros.
+feature size is 2d.  Callers pass true (unpadded) sequences, grouped by
+length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autograd as ag
-from .autograd import ShapeError, Value
-
-_GATES = ("input", "forget", "output", "cell")
+from .autograd import Value
 
 
 class LstmParams:
     """One direction's gate parameters.
 
     The four gates are packed column-wise as [input | forget | output |
-    cell] so a step costs two matmuls; slicing the pre-activation recovers
-    the individual gates.  Weights are seeded uniform in
+    cell], so one input and one recurrent matmul give all four
+    pre-activations.  Weights are seeded uniform in
     [-1/sqrt(d), 1/sqrt(d)] and the forget-gate bias block starts at 1.0
     for stable early training.
     """
@@ -38,49 +34,21 @@ class LstmParams:
         bias[d:2 * d] = 1.0
         self.bias = ag.param(bias)
 
-    def gate_slice(self, name: str) -> slice:
-        k = _GATES.index(name)
-        return slice(k * self.d, (k + 1) * self.d)
-
     def parameters(self, prefix: str) -> dict[str, Value]:
         return {f"{prefix}.w_in": self.w_in,
                 f"{prefix}.w_rec": self.w_rec,
                 f"{prefix}.bias": self.bias}
 
 
-@dataclass
-class LstmState:
-    h: Value  # (d,)
-    c: Value  # (d,)
-
-
-def initial_state(d: int) -> LstmState:
-    return LstmState(ag.constant(np.zeros(d)), ag.constant(np.zeros(d)))
-
-
-def lstm_step(x: Value, prev: LstmState, p: LstmParams) -> LstmState:
-    """One cell update: sigmoid input/forget/output gates, tanh candidate,
-    c' = f*c + i*g, h' = o*tanh(c')."""
-    d = p.d
-    z = ag.add(ag.add(ag.matmul(x, p.w_in), ag.matmul(prev.h, p.w_rec)),
-               p.bias)  # (4d,) pre-activations in gate order
-    i = ag.sigmoid(ag.narrow(z, 0, 0, d))
-    f = ag.sigmoid(ag.narrow(z, 0, d, d))
-    o = ag.sigmoid(ag.narrow(z, 0, 2 * d, d))
-    g = ag.tanh(ag.narrow(z, 0, 3 * d, d))
-    c = ag.add(ag.mul(f, prev.c), ag.mul(i, g))
-    h = ag.mul(o, ag.tanh(c))
-    return LstmState(h, c)
-
-
 def lstm_batch(seq: Value, p: LstmParams, reverse: bool = False) -> Value:
     """Run one direction over a (B, L, d_in) batch as a single fused node.
 
     Same-length sequences advance in lockstep, so each time step costs one
-    matrix product against the recurrent weights.  Arithmetic is identical
-    to folding `lstm_step` over each row (reversed when `reverse`); the
-    backward rule is hand-rolled BPTT verified against central differences
-    by the test suite.
+    matrix product against the recurrent weights.  Each step is the
+    standard cell update: sigmoid input/forget/output gates, tanh
+    candidate, c' = f*c + i*g, h' = o*tanh(c').  The backward rule is
+    hand-rolled BPTT, checked against a per-step reference and central
+    differences by the test suite.
     """
     d = p.d
     batch, length, _ = seq.shape
@@ -160,27 +128,3 @@ def bilstm_encode_batch(seq: Value, fwd: LstmParams, bwd: LstmParams) -> Value:
     """(B, L, d_in) same-length batch -> (B, L, 2d) features."""
     return ag.concat([lstm_batch(seq, fwd),
                       lstm_batch(seq, bwd, reverse=True)], axis=2)
-
-
-def bilstm_encode(seq: Value, fwd: LstmParams, bwd: LstmParams,
-                  length: int | None = None) -> Value:
-    """(L, d_in) sequence -> (L, 2d) features.
-
-    Only the first `length` rows are processed (forward in order, backward
-    reversed); rows past `length` are PAD and output exact zeros.
-    """
-    total = seq.shape[0]
-    length = total if length is None else length
-    if length > total:
-        raise ShapeError(f"length {length} exceeds sequence rows {total}")
-    if length < 1:
-        raise ShapeError("need at least one non-PAD position")
-
-    prefix = ag.narrow(seq, 0, 0, length) if length < total else seq
-    stacked = ag.reshape(prefix, (1, length, seq.shape[1]))
-    both = ag.reshape(bilstm_encode_batch(stacked, fwd, bwd),
-                      (length, fwd.d + bwd.d))
-    if length < total:
-        pad = ag.constant(np.zeros((total - length, fwd.d + bwd.d)))
-        return ag.concat([both, pad], axis=0)
-    return both

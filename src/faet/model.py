@@ -51,7 +51,6 @@ class TrainConfig:
     lambda_align: float = 0.1
     label_smoothing: float = 0.0
     seed: int = 0
-    encoder_mode: str = "trainable_table"
     variant: str = "fine"
     min_count: int = 1
 
@@ -59,11 +58,17 @@ class TrainConfig:
         self.widths = tuple(self.widths)
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.encoder_mode not in ("trainable_table", "precomputed_file"):
-            raise ValueError(f"unknown encoder_mode {self.encoder_mode!r}")
         for name in ("d", "d_w", "n_filters", "batch_size", "epochs", "max_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if not self.widths or any(w < 1 for w in self.widths):
+            raise ValueError(f"widths must be positive, got {self.widths}")
+        # written as negations so that NaN fails too; lr = 0 is a frozen run
+        for name, high in (("lr", np.inf), ("lambda_align", np.inf),
+                           ("dropout", 1), ("label_smoothing", 1)):
+            if not 0 <= getattr(self, name) < high:
+                raise ValueError(
+                    f"{name} must lie in [0, {high}), got {getattr(self, name)}")
 
     def to_json_dict(self) -> dict:
         obj = asdict(self)
@@ -72,6 +77,8 @@ class TrainConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TrainConfig":
+        """Build from a JSON object, dropping keys that are not fields
+        (checkpoints may carry fields since retired)."""
         known = {f for f in cls.__dataclass_fields__}
         return cls(**{k: v for k, v in obj.items() if k in known})
 
@@ -87,12 +94,32 @@ class DocOutputs:
     attention: object | None = None  # AttentionOutputs for the fine variant
     coarse_weights: Value | None = None
 
+    def prediction(self, explain: bool = False) -> dict:
+        """Probabilities and label; with `explain`, the attention dumps."""
+        result = {"probs": self.probs.data.tolist(),
+                  "label": predict_label(self.probs)}
+        if explain:
+            explain_obj: dict = {}
+            if self.sense_weights is not None:
+                explain_obj["sense_weights"] = self.sense_weights.data.tolist()
+            if self.attention is not None:
+                att = self.attention
+                explain_obj.update({
+                    "interaction": att.interaction.data.tolist(),
+                    "emoji_weights": att.emoji_weights.data.tolist(),
+                    "text_weights": att.text_weights.data.tolist(),
+                    "word_emoji_weights": att.word_emoji_weights.data.tolist(),
+                })
+            if self.coarse_weights is not None:
+                explain_obj["coarse_weights"] = self.coarse_weights.data.tolist()
+            result["explain"] = explain_obj
+        return result
+
 
 class Model:
     """One trained classifier instance (either variant) plus its vocab."""
 
-    def __init__(self, config: TrainConfig, vocab: Vocab,
-                 text_encoder: TextEncoder | None = None):
+    def __init__(self, config: TrainConfig, vocab: Vocab):
         if vocab.n_emoji < 1:
             raise ValueError("emoji vocabulary is empty")
         self.config = config
@@ -100,13 +127,7 @@ class Model:
         seeds = np.random.SeedSequence([config.seed, 0]).spawn(6)
         rngs = [np.random.default_rng(s) for s in seeds]
 
-        if text_encoder is not None:
-            self.text_encoder = text_encoder
-        elif config.encoder_mode == "trainable_table":
-            self.text_encoder = TextEncoder(config.d_w, vocab.n_text, rngs[0])
-        else:
-            raise ValueError(
-                "precomputed_file encoder mode needs an explicit TextEncoder")
+        self.text_encoder = TextEncoder(config.d_w, vocab.n_text, rngs[0])
         self.emoji_table = BisenseEmojiEmbedding(vocab.n_emoji, config.d_w,
                                                  rngs[1])
         self.lstm_fwd = LstmParams(config.d, config.d_w, rngs[2])
@@ -154,8 +175,8 @@ class Model:
             params[name].data[...] = arr
 
     def forward_docs(self, docs: list[tuple], train: bool = False,
-                     dropout_rng: np.random.Generator | None = None,
-                     doc_indices: list[int] | None = None) -> list[DocOutputs]:
+                     dropout_rng: np.random.Generator | None = None
+                     ) -> list[DocOutputs]:
         """Forward a list of (text_ids, emoji_ids) documents.
 
         Ids must be the true (unpadded) prefixes; callers slice padded
@@ -168,11 +189,10 @@ class Model:
         seqs: list[ag.Value] = []
         metas: list[tuple[int, int]] = []        # (n, m) per doc
         senses: list[ag.Value | None] = []
-        for k, (text_ids, emoji_ids) in enumerate(docs):
+        for text_ids, emoji_ids in docs:
             text_ids = np.asarray(text_ids, dtype=np.int64)
             emoji_ids = np.asarray(emoji_ids, dtype=np.int64)
-            doc_index = doc_indices[k] if doc_indices is not None else None
-            embedded = self.text_encoder.embed(text_ids, doc_index)  # (n, d_w)
+            embedded = self.text_encoder.embed(text_ids)             # (n, d_w)
             context = ag.mean_along(embedded, axis=0)                # (d_w,)
             sense_weights = None
             if len(emoji_ids) > 0:
@@ -248,13 +268,14 @@ class Model:
                            attention=attentions[k], coarse_weights=coarse_w[k])
                 for k in range(len(seqs))]
 
-    def forward_doc(self, text_ids, emoji_ids, train: bool = False,
-                    dropout_rng: np.random.Generator | None = None,
-                    doc_index: int | None = None) -> DocOutputs:
-        """Single-document convenience wrapper over `forward_docs`."""
-        return self.forward_docs(
-            [(text_ids, emoji_ids)], train=train, dropout_rng=dropout_rng,
-            doc_indices=None if doc_index is None else [doc_index])[0]
+    def score(self, docs: list[tuple], chunk: int = 64):
+        """Yield each document's outputs from no-grad `forward_docs` passes
+        over `chunk` documents at a time, in input order.  Every scoring
+        caller (evaluation, prediction, ablation) goes through here."""
+        for start in range(0, len(docs), chunk):
+            with ag.no_grad():
+                outputs = self.forward_docs(docs[start:start + chunk])
+            yield from outputs
 
     def doc_losses(self, outputs: DocOutputs, label: int) -> tuple[Value, Value]:
         """(cross-entropy, alignment) for one document's outputs."""
@@ -286,30 +307,10 @@ class Model:
         align_mean = _accumulate(align_terms) * inv
         return total_loss(ce_mean, align_mean, self.loss_config)
 
-    def predict_doc(self, text_ids, emoji_ids, explain: bool = False,
-                    doc_index: int | None = None) -> dict:
+    def predict_doc(self, text_ids, emoji_ids, explain: bool = False) -> dict:
         """Inference on one document; with `explain`, attach attention dumps."""
-        with ag.no_grad():
-            out = self.forward_doc(text_ids, emoji_ids, train=False,
-                                   doc_index=doc_index)
-        result = {"probs": out.probs.data.tolist(),
-                  "label": predict_label(out.probs)}
-        if explain:
-            explain_obj: dict = {}
-            if out.sense_weights is not None:
-                explain_obj["sense_weights"] = out.sense_weights.data.tolist()
-            if out.attention is not None:
-                att = out.attention
-                explain_obj.update({
-                    "interaction": att.interaction.data.tolist(),
-                    "emoji_weights": att.emoji_weights.data.tolist(),
-                    "text_weights": att.text_weights.data.tolist(),
-                    "word_emoji_weights": att.word_emoji_weights.data.tolist(),
-                })
-            if out.coarse_weights is not None:
-                explain_obj["coarse_weights"] = out.coarse_weights.data.tolist()
-            result["explain"] = explain_obj
-        return result
+        (out,) = self.score([(text_ids, emoji_ids)])
+        return out.prediction(explain)
 
 
 def _accumulate(terms: list[Value]) -> Value:

@@ -10,8 +10,8 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import finite_difference_check
+from .classifier import predict_label
 from .corpus import TokenizedDoc, Vocab, build_vocab, encode_doc, make_batches
-from .embedding import TextEncoder
 from .model import Model, TrainConfig
 from .optim import Adam
 
@@ -102,30 +102,26 @@ def metrics_from_pairs(pairs: list[tuple[int, int]]) -> MetricsReport:
         zero_division=flags, n=total)
 
 
-def _forward_labeled(model: Model, docs: list[TokenizedDoc],
-                     chunk: int = 64):
-    """Yield (outputs, label) over docs, batching forwards without grad."""
-    for start in range(0, len(docs), chunk):
-        part = docs[start:start + chunk]
-        encoded = [encode_doc(d, model.vocab, model.config.max_len)
-                   for d in part]
-        with ag.no_grad():
-            outputs = model.forward_docs(encoded, train=False)
-        for doc, out in zip(part, outputs):
-            yield out, doc.label
+def _scored(model: Model, docs: list[TokenizedDoc]):
+    """(outputs, doc) pairs from the model's chunked no-grad scoring."""
+    encoded = [encode_doc(d, model.vocab, model.config.max_len) for d in docs]
+    return zip(model.score(encoded), docs)
 
 
-def evaluate(model: Model, docs: list[TokenizedDoc]) -> MetricsReport:
-    """Score labeled documents; never touches model parameters."""
+def _prediction_pairs(model: Model,
+                      docs: list[TokenizedDoc]) -> list[tuple[int, int]]:
+    """(predicted, true) label per labeled document."""
     if not docs:
         raise ValueError("evaluate: empty document list")
     if any(doc.label is None for doc in docs):
         raise ValueError("evaluate: document without label")
-    pairs = []
-    for out, label in _forward_labeled(model, docs):
-        pred = 1 if out.probs.data[1] > out.probs.data[0] else 0
-        pairs.append((pred, label))
-    return metrics_from_pairs(pairs)
+    return [(predict_label(out.probs), doc.label)
+            for out, doc in _scored(model, docs)]
+
+
+def evaluate(model: Model, docs: list[TokenizedDoc]) -> MetricsReport:
+    """Score labeled documents; never touches model parameters."""
+    return metrics_from_pairs(_prediction_pairs(model, docs))
 
 
 def _mean_loss_and_accuracy(model: Model,
@@ -133,12 +129,11 @@ def _mean_loss_and_accuracy(model: Model,
     total = 0.0
     correct = 0
     lam = model.loss_config.lambda_align
-    for out, label in _forward_labeled(model, docs):
+    for out, doc in _scored(model, docs):
         with ag.no_grad():
-            ce, align = model.doc_losses(out, label)
+            ce, align = model.doc_losses(out, doc.label)
         total += float(ce.data) + lam * float(align.data)
-        pred = 1 if out.probs.data[1] > out.probs.data[0] else 0
-        correct += int(pred == label)
+        correct += int(predict_label(out.probs) == doc.label)
     return total / len(docs), correct / len(docs)
 
 
@@ -157,8 +152,8 @@ def _epoch_seed(base_seed: int, epoch: int) -> int:
 
 def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
           config: TrainConfig, vocab: Vocab | None = None,
-          text_encoder: TextEncoder | None = None, model: Model | None = None,
-          log_path: str | None = None) -> TrainResult:
+          model: Model | None = None, log_path: str | None = None
+          ) -> TrainResult:
     """Epochs of forward / total loss / backward / Adam, logging one JSONL
     line per epoch; fully deterministic for a fixed seed.
 
@@ -170,7 +165,7 @@ def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
         raise ValueError("train and validation splits must be non-empty")
     if model is None:
         vocab = vocab or build_vocab(train_docs, min_count=config.min_count)
-        model = Model(config, vocab, text_encoder=text_encoder)
+        model = Model(config, vocab)
     else:
         vocab = model.vocab
     optimizer = Adam(model.parameters(), lr=config.lr)
@@ -232,16 +227,13 @@ def ablate(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
         result = train(train_docs, val_docs, cfg)
         best = Model(cfg, result.model.vocab)
         best.load_state(result.best_state)
+        pairs = _prediction_pairs(best, test_docs)
         variants[variant] = {
-            "metrics": evaluate(best, test_docs).to_dict(),
+            "metrics": metrics_from_pairs(pairs).to_dict(),
             "best_epoch": result.best_epoch,
             "best_val_acc": result.best_val_acc,
         }
-        preds = []
-        for doc in test_docs:
-            text_ids, emoji_ids = encode_doc(doc, best.vocab, cfg.max_len)
-            preds.append(best.predict_doc(text_ids, emoji_ids)["label"])
-        predictions[variant] = preds
+        predictions[variant] = [pred for pred, _ in pairs]
 
     agreement = {"both_correct": 0, "only_fine": 0, "only_coarse": 0,
                  "both_wrong": 0}
@@ -289,7 +281,7 @@ def gradient_check_report(config: TrainConfig | None = None,
     from .objective import total_loss
 
     def f():
-        out = model.forward_doc(text_ids, emoji_ids, train=False)
+        (out,) = model.forward_docs([(text_ids, emoji_ids)])
         ce, align = model.doc_losses(out, 1)
         return total_loss(ce, align, model.loss_config)
 

@@ -1,9 +1,12 @@
 """Independent brute-force oracles used only by the tests.
 
 Nothing here imports the library under test: confusion counting, metric
-formulas, softmax, and the unigram logistic baseline are all written from
-scratch so they can disagree with the implementation if it is wrong.
+formulas, softmax, the LSTM cell, the 1-D convolution, and the unigram
+logistic baseline are all written from scratch so they can disagree with
+the implementation if it is wrong.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,3 +81,53 @@ def unigram_logistic_baseline(train_docs, test_docs, steps=800, lr=0.5,
     preds = (x_test @ w > 0).astype(int)
     labels = np.array([doc.label for doc in test_docs])
     return float((preds == labels).mean())
+
+
+# LSTM gate blocks, packed column-wise in this order
+GATES = ("input", "forget", "output", "cell")
+
+
+def gate_slice(name, d):
+    k = GATES.index(name)
+    return slice(k * d, (k + 1) * d)
+
+
+@dataclass
+class LstmState:
+    h: np.ndarray  # (d,)
+    c: np.ndarray  # (d,)
+
+
+def initial_state(d):
+    return LstmState(np.zeros(d), np.zeros(d))
+
+
+def _sigmoid(z):
+    # the two-branch form keeps exp() from overflowing either way
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def lstm_step(x, prev, w_in, w_rec, bias):
+    """One cell update, one step at a time: sigmoid input/forget/output
+    gates, tanh candidate, c' = f*c + i*g, h' = o*tanh(c')."""
+    d = w_rec.shape[0]
+    z = x @ w_in + prev.h @ w_rec + bias
+    i = _sigmoid(z[gate_slice("input", d)])
+    f = _sigmoid(z[gate_slice("forget", d)])
+    o = _sigmoid(z[gate_slice("output", d)])
+    g = np.tanh(z[gate_slice("cell", d)])
+    c = f * prev.c + i * g
+    return LstmState(o * np.tanh(c), c)
+
+
+def conv1d_direct(x, weights, bias, width):
+    """Valid 1-D convolution of a (length, channels) sequence, one window
+    at a time; `weights` is (filters, width*channels)."""
+    n_out = x.shape[0] - width + 1
+    return np.stack([weights @ x[t:t + width].reshape(-1) + bias
+                     for t in range(n_out)])

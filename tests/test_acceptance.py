@@ -16,18 +16,18 @@ import time
 import numpy as np
 
 from oracles import (
-    accuracy_by_hand, prf_by_hand, recount_confusion,
-    unigram_logistic_baseline,
+    LstmState, accuracy_by_hand, initial_state, lstm_step, prf_by_hand,
+    recount_confusion, unigram_logistic_baseline,
 )
 
 from faet import autograd as ag
 from faet.attention import (
     emoji_to_text, interaction_matrix, text_to_emoji, word_emoji_attention,
 )
-from faet.classifier import TextCnnParams, textcnn_forward
+from faet.classifier import TextCnnParams, textcnn_forward_batch
 from faet.corpus import split_sizes, write_jsonl
 from faet.embedding import BisenseEmojiEmbedding
-from faet.encoder import LstmParams, LstmState, initial_state, lstm_step
+from faet.encoder import LstmParams
 from faet.model import TrainConfig
 from faet.objective import alignment_loss
 from faet.synthetic import gen_overfit, gen_xor
@@ -121,9 +121,9 @@ class TestNormalizationFuzz:
                 # 5. class probabilities
                 params = TextCnnParams(10, 3, np.random.default_rng(trial + 1),
                                        widths=(2, 3))
-                probs, _ = textcnn_forward(
-                    ag.constant(rng.uniform(-3, 3, (n + m, 6))),
-                    ag.constant(rng.uniform(-3, 3, 4)), params)
+                probs, _ = textcnn_forward_batch(
+                    ag.constant(rng.uniform(-3, 3, (1, n + m, 6))),
+                    ag.constant(rng.uniform(-3, 3, (1, 4))), params)
                 check(probs)
 
         assert failures == 0
@@ -191,20 +191,21 @@ class TestAnalyticLayerValues:
         p.w_in.data[...] = 0.0
         p.w_rec.data[...] = 0.0
         p.bias.data[...] = 0.0
-        out = lstm_step(ag.constant(np.zeros(1)), initial_state(1), p)
-        assert abs(out.h.data[0]) <= 1e-12 and abs(out.c.data[0]) <= 1e-12
+        weights = (p.w_in.data, p.w_rec.data, p.bias.data)
+        out = lstm_step(np.zeros(1), initial_state(1), *weights)
+        assert abs(out.h[0]) <= 1e-12 and abs(out.c[0]) <= 1e-12
 
-        prev = LstmState(ag.constant(np.zeros(1)), ag.constant(np.array([2.0])))
-        out = lstm_step(ag.constant(np.zeros(1)), prev, p)
-        assert abs(out.c.data[0] - 1.0) <= 1e-12
-        assert abs(out.h.data[0] - 0.5 * np.tanh(1.0)) <= 1e-12
+        prev = LstmState(np.zeros(1), np.array([2.0]))
+        out = lstm_step(np.zeros(1), prev, *weights)
+        assert abs(out.c[0] - 1.0) <= 1e-12
+        assert abs(out.h[0] - 0.5 * np.tanh(1.0)) <= 1e-12
 
         cnn = TextCnnParams(8, 4, np.random.default_rng(1))
         for param in cnn.parameters().values():
             param.data[...] = 0.0
-        probs, _ = textcnn_forward(
-            ag.constant(np.random.default_rng(2).uniform(-1, 1, (5, 4))),
-            ag.constant(np.random.default_rng(3).uniform(-1, 1, 4)), cnn)
+        probs, _ = textcnn_forward_batch(
+            ag.constant(np.random.default_rng(2).uniform(-1, 1, (1, 5, 4))),
+            ag.constant(np.random.default_rng(3).uniform(-1, 1, (1, 4))), cnn)
         assert np.all(np.abs(probs.data - 0.5) <= 1e-12)
         report_pass("analytic layer values (LSTM cells, classifier 0.5/0.5)")
 

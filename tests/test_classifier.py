@@ -2,8 +2,10 @@
 
 import numpy as np
 
+from oracles import conv1d_direct
+
 from faet import autograd as ag
-from faet.classifier import Prediction, TextCnnParams, predict_label, textcnn_forward
+from faet.classifier import TextCnnParams, predict_label, textcnn_forward_batch
 
 
 def make_params(channels, n_filters=3, widths=(2, 3, 4), seed=0):
@@ -15,6 +17,15 @@ def rand_inputs(length, hidden_dim, fused_dim, seed):
     rng = np.random.default_rng(seed)
     return (ag.constant(rng.uniform(-1, 1, (length, hidden_dim))),
             ag.constant(rng.uniform(-1, 1, fused_dim)))
+
+
+def textcnn_forward(hidden, fused, params, **kwargs):
+    """One document through the batched head: (L, 2d) states + (4d,)
+    fused vector -> ((2,) probs, (2,) logits)."""
+    probs, logits = textcnn_forward_batch(
+        ag.reshape(hidden, (1,) + hidden.shape),
+        ag.reshape(fused, (1, fused.shape[0])), params, **kwargs)
+    return ag.reshape(probs, (2,)), ag.reshape(logits, (2,))
 
 
 class TestForward:
@@ -52,10 +63,11 @@ class TestForward:
         hidden, fused = rand_inputs(1, 4, 2, seed=8)  # too short for width 3
         probs, logits = textcnn_forward(hidden, fused, params)
         # manually: only the width-1 branch contributes pooled features
-        conv = ag.relu(ag.conv1d(
-            ag.concat([hidden, ag.reshape(fused, (1, 2))], axis=1),
-            params.filters[1], params.filter_bias[1], width=1))
-        feats = np.concatenate([np.max(conv.data, axis=0), np.zeros(3)])
+        per_pos = np.concatenate([hidden.data, fused.data[None]], axis=1)
+        conv = np.maximum(conv1d_direct(per_pos, params.filters[1].data,
+                                        params.filter_bias[1].data, width=1),
+                          0.0)
+        feats = np.concatenate([np.max(conv, axis=0), np.zeros(3)])
         expected = feats @ params.out_w.data + params.out_b.data
         np.testing.assert_allclose(logits.data, expected, atol=1e-12)
 
@@ -107,8 +119,3 @@ class TestPredictLabel:
 
     def test_exact_tie_is_negative(self):
         assert predict_label(np.array([0.5, 0.5])) == 0
-
-    def test_prediction_dataclass(self):
-        pred = Prediction(probs=np.array([0.3, 0.7]), label=1,
-                          logits=np.array([0.0, 0.85]))
-        assert pred.label == predict_label(pred.probs)

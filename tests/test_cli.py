@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from faet.corpus import TokenizedDoc, write_jsonl
+from faet.checkpoint import load_checkpoint
+from faet.corpus import TokenizedDoc, encode_doc, write_jsonl
 from faet.synthetic import gen_overfit
 
 
@@ -60,6 +61,41 @@ class TestExitCodes:
     def test_gradcheck_impossible_tolerance_exits_three(self):
         result = run_cli("gradcheck", "--samples", "2", "--tolerance", "1e-30")
         assert result.returncode == 3
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("config, flags, name", [
+        ({"lamda_align": 5}, [], "lamda_align"),
+        ({"widths": [0]}, [], "widths"),
+        ({"widths": []}, [], "widths"),
+        (None, ["--lr", "-1"], "lr"),
+        (None, ["--dropout", "1.0"], "dropout"),
+        (None, ["--label-smoothing", "3"], "label_smoothing"),
+        (None, ["--lambda-align", "-0.5"], "lambda_align"),
+    ])
+    def test_bad_value_exits_one_without_checkpoint(self, workspace, tmp_path,
+                                                    config, flags, name):
+        extra = []
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            extra = ["--config", str(tmp_path / "config.json")]
+        corpus = str(workspace / "corpus.jsonl")
+        result = run_cli("train", "--train", corpus, "--val", corpus,
+                         "--out", str(tmp_path / "m.faet"), *TRAIN_FLAGS,
+                         *extra, *flags)
+        assert result.returncode == 1
+        assert name in result.stderr
+        assert not list(tmp_path.glob("m.faet*"))
+
+    @pytest.mark.parametrize("flag", [["--encoder-mode", "trainable_table"],
+                                      ["--text-vectors", "v.jsonl"]])
+    def test_removed_flags_are_unknown(self, workspace, tmp_path, flag):
+        corpus = str(workspace / "corpus.jsonl")
+        result = run_cli("train", "--train", corpus, "--val", corpus,
+                         "--out", str(tmp_path / "m.faet"), *TRAIN_FLAGS,
+                         *flag)
+        assert result.returncode == 1
+        assert "unrecognized arguments" in result.stderr
 
 
 class TestSplit:
@@ -138,6 +174,27 @@ class TestTrainEvalPredict:
                          "--data", str(data))
         assert result.returncode == 0
         assert json.loads(result.stdout)["label"] in (0, 1)
+
+
+    def test_predict_lines_match_single_document_predictions(self, trained):
+        root, _ = trained
+        docs = gen_overfit(16, seed=5) + [
+            TokenizedDoc(["day"], [], None),
+            TokenizedDoc(["the", "day", "was", "long"], ["E_SMILE", "E_CRY"],
+                         None)]
+        write_jsonl(docs, str(root / "many.jsonl"))
+        result = run_cli("predict", "--model", str(root / "model.faet"),
+                         "--data", str(root / "many.jsonl"))
+        assert result.returncode == 0
+        lines = [json.loads(line) for line in result.stdout.splitlines()]
+        model = load_checkpoint(str(root / "model.faet"))
+        assert len(lines) == len(docs)
+        for line, doc in zip(lines, docs):
+            single = model.predict_doc(
+                *encode_doc(doc, model.vocab, model.config.max_len))
+            assert line["label"] == single["label"]
+            assert max(abs(a - b) for a, b in
+                       zip(line["probs"], single["probs"])) <= 1e-12
 
 
 class TestEmojiVectors:

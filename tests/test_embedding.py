@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from faet import autograd as ag
-from faet.corpus import CorpusError, PAD_ID, TokenizedDoc, build_vocab
+from faet.corpus import (
+    CorpusError, PAD_ID, TokenizedDoc, build_vocab, make_batches,
+)
 from faet.embedding import (
     BisenseEmojiEmbedding, TextEncoder, load_pretrained_emoji_vectors,
 )
+from faet.model import Model, TrainConfig
 
 
 def make_table(n_emoji=3, dim=4, seed=0):
@@ -23,31 +26,23 @@ class TestTextEncoder:
         assert np.any(out.data[1] != 0)
 
     def test_pad_row_receives_no_gradient(self):
-        enc = TextEncoder(dim=3, vocab_size=4, rng=np.random.default_rng(2))
-        out = enc.embed([PAD_ID, 2, 3])
-        ag.sum_along(ag.tanh(out)).backward()
-        np.testing.assert_array_equal(enc.table.grad[PAD_ID], np.zeros(3))
-        assert np.any(enc.table.grad[2] != 0)
+        # padded batches are cut to their true prefixes before embedding,
+        # so a training step never reaches the PAD row
+        docs = [TokenizedDoc(["a"], ["e"], 1),
+                TokenizedDoc(["b", "c", "a"], ["e"], 0)]
+        vocab = build_vocab(docs)
+        model = Model(TrainConfig(d=3, d_w=3, n_filters=2, dropout=0.0), vocab)
+        (batch,) = make_batches(docs, vocab, batch_size=2, shuffle=False)
+        assert PAD_ID in batch.text_ids
+        model.batch_loss(batch).backward()
+        grad = model.text_encoder.table.grad
+        np.testing.assert_array_equal(grad[PAD_ID], np.zeros(3))
+        assert np.any(grad[vocab.encode_text(["a"])[0]] != 0)
 
     def test_same_id_same_vector(self):
         enc = TextEncoder(dim=4, vocab_size=5, rng=np.random.default_rng(3))
         out = enc.embed([2, 3, 2])
         np.testing.assert_array_equal(out.data[0], out.data[2])
-
-    def test_precomputed_missing_doc_names_it(self, tmp_path):
-        path = tmp_path / "vecs.jsonl"
-        path.write_text('{"vectors": [[1.0, 2.0]]}\n')
-        enc = TextEncoder.from_precomputed(str(path), dim=2)
-        out = enc.embed([2], doc_index=0)
-        np.testing.assert_array_equal(out.data, [[1.0, 2.0]])
-        with pytest.raises(CorpusError, match="document 7"):
-            enc.embed([2], doc_index=7)
-
-    def test_precomputed_wrong_dimension(self, tmp_path):
-        path = tmp_path / "vecs.jsonl"
-        path.write_text('{"vectors": [[1.0, 2.0, 3.0]]}\n')
-        with pytest.raises(CorpusError, match="dimension"):
-            TextEncoder.from_precomputed(str(path), dim=2)
 
 
 class TestBisenseMix:

@@ -1,14 +1,11 @@
 """LSTM cell analytics and BiLSTM sequence encoding."""
 
 import numpy as np
-import pytest
+
+from oracles import LstmState, gate_slice, initial_state, lstm_step
 
 from faet import autograd as ag
-from faet.autograd import ShapeError
-from faet.encoder import (
-    LstmParams, LstmState, bilstm_encode, bilstm_encode_batch, initial_state,
-    lstm_step,
-)
+from faet.encoder import LstmParams, bilstm_encode_batch, lstm_batch
 
 
 def zero_params(d, d_in):
@@ -19,44 +16,53 @@ def zero_params(d, d_in):
     return p
 
 
+def step(x, prev, p):
+    """The oracle's cell update with `p`'s weights."""
+    return lstm_step(x, prev, p.w_in.data, p.w_rec.data, p.bias.data)
+
+
+def encode(x, fwd, bwd):
+    """One (L, d_in) sequence through the batched BiLSTM -> (L, 2d)."""
+    return bilstm_encode_batch(ag.constant(x[None]), fwd, bwd).data[0]
+
+
 class TestLstmStepAnalytic:
     def test_all_zero_gives_zero_state(self):
         p = zero_params(d=3, d_in=2)
-        out = lstm_step(ag.constant(np.ones(2)), initial_state(3), p)
-        np.testing.assert_allclose(out.c.data, 0.0, atol=1e-15)
-        np.testing.assert_allclose(out.h.data, 0.0, atol=1e-15)
+        out = step(np.ones(2), initial_state(3), p)
+        np.testing.assert_allclose(out.c, 0.0, atol=1e-15)
+        np.testing.assert_allclose(out.h, 0.0, atol=1e-15)
+        fused = lstm_batch(ag.constant(np.ones((1, 1, 2))), p).data
+        np.testing.assert_allclose(fused, 0.0, atol=1e-15)
 
     def test_carry_cell_two(self):
         # zero params, c0 = 2, d = 1: gates are 0.5, candidate 0, so
         # c1 = 0.5*2 = 1 and h1 = 0.5*tanh(1)
         p = zero_params(d=1, d_in=1)
-        prev = LstmState(ag.constant(np.zeros(1)), ag.constant(np.array([2.0])))
-        out = lstm_step(ag.constant(np.zeros(1)), prev, p)
-        np.testing.assert_allclose(out.c.data, [1.0], atol=1e-12)
-        np.testing.assert_allclose(out.h.data, [0.5 * np.tanh(1.0)], atol=1e-12)
+        prev = LstmState(np.zeros(1), np.array([2.0]))
+        out = step(np.zeros(1), prev, p)
+        np.testing.assert_allclose(out.c, [1.0], atol=1e-12)
+        np.testing.assert_allclose(out.h, [0.5 * np.tanh(1.0)], atol=1e-12)
 
     def test_gate_ranges_and_hidden_bound(self):
         rng = np.random.default_rng(1)
         p = LstmParams(4, 3, rng)
-        state = initial_state(4)
-        for _ in range(6):
-            state = lstm_step(ag.constant(rng.uniform(-3, 3, 3)), state, p)
-            assert np.all(np.abs(state.h.data) < 1.0)
+        hidden = lstm_batch(ag.constant(rng.uniform(-3, 3, (1, 6, 3))), p).data
+        assert np.all(np.abs(hidden) < 1.0)
 
     def test_forget_bias_initialized_to_one(self):
         p = LstmParams(4, 3, np.random.default_rng(0))
-        np.testing.assert_array_equal(p.bias.data[p.gate_slice("forget")],
+        np.testing.assert_array_equal(p.bias.data[gate_slice("forget", 4)],
                                       np.ones(4))
-        np.testing.assert_array_equal(p.bias.data[p.gate_slice("input")],
+        np.testing.assert_array_equal(p.bias.data[gate_slice("input", 4)],
                                       np.zeros(4))
 
     def test_cell_gradients_match_finite_differences(self):
         p = LstmParams(3, 2, np.random.default_rng(2))
-        x = np.array([0.4, -0.7])
+        x = np.array([[[0.4, -0.7]]])  # one sequence of one step
 
         def f():
-            out = lstm_step(ag.constant(x), initial_state(3), p)
-            return ag.sum_along(ag.tanh(out.h))
+            return ag.sum_along(ag.tanh(lstm_batch(ag.constant(x), p)))
 
         report = ag.finite_difference_check(f, p.parameters("cell"))
         assert max(report.values()) < 1e-4
@@ -67,34 +73,35 @@ class TestBilstmEncode:
         d = 5
         rng = np.random.default_rng(3)
         fwd, bwd = LstmParams(d, 3, rng), LstmParams(d, 3, rng)
-        out = bilstm_encode(ag.constant(rng.normal(size=(4, 3))), fwd, bwd)
-        assert out.shape == (4, 2 * d)
+        out = bilstm_encode_batch(
+            ag.constant(rng.normal(size=(2, 4, 3))), fwd, bwd)
+        assert out.shape == (2, 4, 2 * d)
 
     def test_single_step_equals_lstm_step_halves(self):
         rng = np.random.default_rng(4)
         fwd, bwd = LstmParams(3, 2, rng), LstmParams(3, 2, rng)
         x = rng.normal(size=(1, 2))
-        out = bilstm_encode(ag.constant(x), fwd, bwd)
-        step_f = lstm_step(ag.constant(x[0]), initial_state(3), fwd)
-        step_b = lstm_step(ag.constant(x[0]), initial_state(3), bwd)
-        np.testing.assert_allclose(out.data[0, :3], step_f.h.data, atol=1e-15)
-        np.testing.assert_allclose(out.data[0, 3:], step_b.h.data, atol=1e-15)
+        out = encode(x, fwd, bwd)
+        step_f = step(x[0], initial_state(3), fwd)
+        step_b = step(x[0], initial_state(3), bwd)
+        np.testing.assert_allclose(out[0, :3], step_f.h, atol=1e-15)
+        np.testing.assert_allclose(out[0, 3:], step_b.h, atol=1e-15)
 
     def test_sequence_matches_folded_lstm_step(self):
-        # the fused sequence op must agree with folding lstm_step manually
+        # the fused sequence op must agree with folding the cell manually
         rng = np.random.default_rng(40)
         params = LstmParams(4, 3, rng)
         x = rng.normal(size=(6, 3))
-        fused = bilstm_encode(ag.constant(x), params, params).data
+        fused = encode(x, params, params)
         state_f = initial_state(4)
         state_b = initial_state(4)
         hs_f, hs_b = [], [None] * 6
         for t in range(6):
-            state_f = lstm_step(ag.constant(x[t]), state_f, params)
-            hs_f.append(state_f.h.data)
+            state_f = step(x[t], state_f, params)
+            hs_f.append(state_f.h)
         for t in reversed(range(6)):
-            state_b = lstm_step(ag.constant(x[t]), state_b, params)
-            hs_b[t] = state_b.h.data
+            state_b = step(x[t], state_b, params)
+            hs_b[t] = state_b.h
         manual = np.hstack([np.vstack(hs_f), np.vstack(hs_b)])
         np.testing.assert_allclose(fused, manual, atol=1e-14)
 
@@ -102,27 +109,10 @@ class TestBilstmEncode:
         rng = np.random.default_rng(5)
         a, b = LstmParams(4, 3, rng), LstmParams(4, 3, rng)
         x = rng.normal(size=(6, 3))
-        out = bilstm_encode(ag.constant(x), a, b).data
-        mirrored = bilstm_encode(ag.constant(x[::-1].copy()), b, a).data
+        out = encode(x, a, b)
+        mirrored = encode(x[::-1].copy(), b, a)
         np.testing.assert_allclose(out[:, :4], mirrored[::-1, 4:], atol=1e-12)
         np.testing.assert_allclose(out[:, 4:], mirrored[::-1, :4], atol=1e-12)
-
-    def test_pad_rows_output_zero_and_do_not_leak(self):
-        rng = np.random.default_rng(6)
-        fwd, bwd = LstmParams(3, 2, rng), LstmParams(3, 2, rng)
-        x = rng.normal(size=(5, 2))
-        out = bilstm_encode(ag.constant(x), fwd, bwd, length=3)
-        np.testing.assert_array_equal(out.data[3:], np.zeros((2, 6)))
-        x2 = x.copy()
-        x2[3:] = 0.0  # changing PAD embeddings must not touch real rows
-        out2 = bilstm_encode(ag.constant(x2), fwd, bwd, length=3)
-        np.testing.assert_array_equal(out.data[:3], out2.data[:3])
-
-    def test_length_exceeding_rows_is_error(self):
-        rng = np.random.default_rng(7)
-        fwd, bwd = LstmParams(2, 2, rng), LstmParams(2, 2, rng)
-        with pytest.raises(ShapeError, match="exceeds"):
-            bilstm_encode(ag.constant(np.zeros((3, 2))), fwd, bwd, length=4)
 
     def test_batched_rows_match_single_doc_encoding(self):
         rng = np.random.default_rng(50)
@@ -130,7 +120,7 @@ class TestBilstmEncode:
         x = rng.normal(size=(5, 4, 2))
         batched = bilstm_encode_batch(ag.constant(x), fwd, bwd).data
         for b in range(5):
-            single = bilstm_encode(ag.constant(x[b]), fwd, bwd).data
+            single = encode(x[b], fwd, bwd)
             np.testing.assert_allclose(batched[b], single, atol=1e-14)
 
     def test_batched_gradient_check(self):
@@ -150,13 +140,13 @@ class TestBilstmEncode:
     def test_four_step_gradient_check(self):
         rng = np.random.default_rng(8)
         fwd, bwd = LstmParams(3, 2, rng), LstmParams(3, 2, rng)
-        seq = ag.param(rng.uniform(-1, 1, (4, 2)))
+        seq = ag.param(rng.uniform(-1, 1, (1, 4, 2)))
         params = {"seq": seq}
         params.update(fwd.parameters("fwd"))
         params.update(bwd.parameters("bwd"))
 
         def f():
-            enc = bilstm_encode(seq, fwd, bwd)
+            enc = bilstm_encode_batch(seq, fwd, bwd)
             return ag.sum_along(ag.tanh(enc))
 
         report = ag.finite_difference_check(f, params, samples_per_group=4)

@@ -23,6 +23,11 @@ def tiny_corpus():
     ]
 
 
+def forward_one(m, text_ids, emoji_ids, **kwargs):
+    """One document through the batched forward."""
+    return m.forward_docs([(text_ids, emoji_ids)], **kwargs)[0]
+
+
 @pytest.fixture
 def model():
     docs = tiny_corpus()
@@ -62,8 +67,8 @@ class TestForward:
     def test_probs_are_distributions(self, model):
         m, docs = model
         for doc in docs:
-            out = m.forward_doc(m.vocab.encode_text(doc.text_tokens),
-                                m.vocab.encode_emojis(doc.emoji_tokens))
+            out = forward_one(m, m.vocab.encode_text(doc.text_tokens),
+                              m.vocab.encode_emojis(doc.emoji_tokens))
             np.testing.assert_allclose(out.probs.data.sum(), 1.0, atol=1e-9)
             assert np.all(out.probs.data >= 0)
 
@@ -73,7 +78,7 @@ class TestForward:
                     m.vocab.encode_emojis(d.emoji_tokens)) for d in docs]
         batched = m.forward_docs(encoded)
         for one, (tids, eids) in zip(batched, encoded):
-            single = m.forward_doc(tids, eids)
+            single = forward_one(m, tids, eids)
             np.testing.assert_allclose(one.probs.data, single.probs.data,
                                        atol=1e-12)
             np.testing.assert_allclose(one.text_states.data,
@@ -83,17 +88,17 @@ class TestForward:
         m, docs = model
         ids = (m.vocab.encode_text(docs[0].text_tokens),
                m.vocab.encode_emojis(docs[0].emoji_tokens))
-        a = m.forward_doc(*ids).probs.data
-        b = m.forward_doc(*ids).probs.data
+        a = forward_one(m, *ids).probs.data
+        b = forward_one(m, *ids).probs.data
         np.testing.assert_array_equal(a, b)
 
     def test_training_dropout_changes_outputs(self, model):
         m, docs = model
         ids = (m.vocab.encode_text(docs[0].text_tokens),
                m.vocab.encode_emojis(docs[0].emoji_tokens))
-        base = m.forward_doc(*ids).probs.data
-        dropped = m.forward_doc(*ids, train=True,
-                                dropout_rng=np.random.default_rng(0)).probs.data
+        base = forward_one(m, *ids).probs.data
+        dropped = forward_one(m, *ids, train=True,
+                              dropout_rng=np.random.default_rng(0)).probs.data
         assert np.any(base != dropped)
 
     def test_no_emoji_document_predicts(self, model):
@@ -134,8 +139,8 @@ class TestBatchLoss:
         lam = m.loss_config.lambda_align
         manual = 0.0
         for doc in docs:
-            out = m.forward_doc(vocab.encode_text(doc.text_tokens),
-                                vocab.encode_emojis(doc.emoji_tokens))
+            out = forward_one(m, vocab.encode_text(doc.text_tokens),
+                              vocab.encode_emojis(doc.emoji_tokens))
             ce, align = m.doc_losses(out, doc.label)
             manual += ce.item() + lam * align.item()
         np.testing.assert_allclose(total, manual / len(docs), atol=1e-12)

@@ -1,6 +1,9 @@
 """Training loop, metrics, checkpointing, and the ablation harness."""
 
 import dataclasses
+import json
+import os
+import struct
 
 import numpy as np
 import pytest
@@ -201,6 +204,48 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         with pytest.raises(CheckpointError, match="shape"):
             load_checkpoint(path)
+
+    def test_v1_file_naming_retired_config_field_loads(self, tmp_path):
+        # byte layout of format 1 as earlier releases wrote it, whose config
+        # JSON still carried the encoder mode
+        docs = gen_overfit(16, seed=11)
+        model = Model(tiny_config(), build_vocab(docs))
+        state = model.state()
+        config = dict(model.config.to_json_dict(),
+                      encoder_mode="trainable_table")
+        blob = bytearray(b"FAET" + struct.pack("<I", 1))
+        for meta in (config, model.vocab.to_json_dict()):
+            raw = json.dumps(meta, sort_keys=True, ensure_ascii=False).encode()
+            blob += struct.pack("<Q", len(raw)) + raw
+        blob += struct.pack("<I", len(state))
+        for name in sorted(state):
+            arr = state[name]
+            blob += struct.pack("<H", len(name)) + name.encode()
+            blob += struct.pack("<B", arr.ndim)
+            blob += b"".join(struct.pack("<Q", n) for n in arr.shape)
+            blob += arr.astype("<f8").tobytes()
+        path = tmp_path / "old.faet"
+        path.write_bytes(bytes(blob))
+        loaded = load_checkpoint(str(path))
+        assert loaded.config == model.config
+        loaded_state = loaded.state()
+        assert set(loaded_state) == set(state)
+        for name, arr in state.items():
+            assert loaded_state[name].tobytes() == arr.tobytes()
+
+    def test_failed_save_leaves_previous_file(self, tmp_path):
+        docs = gen_overfit(16, seed=12)
+        model = Model(tiny_config(), build_vocab(docs))
+        path = tmp_path / "model.faet"
+        save_checkpoint(model, str(path))
+        before = path.read_bytes()
+        model.cnn.filter_bias[2].data += 1.0  # first blob written
+        # out_b comes mid-file in sorted-name order and cannot be encoded
+        model.cnn.out_b.data = np.array(["not", "numbers"], dtype=object)
+        with pytest.raises(ValueError):
+            save_checkpoint(model, str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.faet"]
 
     def test_coarse_checkpoint_loads_and_predicts(self, tmp_path):
         docs = gen_overfit(16, seed=10)
