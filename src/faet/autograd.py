@@ -10,6 +10,7 @@ seeded forward/backward replay is bitwise reproducible.
 from __future__ import annotations
 
 import contextlib
+import weakref
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -44,7 +45,8 @@ class Value:
     the documented behavior (callers reset with `zero_grad`).
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward", "_op",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False,
                  _prev: tuple = (), _op: str = "leaf"):
@@ -184,7 +186,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def make_node(data, inputs: Sequence[Value], op: str) -> Value:
     """Graph-node constructor for ops (including fused ops defined outside
-    this module): callers attach the backward rule via `out._backward`."""
+    this module): callers attach the backward rule via `out._backward`.
+
+    The rule must hold `out` weakly (a `weakref.proxy` default argument):
+    a strong reference would put every node in a cycle with its rule, so a
+    step's graph would outlive its last reference until a full cyclic
+    garbage collection."""
     needs = _grad_enabled and any(v.requires_grad for v in inputs)
     out = Value(data, requires_grad=needs,
                 _prev=tuple(inputs) if needs else (), _op=op)
@@ -199,7 +206,7 @@ def add(a, b) -> Value:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape}: {exc}") from exc
     out = make_node(data, (a, b), "add")
     if out.requires_grad:
-        def _bw():
+        def _bw(out=weakref.proxy(out)):
             if a.requires_grad:
                 a.grad += _unbroadcast(out.grad, a.shape)
             if b.requires_grad:
@@ -216,7 +223,7 @@ def mul(a, b) -> Value:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape}: {exc}") from exc
     out = make_node(data, (a, b), "mul")
     if out.requires_grad:
-        def _bw():
+        def _bw(out=weakref.proxy(out)):
             if a.requires_grad:
                 a.grad += _unbroadcast(out.grad * b.data, a.shape)
             if b.requires_grad:
@@ -236,7 +243,7 @@ def matmul(a, b) -> Value:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape}: {exc}") from exc
     out = make_node(data, (a, b), "matmul")
     if out.requires_grad:
-        def _bw():
+        def _bw(out=weakref.proxy(out)):
             g = out.grad
             if a.ndim == 2 and b.ndim == 2:
                 if a.requires_grad:
@@ -274,7 +281,7 @@ def concat(parts: Iterable[Value], axis: int = 0) -> Value:
     out = make_node(data, parts, "concat")
     if out.requires_grad:
         sizes = [p.shape[axis] for p in parts]
-        def _bw():
+        def _bw(out=weakref.proxy(out)):
             start = 0
             for p, length in zip(parts, sizes):
                 if p.requires_grad:
@@ -299,7 +306,7 @@ def sigmoid(x) -> Value:
     x = _coerce(x)
     out = make_node(_stable_sigmoid(x.data), (x,), "sigmoid")
     if out.requires_grad:
-        def _bw():
+        def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
                 s = out.data
                 x.grad += out.grad * s * (1.0 - s)
@@ -311,7 +318,7 @@ def tanh(x) -> Value:
     x = _coerce(x)
     out = make_node(np.tanh(x.data), (x,), "tanh")
     if out.requires_grad:
-        def _bw():
+        def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
                 x.grad += out.grad * (1.0 - out.data * out.data)
         out._backward = _bw
@@ -324,7 +331,7 @@ def log(x) -> Value:
     clamped = np.maximum(x.data, LOG_CLAMP)
     out = make_node(np.log(clamped), (x,), "log")
     if out.requires_grad:
-        def _bw():
+        def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
                 x.grad += out.grad / clamped
         out._backward = _bw
@@ -335,7 +342,7 @@ def relu(x) -> Value:
     x = _coerce(x)
     out = make_node(np.maximum(x.data, 0.0), (x,), "relu")
     if out.requires_grad:
-        def _bw():
+        def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
                 x.grad += out.grad * (x.data > 0.0)
         out._backward = _bw
@@ -352,7 +359,7 @@ def softmax(x, axis: int = -1) -> Value:
     p = e / np.sum(e, axis=axis, keepdims=True)
     out = make_node(p, (x,), "softmax")
     if out.requires_grad:
-        def _bw():
+        def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
                 g = out.grad
                 dot = np.sum(g * p, axis=axis, keepdims=True)
@@ -372,7 +379,7 @@ def max_along(x, axis: int) -> Value:
     if out.requires_grad:
         sel = np.zeros(x.shape, dtype=bool)
         np.put_along_axis(sel, np.expand_dims(idx, axis), True, axis=axis)
-        def _bw():
+        def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
                 x.grad += np.where(sel, np.expand_dims(out.grad, axis), 0.0)
         out._backward = _bw
@@ -386,7 +393,7 @@ def mean_along(x, axis: int) -> Value:
     n = x.data.shape[axis]
     out = make_node(np.mean(x.data, axis=axis), (x,), "mean")
     if out.requires_grad:
-        def _bw():
+        def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
                 x.grad += np.expand_dims(out.grad, axis) / n
         out._backward = _bw
@@ -397,7 +404,7 @@ def sum_along(x, axis: int | None = None) -> Value:
     x = _coerce(x)
     out = make_node(np.sum(x.data, axis=axis), (x,), "sum")
     if out.requires_grad:
-        def _bw():
+        def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
                 g = out.grad if axis is None else np.expand_dims(out.grad, axis)
                 x.grad += np.broadcast_to(g, x.shape)
@@ -419,7 +426,7 @@ def dropout(x, rate: float, rng: np.random.Generator) -> Value:
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
     out = make_node(x.data * mask, (x,), "dropout")
     if out.requires_grad:
-        def _bw():
+        def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
                 x.grad += out.grad * mask
         out._backward = _bw
@@ -436,7 +443,7 @@ def take_rows(table, ids) -> Value:
             f"min={ids.min()}, max={ids.max()}")
     out = make_node(table.data[ids], (table,), "take_rows")
     if out.requires_grad:
-        def _bw():
+        def _bw(out=weakref.proxy(out)):
             if table.requires_grad:
                 np.add.at(table.grad, ids, out.grad)
         out._backward = _bw
@@ -455,7 +462,7 @@ def narrow(x, axis: int, start: int, length: int) -> Value:
     sl = tuple(sl)
     out = make_node(x.data[sl].copy(), (x,), "narrow")
     if out.requires_grad:
-        def _bw():
+        def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
                 x.grad[sl] += out.grad
         out._backward = _bw
@@ -468,7 +475,7 @@ def transpose(x) -> Value:
         raise ShapeError(f"transpose: need 2-D, got {x.shape}")
     out = make_node(x.data.T.copy(), (x,), "transpose")
     if out.requires_grad:
-        def _bw():
+        def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
                 x.grad += out.grad.T
         out._backward = _bw
@@ -479,7 +486,7 @@ def reshape(x, shape) -> Value:
     x = _coerce(x)
     out = make_node(x.data.reshape(shape), (x,), "reshape")
     if out.requires_grad:
-        def _bw():
+        def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
                 x.grad += out.grad.reshape(x.shape)
         out._backward = _bw
@@ -490,7 +497,7 @@ def broadcast_to(x, shape) -> Value:
     x = _coerce(x)
     out = make_node(np.broadcast_to(x.data, shape).copy(), (x,), "broadcast")
     if out.requires_grad:
-        def _bw():
+        def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
                 x.grad += _unbroadcast(out.grad, x.shape)
         out._backward = _bw

@@ -46,37 +46,50 @@ class TextCnnParams:
 
 def textcnn_forward_batch(states: Value, summaries: Value,
                           params: TextCnnParams, dropout_rate: float = 0.0,
-                          dropout_rng: np.random.Generator | None = None
-                          ) -> tuple[Value, Value]:
-    """(B, L, 2d) same-length states + (B, 4d) summaries -> ((B, 2) probs,
-    (B, 2) logits).
+                          dropout_rng: np.random.Generator | None = None,
+                          lengths=None) -> tuple[Value, Value]:
+    """(B, L, 2d) padded states + (B, 4d) summaries -> ((B, 2) probs,
+    (B, 2) logits); row b is valid on its first `lengths[b]` positions
+    (all L when None).
 
-    The convolution is expressed as window gathering plus one matrix
-    product per width, so the whole batch reads each filter bank once.
-    Widths longer than the sequence contribute zero pooled features.
-    Dropout applies to the pooled features only when a rate and rng are
-    given (training).
+    Filter columns [i*C, i*C + 2d) act on the state at shift i of a
+    window and [i*C + 2d, (i+1)*C) on the row's summary, so a window is a
+    sum of per-shift state products (one matrix product per width) plus
+    one per-row summary term; neither windows nor the broadcast summary
+    are built.  Max-over-time pools each row's valid windows: widths
+    longer than a row contribute zero pooled features.  Dropout applies to
+    the pooled features only when a rate and rng are given (training).
     """
-    batch, length, _ = states.shape
+    batch, length, hidden = states.shape
     fdim = summaries.shape[1]
-    grid = ag.broadcast_to(ag.reshape(summaries, (batch, 1, fdim)),
-                           (batch, length, fdim))
-    per_pos = ag.concat([states, grid], axis=2)  # (B, L, channels)
-    channels = per_pos.shape[2]
+    f = params.n_filters
+    valid = np.reshape(length if lengths is None else lengths, (-1, 1, 1))
+    flat = ag.reshape(states, (batch * length, hidden))
 
     pooled = []
     for w in params.widths:
-        if length >= w:
-            n_out = length - w + 1
-            windows = ag.concat([ag.narrow(per_pos, 1, i, n_out)
-                                 for i in range(w)], axis=2)
-            flat = ag.reshape(windows, (batch * n_out, w * channels))
-            conv = ag.add(ag.matmul(flat, ag.transpose(params.filters[w])),
-                          params.filter_bias[w])
-            conv = ag.relu(ag.reshape(conv, (batch, n_out, params.n_filters)))
-            pooled.append(ag.max_along(conv, axis=1))  # (B, n_filters)
-        else:
-            pooled.append(ag.constant(np.zeros((batch, params.n_filters))))
+        n_out = length - w + 1
+        if n_out < 1:
+            pooled.append(ag.constant(np.zeros((batch, f))))
+            continue
+        bank = ag.reshape(params.filters[w], (f, w, hidden + fdim))
+        # (B, L, F, w): filter f's shift-i state block at every position
+        shifted = ag.reshape(
+            ag.matmul(flat, ag.transpose(ag.reshape(
+                ag.narrow(bank, 2, 0, hidden), (f * w, hidden)))),
+            (batch, length, f, w))
+        shifts = [ag.narrow(ag.narrow(shifted, 3, i, 1), 1, i, n_out)
+                  for i in range(w)]                         # (B, n_out, F, 1)
+        summary_bank = ag.sum_along(ag.narrow(bank, 2, hidden, fdim), axis=1)
+        per_row = ag.add(ag.matmul(summaries, ag.transpose(summary_bank)),
+                         params.filter_bias[w])                  # (B, F)
+        conv = ag.relu(ag.add(
+            ag.reshape(sum(shifts[1:], shifts[0]), (batch, n_out, f)),
+            ag.reshape(per_row, (batch, 1, f))))
+        # ReLU outputs are >= 0, so zeroing invalid windows leaves every
+        # valid maximum in place and pools a window-less row to 0
+        mask = np.arange(n_out)[:, None] < valid - w + 1
+        pooled.append(ag.max_along(ag.mul(conv, ag.constant(mask)), axis=1))
     feats = ag.concat(pooled, axis=1)  # (B, widths * n_filters)
     if dropout_rate > 0.0 and dropout_rng is not None:
         feats = ag.dropout(feats, dropout_rate, dropout_rng)

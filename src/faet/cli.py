@@ -13,6 +13,7 @@ import json
 import os
 import sys
 
+from .autograd import ShapeError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .corpus import (
     CorpusError, SplitSpec, build_vocab, encode_doc, read_jsonl, split_corpus,
@@ -265,6 +266,8 @@ def main(argv=None) -> int:
     except NanLossError as exc:
         print(f"faet: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ShapeError:
+        raise  # an internal bug, not a usage error: keep the traceback
     except (ValueError, TypeError) as exc:
         print(f"faet: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

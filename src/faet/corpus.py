@@ -262,7 +262,10 @@ class Vocab:
         return len(self.id_to_emoji)
 
     def encode_text(self, tokens: list[str]) -> list[int]:
-        return [self.text_to_id.get(t, UNK_ID) for t in tokens]
+        """Token ids; unknown tokens, and a literal PAD token without an id
+        of its own, encode to UNK, so no text token reads the PAD row."""
+        ids = [self.text_to_id.get(t, UNK_ID) for t in tokens]
+        return [UNK_ID if i == PAD_ID else i for i in ids]
 
     def decode_text(self, ids: list[int]) -> list[str]:
         return [self.id_to_text[i] for i in ids]
@@ -284,11 +287,13 @@ class Vocab:
 
 
 def build_vocab(train_docs: list[TokenizedDoc], min_count: int = 1) -> Vocab:
-    """First-seen-order vocabulary from the training split only."""
+    """First-seen-order vocabulary from the training split only; literal
+    reserved tokens get no second id."""
     counts: dict[str, int] = {}
     for doc in train_docs:
         for tok in doc.text_tokens:
-            counts[tok] = counts.get(tok, 0) + 1
+            if tok not in (PAD_TOKEN, UNK_TOKEN):
+                counts[tok] = counts.get(tok, 0) + 1
     id_to_text = [PAD_TOKEN, UNK_TOKEN]
     id_to_text.extend(t for t, c in counts.items() if c >= min_count)
 

@@ -18,7 +18,8 @@ class TextEncoder:
     """Trainable token lookup table.
 
     The PAD row starts at zero.  Padding never reaches `embed`: the model
-    embeds only the true (unpadded) prefix of each document.
+    embeds only the true (unpadded) prefix of each document and pads its
+    sequences from a constant zero row.
     """
 
     def __init__(self, dim: int, vocab_size: int,
@@ -62,8 +63,9 @@ class BisenseEmojiEmbedding:
                 "sense_att_v": self.att_v}
 
     def mix(self, emoji_ids, context: Value) -> tuple[Value, Value]:
-        """(m,) emoji ids + (dim,) context -> ((m, dim) mixed vectors,
-        (m, 2) sense attention weights)."""
+        """(m,) emoji ids + (m, dim) per-emoji contexts (or one (dim,)
+        context for all) -> ((m, dim) mixed vectors, (m, 2) sense
+        attention weights)."""
         emoji_ids = np.asarray(emoji_ids, dtype=np.int64)
         if emoji_ids.size and emoji_ids.max() >= self.n_emoji:
             raise CorpusError(
@@ -72,7 +74,7 @@ class BisenseEmojiEmbedding:
         m = len(emoji_ids)
         e_pos = ag.take_rows(self.sense_pos, emoji_ids)  # (m, dim)
         e_neg = ag.take_rows(self.sense_neg, emoji_ids)
-        ctx = ag.broadcast_to(ag.reshape(context, (1, self.dim)), (m, self.dim))
+        ctx = ag.broadcast_to(context, (m, self.dim))
         score_pos = ag.matmul(
             ag.tanh(ag.matmul(ag.concat([e_pos, ctx], axis=1), self.att_w)),
             self.att_v)  # (m,)

@@ -2,11 +2,13 @@
 
 Emoji positions are encoded in-sequence after the text positions; each
 output row is the concatenation [forward hidden ; backward hidden], so the
-feature size is 2d.  Callers pass true (unpadded) sequences, grouped by
-length.
+feature size is 2d.  A batch is zero-padded to its longest row; per-row
+lengths keep each row's backward direction on its own prefix.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -40,19 +42,32 @@ class LstmParams:
                 f"{prefix}.bias": self.bias}
 
 
-def lstm_batch(seq: Value, p: LstmParams, reverse: bool = False) -> Value:
+def lstm_batch(seq: Value, p: LstmParams, reverse: bool = False,
+               lengths=None) -> Value:
     """Run one direction over a (B, L, d_in) batch as a single fused node.
 
-    Same-length sequences advance in lockstep, so each time step costs one
-    matrix product against the recurrent weights.  Each step is the
-    standard cell update: sigmoid input/forget/output gates, tanh
-    candidate, c' = f*c + i*g, h' = o*tanh(c').  The backward rule is
-    hand-rolled BPTT, checked against a per-step reference and central
-    differences by the test suite.
+    Rows advance in lockstep, so each time step costs one matrix product
+    against the recurrent weights.  Row b is valid on its first
+    `lengths[b]` positions (all L when None) and the reverse direction
+    starts at its last valid one, so padding never reaches a valid output.
+    Each step is the standard cell update: sigmoid input/forget/output
+    gates, tanh candidate, c' = f*c + i*g, h' = o*tanh(c').  The backward
+    rule is hand-rolled BPTT, checked against a per-step reference and
+    central differences by the test suite.
     """
     d = p.d
     batch, length, _ = seq.shape
-    x = seq.data[:, ::-1] if reverse else seq.data      # (B, L, d_in)
+    if reverse:
+        # each row's valid prefix back to front, padding in place; the
+        # permutation is its own inverse, so it also maps outputs back
+        steps = np.arange(length)
+        valid = np.reshape(length if lengths is None else lengths, (-1, 1))
+        order = np.where(steps < valid, valid - 1 - steps, steps)[:, :, None]
+
+    def flip(a: np.ndarray) -> np.ndarray:
+        return np.take_along_axis(a, order, axis=1) if reverse else a
+
+    x = flip(seq.data)                                  # (B, L, d_in)
     w_in, w_rec, bias = p.w_in.data, p.w_rec.data, p.bias.data
 
     pre = x @ w_in + bias                               # (B, L, 4d)
@@ -75,11 +90,11 @@ def lstm_batch(seq: Value, p: LstmParams, reverse: bool = False) -> Value:
         hidden[:, t] = o * tanh_c[:, t]
         h = hidden[:, t]
 
-    out_data = hidden[:, ::-1].copy() if reverse else hidden
-    out = ag.make_node(out_data, (seq, p.w_in, p.w_rec, p.bias), "lstm_batch")
+    out = ag.make_node(flip(hidden), (seq, p.w_in, p.w_rec, p.bias),
+                       "lstm_batch")
     if out.requires_grad:
-        def _bw():
-            d_hidden = out.grad[:, ::-1] if reverse else out.grad  # (B, L, d)
+        def _bw(out=weakref.proxy(out)):
+            d_hidden = flip(out.grad)                   # (B, L, d)
             d_pre = np.empty((batch, length, 4 * d))
             dh_rec = np.zeros((batch, d))
             dc_rec = np.zeros((batch, d))
@@ -111,7 +126,7 @@ def lstm_batch(seq: Value, p: LstmParams, reverse: bool = False) -> Value:
                 p.bias.grad += flat_pre.sum(axis=0)
             if seq.requires_grad:
                 dx = d_pre @ w_in.T                     # (B, L, d_in)
-                seq.grad += dx[:, ::-1] if reverse else dx
+                seq.grad += flip(dx)
         out._backward = _bw
     return out
 
@@ -124,7 +139,10 @@ def _stable_sigmoid_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def bilstm_encode_batch(seq: Value, fwd: LstmParams, bwd: LstmParams) -> Value:
-    """(B, L, d_in) same-length batch -> (B, L, 2d) features."""
+def bilstm_encode_batch(seq: Value, fwd: LstmParams, bwd: LstmParams,
+                        lengths=None) -> Value:
+    """(B, L, d_in) padded batch with per-row `lengths` (None: all L) ->
+    (B, L, 2d) features."""
     return ag.concat([lstm_batch(seq, fwd),
-                      lstm_batch(seq, bwd, reverse=True)], axis=2)
+                      lstm_batch(seq, bwd, reverse=True, lengths=lengths)],
+                     axis=2)

@@ -1,11 +1,11 @@
 """Full model assembly: embedding -> BiLSTM -> attention -> TextCNN.
 
-Embedding and attention run per document; the BiLSTM and the TextCNN head
-batch same-length documents through shared graph nodes, and batches
-average per-document losses.  The "fine" variant runs the word-level
-cross-attention; the "coarse" ablation variant replaces it with one pooled
-attention over emojis, keeping the classifier input width identical
-(6d per position) so head capacity stays comparable.
+Embedding, the BiLSTM and the TextCNN head run once per batch over
+zero-padded sequences with per-row lengths; attention and the losses run
+per document, and batches average per-document losses.  The "fine"
+variant runs the word-level cross-attention; the "coarse" ablation variant
+replaces it with one pooled attention over emojis, keeping the classifier
+input width identical (6d per position) so head capacity stays comparable.
 """
 
 from __future__ import annotations
@@ -87,11 +87,10 @@ class TrainConfig:
 class DocOutputs:
     """Everything one forward pass exposes for loss and inspection."""
 
-    probs: Value
-    logits: Value
-    text_states: Value               # (n, 2d)
-    sense_weights: Value | None      # (m, 2)
-    attention: object | None = None  # AttentionOutputs for the fine variant
+    text_states: Value                   # (n, 2d)
+    probs: Value | None = None           # (2,)
+    sense_weights: Value | None = None   # (m, 2), values only
+    attention: object | None = None      # AttentionOutputs for the fine variant
     coarse_weights: Value | None = None
 
     def prediction(self, explain: bool = False) -> dict:
@@ -180,93 +179,64 @@ class Model:
         """Forward a list of (text_ids, emoji_ids) documents.
 
         Ids must be the true (unpadded) prefixes; callers slice padded
-        batches by the stored lengths.  Same-length sequences share one
-        batched BiLSTM node; everything else is per-document.
+        batches by the stored lengths.  All layers but attention run once
+        over the list, padded to its longest [text ; emoji] sequence.
         """
         cfg = self.config
         drop = cfg.dropout if (train and dropout_rng is not None) else 0.0
+        n = np.array([len(t) for t, _ in docs])
+        m = np.array([len(e) for _, e in docs])
+        lengths, rows = n + m, np.arange(len(docs))
+        text = np.concatenate([t for t, _ in docs]).astype(np.int64)
+        emoji = np.concatenate([e for _, e in docs]).astype(np.int64)
 
-        seqs: list[ag.Value] = []
-        metas: list[tuple[int, int]] = []        # (n, m) per doc
-        senses: list[ag.Value | None] = []
-        for text_ids, emoji_ids in docs:
-            text_ids = np.asarray(text_ids, dtype=np.int64)
-            emoji_ids = np.asarray(emoji_ids, dtype=np.int64)
-            embedded = self.text_encoder.embed(text_ids)             # (n, d_w)
-            context = ag.mean_along(embedded, axis=0)                # (d_w,)
-            sense_weights = None
-            if len(emoji_ids) > 0:
-                emoji_vecs, sense_weights = self.emoji_table.mix(emoji_ids,
-                                                                 context)
-                seq = ag.concat([embedded, emoji_vecs], axis=0)  # (n+m, d_w)
-            else:
-                seq = embedded
-            if drop > 0.0:
-                seq = ag.dropout(seq, drop, dropout_rng)
-            seqs.append(seq)
-            metas.append((len(text_ids), len(emoji_ids)))
-            senses.append(sense_weights)
+        embedded = self.text_encoder.embed(text)                  # (N, d_w)
+        averager = np.zeros((len(docs), len(text)))
+        averager[np.repeat(rows, n), np.arange(len(text))] = \
+            1.0 / np.repeat(n, n)
+        context = ag.matmul(ag.constant(averager), embedded)      # (B, d_w)
+        mixed, senses = self.emoji_table.mix(
+            emoji, ag.take_rows(context, np.repeat(rows, m)))
+        # row b of the padded batch: its text rows, its emoji rows, then a
+        # constant zero row, so padding never reads a trainable table
+        length = int(lengths.max())
+        pos = np.arange(length)
+        index = np.where(
+            pos < n[:, None], (np.cumsum(n) - n)[:, None] + pos,
+            np.where(pos < lengths[:, None],
+                     (len(text) + np.cumsum(m) - m - n)[:, None] + pos,
+                     len(text) + len(emoji)))
+        seq = ag.take_rows(ag.concat(
+            [embedded, mixed, ag.constant(np.zeros((1, cfg.d_w)))]), index)
+        seq = ag.dropout(seq, drop, dropout_rng)   # rate 0: seq itself
+        encoded = bilstm_encode_batch(seq, self.lstm_fwd, self.lstm_bwd,
+                                      lengths)                    # (B, L, 2d)
+        states = ag.reshape(encoded, (len(docs) * length, -1))
 
-        # equal-length groups (first-seen order) share one BiLSTM node and
-        # one TextCNN pass
-        groups: dict[int, list[int]] = {}
-        for k, seq in enumerate(seqs):
-            groups.setdefault(seq.shape[0], []).append(k)
-        d2 = 2 * cfg.d
-        states: list[ag.Value | None] = [None] * len(seqs)
-        encoded_by_group: dict[int, ag.Value] = {}
-        for length, members in groups.items():
-            stacked = ag.concat([ag.reshape(seqs[k], (1, length, cfg.d_w))
-                                 for k in members], axis=0)
-            encoded = bilstm_encode_batch(stacked, self.lstm_fwd,
-                                          self.lstm_bwd)  # (B, L, 2d)
-            encoded_by_group[length] = encoded
-            for row, k in enumerate(members):
-                states[k] = ag.reshape(ag.narrow(encoded, 0, row, 1),
-                                       (length, d2))
-
-        summaries: list[ag.Value | None] = [None] * len(seqs)
-        attentions: list = [None] * len(seqs)
-        coarse_w: list = [None] * len(seqs)
-        text_st: list = [None] * len(seqs)
-        for k, (n, m) in enumerate(metas):
-            text_states = ag.narrow(states[k], 0, 0, n)
-            emoji_states = (ag.narrow(states[k], 0, n, m) if m > 0
-                            else ag.constant(np.zeros((0, d2))))
+        outputs, summaries = [], []
+        for b, sense in enumerate(np.split(senses.data, np.cumsum(m)[:-1])):
+            text_states = ag.narrow(states, 0, b * length, n[b])
+            emoji_states = ag.narrow(states, 0, b * length + n[b], m[b])
+            out = DocOutputs(
+                text_states, sense_weights=ag.constant(sense) if m[b] else None)
             if self.fine_params is not None:
-                att = fine_attention(text_states, emoji_states,
-                                     self.fine_params)
-                attentions[k] = att
-                summary = att.fused                               # (4d,)
+                out.attention = fine_attention(text_states, emoji_states,
+                                               self.fine_params)
+                summaries.append(out.attention.fused)             # (4d,)
             else:
-                ctx, weights = coarse_attention(text_states, emoji_states,
-                                                self.coarse_params)
-                coarse_w[k] = weights
-                summary = ag.concat([ag.mean_along(text_states, axis=0), ctx],
-                                    axis=0)                       # (4d,)
-            if drop > 0.0:
-                summary = ag.dropout(summary, drop, dropout_rng)
-            summaries[k] = summary
-            text_st[k] = text_states
-
-        probs: list[ag.Value | None] = [None] * len(seqs)
-        logits: list[ag.Value | None] = [None] * len(seqs)
-        for length, members in groups.items():
-            stacked_sum = ag.concat(
-                [ag.reshape(summaries[k], (1, 4 * cfg.d)) for k in members],
-                axis=0)
-            p_batch, l_batch = textcnn_forward_batch(
-                encoded_by_group[length], stacked_sum, self.cnn,
-                dropout_rate=drop,
-                dropout_rng=dropout_rng if drop > 0.0 else None)
-            for row, k in enumerate(members):
-                probs[k] = ag.reshape(ag.narrow(p_batch, 0, row, 1), (2,))
-                logits[k] = ag.reshape(ag.narrow(l_batch, 0, row, 1), (2,))
-
-        return [DocOutputs(probs=probs[k], logits=logits[k],
-                           text_states=text_st[k], sense_weights=senses[k],
-                           attention=attentions[k], coarse_weights=coarse_w[k])
-                for k in range(len(seqs))]
+                ctx, out.coarse_weights = coarse_attention(
+                    text_states, emoji_states, self.coarse_params)
+                summaries.append(ag.concat(
+                    [ag.mean_along(text_states, axis=0), ctx], axis=0))
+            outputs.append(out)
+        summary = ag.dropout(ag.reshape(ag.concat(summaries), (len(docs), -1)),
+                             drop, dropout_rng)
+        probs, _ = textcnn_forward_batch(encoded, summary, self.cnn, drop,
+                                         dropout_rng, lengths)
+        probs = ag.reshape(probs, (2 * len(docs),))
+        for b, out in enumerate(outputs):
+            out.probs = ag.narrow(probs, 0, 2 * b, 2)
+        return outputs
 
     def score(self, docs: list[tuple], chunk: int = 64):
         """Yield each document's outputs from no-grad `forward_docs` passes
@@ -303,18 +273,11 @@ class Model:
             ce_terms.append(ce)
             align_terms.append(align)
         inv = 1.0 / len(batch)
-        ce_mean = _accumulate(ce_terms) * inv
-        align_mean = _accumulate(align_terms) * inv
+        ce_mean = sum(ce_terms[1:], ce_terms[0]) * inv
+        align_mean = sum(align_terms[1:], align_terms[0]) * inv
         return total_loss(ce_mean, align_mean, self.loss_config)
 
     def predict_doc(self, text_ids, emoji_ids, explain: bool = False) -> dict:
         """Inference on one document; with `explain`, attach attention dumps."""
         (out,) = self.score([(text_ids, emoji_ids)])
         return out.prediction(explain)
-
-
-def _accumulate(terms: list[Value]) -> Value:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = ag.add(acc, t)
-    return acc

@@ -194,6 +194,7 @@ def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
                         f"batch {batch_index}")
                 loss.backward()
                 optimizer.step()
+                del loss  # free this step's graph before the next forward
                 loss_sum += loss_value * len(batch)
             val_loss, val_acc = _mean_loss_and_accuracy(model, val_docs)
             entry = {"epoch": epoch,

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from faet import cli
+from faet.autograd import ShapeError
 from faet.checkpoint import load_checkpoint
 from faet.corpus import TokenizedDoc, encode_doc, write_jsonl
 from faet.synthetic import gen_overfit
@@ -61,6 +63,14 @@ class TestExitCodes:
     def test_gradcheck_impossible_tolerance_exits_three(self):
         result = run_cli("gradcheck", "--samples", "2", "--tolerance", "1e-30")
         assert result.returncode == 3
+
+    def test_internal_shape_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(args):
+            raise ShapeError("matmul: shapes (2,) and (3,)")
+
+        monkeypatch.setitem(cli._COMMANDS, "gradcheck", broken)
+        with pytest.raises(ShapeError, match="matmul"):
+            cli.main(["gradcheck"])
 
 
 class TestConfigValidation:

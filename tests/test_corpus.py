@@ -150,6 +150,23 @@ class TestVocab:
         assert v.encode_text(["a"]) == [UNK_ID]
         assert v.encode_text(["b"]) == [2]
 
+    def test_literal_reserved_tokens_never_encode_to_pad(self):
+        docs = [TokenizedDoc(["<pad>", "a", "<unk>"], ["x"], 1),
+                TokenizedDoc(["<pad>"], ["x"], 0)]
+        assert build_vocab(docs).id_to_text == ["<pad>", "<unk>", "a"]
+        # rarer than min_count, or simply reserved: UNK either way
+        for v in (build_vocab(docs), build_vocab(docs, min_count=3)):
+            assert v.encode_text(["<pad>", "<unk>"]) == [UNK_ID, UNK_ID]
+            assert PAD_ID not in v.encode_text(["<pad>", "a", "zzz"])
+
+    def test_saved_vocab_with_duplicate_reserved_tokens_encodes_as_before(self):
+        # earlier versions appended literal reserved tokens a second time;
+        # models trained with those vocabularies use the later ids
+        v = corpus.Vocab.from_json_dict(
+            {"text": ["<pad>", "<unk>", "a", "<pad>", "<unk>"],
+             "emoji": ["x"]})
+        assert v.encode_text(["<pad>", "<unk>", "a", "b"]) == [3, 4, 2, UNK_ID]
+
     def test_emoji_dedup(self):
         docs = [TokenizedDoc(["a"], ["😊", "😭", "😊"], 1)]
         v = build_vocab(docs)

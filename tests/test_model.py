@@ -1,8 +1,12 @@
 """Full-model assembly: variants, batching equivalence, loss composition."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from faet import autograd as ag
 from faet.corpus import TokenizedDoc, build_vocab, make_batches
 from faet.model import Model, TrainConfig
 
@@ -155,3 +159,47 @@ class TestBatchLoss:
                   if not np.any(p.grad != 0)]
         # the PAD row is frozen but every group must carry signal somewhere
         assert silent == []
+
+    @pytest.mark.parametrize("variant", ["fine", "coarse"])
+    def test_padded_batch_gradients_match_single_documents(self, variant):
+        # n+m from 2 (shorter than the width-4 filters) to 8, 1 to 4 emojis
+        docs = [TokenizedDoc(["good"], ["E_S"], 1),
+                TokenizedDoc(["bad", "day", "here"], ["E_C", "E_S"], 0),
+                TokenizedDoc(["fine", "enough", "today", "yes", "ugh"],
+                             ["E_S", "E_C", "E_C"], 1),
+                TokenizedDoc(["ugh", "day"], ["E_C", "E_S", "E_S", "E_C"], 0)]
+        m = Model(tiny_config(variant=variant, dropout=0.0, widths=(2, 4)),
+                  build_vocab(docs))
+        params = m.parameters()
+
+        def grads(batch_docs):
+            for p in params.values():
+                p.zero_grad()
+            (batch,) = make_batches(batch_docs, m.vocab, shuffle=False,
+                                    batch_size=len(batch_docs))
+            m.batch_loss(batch).backward()
+            return {name: p.grad.copy() for name, p in params.items()}
+
+        batched = grads(docs)
+        singles = [grads([doc]) for doc in docs]
+        for name in params:
+            mean = sum(g[name] for g in singles) / len(docs)
+            np.testing.assert_allclose(batched[name], mean, rtol=0,
+                                       atol=1e-10, err_msg=name)
+
+    @pytest.mark.parametrize("variant", ["fine", "coarse"])
+    def test_step_graph_freed_without_cyclic_gc(self, variant):
+        docs = tiny_corpus()
+        m = Model(tiny_config(variant=variant), build_vocab(docs))
+        (batch,) = make_batches(docs, m.vocab, batch_size=4, shuffle=False)
+        gc.disable()
+        try:
+            loss = m.batch_loss(batch, train=True,
+                                dropout_rng=np.random.default_rng(3))
+            loss.backward()
+            nodes = [weakref.ref(v) for v in ag.topo_order(loss) if v._prev]
+            assert len(nodes) > 100
+            del loss
+            assert [r() for r in nodes if r() is not None] == []
+        finally:
+            gc.enable()
