@@ -9,7 +9,9 @@ renames it into place, so a failed save leaves the previous file intact.
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import os
 import struct
 
@@ -63,6 +65,11 @@ def _write(fh, model: Model) -> None:
 
 
 def _read(fh, n: int, what: str) -> bytes:
+    # a large size the file claims is checked against what is left of the
+    # file before anything is allocated for it
+    if (n > io.DEFAULT_BUFFER_SIZE
+            and n > os.fstat(fh.fileno()).st_size - fh.tell()):
+        raise CheckpointError(f"truncated checkpoint while reading {what}")
     chunk = fh.read(n)
     if len(chunk) != n:
         raise CheckpointError(f"truncated checkpoint while reading {what}")
@@ -82,7 +89,7 @@ def _read_header(fh, path: str) -> tuple[TrainConfig, Vocab]:
         config = TrainConfig.from_json_dict(json.loads(_read(fh, n, "config")))
         (n,) = struct.unpack("<Q", _read(fh, 8, "vocab length"))
         vocab = Vocab.from_json_dict(json.loads(_read(fh, n, "vocab")))
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad embedded metadata: {exc}") from exc
     return config, vocab
 
@@ -104,13 +111,20 @@ def load_checkpoint(path: str) -> Model:
         (count,) = struct.unpack("<I", _read(fh, 4, "parameter count"))
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read(fh, 2, "name length"))
-            name = _read(fh, name_len, "name").decode()
+            try:
+                name = _read(fh, name_len, "name").decode()
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(
+                    f"{path}: parameter name is not UTF-8") from exc
             (ndim,) = struct.unpack("<B", _read(fh, 1, "ndim"))
             shape = tuple(
                 struct.unpack("<Q", _read(fh, 8, "dim"))[0] for _ in range(ndim))
-            size = int(np.prod(shape)) if shape else 1
+            size = math.prod(shape)
             raw = _read(fh, size * 8, f"data of {name!r}")
-            state[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            try:
+                state[name] = np.frombuffer(raw, "<f8").reshape(shape).copy()
+            except ValueError as exc:  # a zero-size shape too big to hold
+                raise CheckpointError(f"{path}: {name!r}: {exc}") from exc
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after parameters")
 

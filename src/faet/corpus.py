@@ -86,10 +86,21 @@ def parse_jsonl_record(line: str, line_number: int | None = None,
     return TokenizedDoc(list(text), list(emojis), label)
 
 
+def utf8_lines(fh):
+    """Yield (line number, text) for each line of a file opened in binary
+    mode; a line that is not valid UTF-8 raises CorpusError naming it."""
+    for i, raw in enumerate(fh, start=1):
+        try:
+            yield i, raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"not valid UTF-8 ({exc.reason} at byte "
+                              f"{exc.start})", i) from None
+
+
 def read_jsonl(path: str, mode: str = "train") -> list[TokenizedDoc]:
     docs = []
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for i, line in utf8_lines(fh):
             if line.strip():
                 docs.append(parse_jsonl_record(line, line_number=i, mode=mode))
     return docs
@@ -127,9 +138,9 @@ def is_emoji_char(ch: str) -> bool:
 def load_alias_table(path: str) -> dict[str, str]:
     """Alias table file: one "name<TAB>emoji" entry per line."""
     table = {}
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+    with open(path, "rb") as fh:
+        for i, line in utf8_lines(fh):
+            line = line.rstrip("\r\n")
             if not line:
                 continue
             if "\t" not in line:
@@ -309,18 +320,14 @@ def build_vocab(train_docs: list[TokenizedDoc], min_count: int = 1) -> Vocab:
 
 @dataclass
 class Batch:
-    """Padded id matrices plus true lengths; padding positions carry PAD_ID
-    (text) or 0 (emoji) and are never read past the stored counts."""
+    """Encoded documents of one batch: unpadded (text_ids, emoji_ids) rows
+    and their labels; `Model.forward_docs` does the padding."""
 
-    text_ids: np.ndarray      # (B, Lmax) int64
-    text_lengths: np.ndarray  # (B,)
-    emoji_ids: np.ndarray     # (B, Mmax) int64
-    emoji_counts: np.ndarray  # (B,)
-    labels: np.ndarray        # (B,) int64, -1 when absent
-    docs: list[TokenizedDoc]
+    rows: list[tuple[list[int], list[int]]]
+    labels: list[int]
 
     def __len__(self) -> int:
-        return len(self.docs)
+        return len(self.rows)
 
 
 def encode_doc(doc: TokenizedDoc, vocab: Vocab, max_len: int = 100
@@ -331,34 +338,20 @@ def encode_doc(doc: TokenizedDoc, vocab: Vocab, max_len: int = 100
 
 
 def make_batches(docs: list[TokenizedDoc], vocab: Vocab, batch_size: int,
-                 max_len: int = 100, seed: int = 0, shuffle: bool = True,
-                 mode: str = "train") -> list[Batch]:
-    """Seeded shuffle, encode, pad; the final partial batch is kept."""
+                 max_len: int = 100, seed: int = 0, shuffle: bool = True
+                 ) -> list[Batch]:
+    """Seeded shuffle, then encode into unpadded rows; the final partial
+    batch is kept.  Every document needs an emoji and a label."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    for doc in docs:
+        if doc.label is None:
+            raise CorpusError("training document without label")
+        if not doc.emoji_tokens:
+            raise CorpusError("training document without emojis")
     order = (np.random.default_rng(seed).permutation(len(docs))
              if shuffle else np.arange(len(docs)))
-    batches = []
-    for start in range(0, len(docs), batch_size):
-        chunk = [docs[i] for i in order[start:start + batch_size]]
-        encoded = [encode_doc(d, vocab, max_len) for d in chunk]
-        if mode == "train" and any(not e for _, e in encoded):
-            raise CorpusError("document without emojis in training batch")
-        b = len(chunk)
-        l_max = max(len(t) for t, _ in encoded)
-        m_max = max((len(e) for _, e in encoded), default=0)
-        text_ids = np.full((b, l_max), PAD_ID, dtype=np.int64)
-        emoji_ids = np.zeros((b, max(m_max, 1)), dtype=np.int64)
-        text_lengths = np.zeros(b, dtype=np.int64)
-        emoji_counts = np.zeros(b, dtype=np.int64)
-        labels = np.full(b, -1, dtype=np.int64)
-        for row, (doc, (tids, eids)) in enumerate(zip(chunk, encoded)):
-            text_ids[row, :len(tids)] = tids
-            text_lengths[row] = len(tids)
-            emoji_ids[row, :len(eids)] = eids
-            emoji_counts[row] = len(eids)
-            if doc.label is not None:
-                labels[row] = doc.label
-        batches.append(Batch(text_ids, text_lengths, emoji_ids, emoji_counts,
-                             labels, chunk))
-    return batches
+    chunks = [[docs[i] for i in order[start:start + batch_size]]
+              for start in range(0, len(docs), batch_size)]
+    return [Batch([encode_doc(d, vocab, max_len) for d in chunk],
+                  [d.label for d in chunk]) for chunk in chunks]

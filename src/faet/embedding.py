@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Value
-from .corpus import CorpusError, PAD_ID, Vocab
+from .corpus import CorpusError, PAD_ID, Vocab, utf8_lines
 
 
 class TextEncoder:
@@ -98,8 +98,9 @@ def load_pretrained_emoji_vectors(path: str, table: BisenseEmojiEmbedding,
     to the same vector.  Entries not in the emoji vocabulary are counted and
     skipped.
     """
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
+    with open(path, "rb") as fh:
+        lines = utf8_lines(fh)
+        header = next(lines, (1, ""))[1].split()
         if len(header) != 2:
             raise CorpusError("header must be 'count dim'", 1)
         try:
@@ -111,7 +112,7 @@ def load_pretrained_emoji_vectors(path: str, table: BisenseEmojiEmbedding,
                 f"file dimension {dim} != configured dimension {table.dim}", 1)
         loaded = 0
         ignored = 0
-        for i, line in enumerate(fh, start=2):
+        for i, line in lines:
             if not line.strip():
                 continue
             parts = line.split()

@@ -24,7 +24,7 @@ from .classifier import TextCnnParams, predict_label, textcnn_forward_batch
 from .corpus import Vocab
 from .embedding import BisenseEmojiEmbedding, TextEncoder
 from .encoder import LstmParams, bilstm_encode_batch
-from .objective import LossConfig, alignment_loss, cross_entropy, total_loss
+from .objective import alignment_loss, cross_entropy, total_loss
 
 VARIANTS = ("fine", "coarse")
 
@@ -142,8 +142,6 @@ class Model:
         # per-position classifier input: [H_t ; 4d summary] either way
         self.cnn = TextCnnParams(hidden + 2 * hidden, config.n_filters,
                                  rngs[5], widths=config.widths)
-        self.loss_config = LossConfig(lambda_align=config.lambda_align,
-                                      label_smoothing=config.label_smoothing)
 
     def parameters(self) -> dict[str, Value]:
         params: dict[str, Value] = {}
@@ -178,9 +176,9 @@ class Model:
                      ) -> list[DocOutputs]:
         """Forward a list of (text_ids, emoji_ids) documents.
 
-        Ids must be the true (unpadded) prefixes; callers slice padded
-        batches by the stored lengths.  All layers but attention run once
-        over the list, padded to its longest [text ; emoji] sequence.
+        Ids are unpadded; this is the one place that pads.  All layers
+        but attention run once over the list, padded to its longest
+        [text ; emoji] sequence.
         """
         cfg = self.config
         drop = cfg.dropout if (train and dropout_rng is not None) else 0.0
@@ -249,8 +247,7 @@ class Model:
 
     def doc_losses(self, outputs: DocOutputs, label: int) -> tuple[Value, Value]:
         """(cross-entropy, alignment) for one document's outputs."""
-        ce = cross_entropy(outputs.probs, label,
-                           self.loss_config.label_smoothing)
+        ce = cross_entropy(outputs.probs, label, self.config.label_smoothing)
         if outputs.attention is not None:
             align = alignment_loss(outputs.attention.word_emoji_weights,
                                    outputs.text_states,
@@ -262,20 +259,15 @@ class Model:
     def batch_loss(self, batch, train: bool = False,
                    dropout_rng: np.random.Generator | None = None) -> Value:
         """Mean cross-entropy plus weighted mean alignment over a batch."""
-        rows = [(batch.text_ids[row, :batch.text_lengths[row]],
-                 batch.emoji_ids[row, :batch.emoji_counts[row]])
-                for row in range(len(batch))]
-        outputs = self.forward_docs(rows, train=train, dropout_rng=dropout_rng)
-        ce_terms = []
-        align_terms = []
-        for row, out in enumerate(outputs):
-            ce, align = self.doc_losses(out, int(batch.labels[row]))
-            ce_terms.append(ce)
-            align_terms.append(align)
+        outputs = self.forward_docs(batch.rows, train=train,
+                                    dropout_rng=dropout_rng)
+        losses = [self.doc_losses(out, label)
+                  for out, label in zip(outputs, batch.labels)]
+        ce_terms, align_terms = zip(*losses)
         inv = 1.0 / len(batch)
         ce_mean = sum(ce_terms[1:], ce_terms[0]) * inv
         align_mean = sum(align_terms[1:], align_terms[0]) * inv
-        return total_loss(ce_mean, align_mean, self.loss_config)
+        return total_loss(ce_mean, align_mean, self.config.lambda_align)
 
     def predict_doc(self, text_ids, emoji_ids, explain: bool = False) -> dict:
         """Inference on one document; with `explain`, attach attention dumps."""

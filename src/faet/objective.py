@@ -2,30 +2,22 @@
 
 The alignment term rewards text-word pairs for attending to different
 emojis in proportion to a learned pair distance: for each unordered pair
-(i, o), loss -= d_io * sum_k (beta_ik - beta_ok)^2, with d_io a sigmoid of
-the projected pair features.  It is non-positive, bounded below by
--2*C(n,2), and zero whenever a document has a single text word or all
-words attend identically.
+(i, o), loss -= d_io * sum_k (beta_ik - beta_ok)^2, with d_io the mean of
+sigmoid(w . [t_i ; t_o]) and sigmoid(w . [t_o ; t_i]).  Splitting w into
+its halves gives every ordered score as a_i + c_o, with a = T @ w[:2d] and
+c = T @ w[2d:], so the whole sum is -0.5 * sum over all (i, o) of
+sigmoid(a_i + c_o) * sq_io: an (n, n) closed form whose diagonal is
+exactly 0.  It is non-positive, bounded below by -2*C(n,2), and zero
+whenever a document has a single text word or all words attend
+identically.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Value
-
-
-@dataclass
-class LossConfig:
-    lambda_align: float = 0.1   # weight of the alignment term
-    label_smoothing: float = 0.0
-
-    def __post_init__(self):
-        if self.lambda_align < 0:
-            raise ValueError("lambda_align must be >= 0")
 
 
 def cross_entropy(probs: Value, label: int,
@@ -49,30 +41,27 @@ def alignment_loss(word_emoji_weights: Value, text: Value,
                    distance_w: Value) -> Value:
     """(n, m) per-word emoji distributions + (n, 2d) text states -> scalar <= 0.
 
-    A pair's distance is the mean sigmoid over both concatenation orders,
-    which makes the loss invariant under permuting the text words.
+    The sum runs over the (n, n) grid of ordered word pairs, so each
+    unordered pair counts once per concatenation order and the factor 0.5
+    gives it the mean of its two sigmoids; that makes the loss invariant
+    under permuting the text words.
     """
     n, m = word_emoji_weights.shape
     if n < 2 or m < 2:
         # one emoji makes every row the same one-point distribution, so the
         # loss and all its gradients vanish identically
         return ag.constant(0.0)
-    idx_i, idx_o = np.triu_indices(n, k=1)
-    t_i = ag.take_rows(text, idx_i)  # (P, 2d)
-    t_o = ag.take_rows(text, idx_o)
-    dist = ag.mul(
-        ag.add(ag.sigmoid(ag.matmul(ag.concat([t_i, t_o], axis=1), distance_w)),
-               ag.sigmoid(ag.matmul(ag.concat([t_o, t_i], axis=1), distance_w))),
-        0.5)  # (P,)
-    b_i = ag.take_rows(word_emoji_weights, idx_i)  # (P, m)
-    b_o = ag.take_rows(word_emoji_weights, idx_o)
-    diff = ag.add(b_i, ag.mul(b_o, -1.0))
-    sq = ag.sum_along(ag.mul(diff, diff), axis=1)  # (P,)
-    return ag.mul(ag.sum_along(ag.mul(dist, sq)), -1.0)
+    h = text.shape[1]
+    a = ag.matmul(text, ag.narrow(distance_w, 0, 0, h))   # (n,) first slot
+    c = ag.matmul(text, ag.narrow(distance_w, 0, h, h))   # (n,) second slot
+    dist = ag.sigmoid(ag.add(ag.reshape(a, (n, 1)), ag.reshape(c, (1, n))))
+    diff = ag.add(ag.reshape(word_emoji_weights, (n, 1, m)),
+                  ag.mul(ag.reshape(word_emoji_weights, (1, n, m)), -1.0))
+    sq = ag.sum_along(ag.mul(diff, diff), axis=2)         # (n, n)
+    return ag.mul(ag.sum_along(ag.mul(dist, sq)), -0.5)
 
 
 def total_loss(ce_mean: Value, align_mean: Value,
-               config: LossConfig | None = None) -> Value:
+               lambda_align: float) -> Value:
     """ce_mean + lambda_align * align_mean, both batch means."""
-    config = config or LossConfig()
-    return ag.add(ce_mean, ag.mul(align_mean, config.lambda_align))
+    return ag.add(ce_mean, ag.mul(align_mean, lambda_align))

@@ -108,13 +108,17 @@ def _scored(model: Model, docs: list[TokenizedDoc]):
     return zip(model.score(encoded), docs)
 
 
+def _require_labels(docs: list[TokenizedDoc], what: str) -> None:
+    if not docs:
+        raise ValueError(f"{what}: empty document list")
+    if any(doc.label is None for doc in docs):
+        raise ValueError(f"{what}: document without label")
+
+
 def _prediction_pairs(model: Model,
                       docs: list[TokenizedDoc]) -> list[tuple[int, int]]:
     """(predicted, true) label per labeled document."""
-    if not docs:
-        raise ValueError("evaluate: empty document list")
-    if any(doc.label is None for doc in docs):
-        raise ValueError("evaluate: document without label")
+    _require_labels(docs, "evaluate")
     return [(predict_label(out.probs), doc.label)
             for out, doc in _scored(model, docs)]
 
@@ -128,7 +132,7 @@ def _mean_loss_and_accuracy(model: Model,
                             docs: list[TokenizedDoc]) -> tuple[float, float]:
     total = 0.0
     correct = 0
-    lam = model.loss_config.lambda_align
+    lam = model.config.lambda_align
     for out, doc in _scored(model, docs):
         with ag.no_grad():
             ce, align = model.doc_losses(out, doc.label)
@@ -161,8 +165,8 @@ def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
     the final model (ties keep the earlier epoch).  A non-finite loss
     aborts with the offending batch named.
     """
-    if not train_docs or not val_docs:
-        raise ValueError("train and validation splits must be non-empty")
+    _require_labels(train_docs, "train")
+    _require_labels(val_docs, "validation")
     if model is None:
         vocab = vocab or build_vocab(train_docs, min_count=config.min_count)
         model = Model(config, vocab)
@@ -278,15 +282,10 @@ def gradient_check_report(config: TrainConfig | None = None,
             TokenizedDoc(["t1", "t2", "t0"], ["e1", "e0"], 0)]
     vocab = build_vocab(docs)
     model = Model(config, vocab)
-    text_ids, emoji_ids = encode_doc(docs[0], vocab, config.max_len)
-    from .objective import total_loss
-
-    def f():
-        (out,) = model.forward_docs([(text_ids, emoji_ids)])
-        ce, align = model.doc_losses(out, 1)
-        return total_loss(ce, align, model.loss_config)
-
-    groups = finite_difference_check(f, model.parameters(),
+    (batch,) = make_batches(docs[:1], vocab, 1, config.max_len,
+                            shuffle=False)
+    groups = finite_difference_check(lambda: model.batch_loss(batch),
+                                     model.parameters(),
                                      samples_per_group=samples_per_group)
     worst = max(groups.values())
     return {"groups": groups, "max_relative_error": worst,

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used only by the tests.
 
 Nothing here imports the library under test: confusion counting, metric
-formulas, softmax, the LSTM cell, the 1-D convolution, and the unigram
-logistic baseline are all written from scratch so they can disagree with
+formulas, softmax, the LSTM cell, the 1-D convolution, the pairwise
+alignment loss, and the unigram logistic baseline are all written from scratch so they can disagree with
 the implementation if it is wrong.
 """
 
@@ -131,3 +131,31 @@ def conv1d_direct(x, weights, bias, width):
     n_out = x.shape[0] - width + 1
     return np.stack([weights @ x[t:t + width].reshape(-1) + bias
                      for t in range(n_out)])
+
+
+def alignment_pairs(beta, text, w):
+    """Alignment loss and its gradients, one unordered word pair at a time.
+
+    Pair (i, o) weighs its squared attention difference by the mean of
+    sigmoid(w . [t_i ; t_o]) and sigmoid(w . [t_o ; t_i]).  Returns
+    (loss, d/d beta, d/d text, d/d w).
+    """
+    i, o = np.triu_indices(beta.shape[0], k=1)
+    first = np.concatenate([text[i], text[o]], axis=1)   # (P, 2h)
+    second = np.concatenate([text[o], text[i]], axis=1)
+    s1, s2 = _sigmoid(first @ w), _sigmoid(second @ w)
+    diff = beta[i] - beta[o]
+    sq = (diff ** 2).sum(axis=1)
+    loss = -(0.5 * (s1 + s2) * sq).sum()
+
+    g_beta = np.zeros_like(beta)
+    np.add.at(g_beta, i, -(s1 + s2)[:, None] * diff)
+    np.add.at(g_beta, o, (s1 + s2)[:, None] * diff)
+    g1 = -0.5 * sq * s1 * (1.0 - s1)   # d loss / d (w . first)
+    g2 = -0.5 * sq * s2 * (1.0 - s2)
+    g_w = g1 @ first + g2 @ second
+    h = text.shape[1]
+    g_text = np.zeros_like(text)
+    np.add.at(g_text, i, np.outer(g1, w[:h]) + np.outer(g2, w[h:]))
+    np.add.at(g_text, o, np.outer(g1, w[h:]) + np.outer(g2, w[:h]))
+    return loss, g_beta, g_text, g_w

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -9,8 +10,9 @@ import pytest
 
 from faet import cli
 from faet.autograd import ShapeError
-from faet.checkpoint import load_checkpoint
-from faet.corpus import TokenizedDoc, encode_doc, write_jsonl
+from faet.checkpoint import load_checkpoint, save_checkpoint
+from faet.corpus import TokenizedDoc, build_vocab, encode_doc, write_jsonl
+from faet.model import Model, TrainConfig
 from faet.synthetic import gen_overfit
 
 
@@ -205,6 +207,71 @@ class TestTrainEvalPredict:
             assert line["label"] == single["label"]
             assert max(abs(a - b) for a, b in
                        zip(line["probs"], single["probs"])) <= 1e-12
+
+
+def _rewrite_checkpoint(src, dst, vocab=None, first_name=None,
+                        first_dim=None):
+    """Copy a checkpoint, replacing its vocab JSON, the first parameter
+    name's bytes, or the first parameter's first dimension."""
+    blob = src.read_bytes()
+    pos = 8
+    blobs = []
+    for _ in range(2):  # config, then vocab
+        (n,) = struct.unpack_from("<Q", blob, pos)
+        blobs.append(blob[pos + 8:pos + 8 + n])
+        pos += 8 + n
+    if vocab is not None:
+        blobs[1] = json.dumps(vocab).encode()
+    params = bytearray(blob[pos:])
+    (name_len,) = struct.unpack_from("<H", params, 4)
+    if first_name is not None:
+        params[6:6 + name_len] = first_name
+    if first_dim is not None:
+        struct.pack_into("<Q", params, 6 + name_len + 1, first_dim)
+    dst.write_bytes(blob[:8] + b"".join(
+        struct.pack("<Q", len(b)) + b for b in blobs) + bytes(params))
+
+
+class TestMalformedInput:
+    @pytest.fixture
+    def checkpoint(self, tmp_path):
+        docs = gen_overfit(16, seed=1)
+        model = Model(TrainConfig(d=3, d_w=3, n_filters=2), build_vocab(docs))
+        save_checkpoint(model, str(tmp_path / "good.faet"))
+        write_jsonl(docs, str(tmp_path / "data.jsonl"))
+        return tmp_path
+
+    @pytest.mark.parametrize("change, message", [
+        ({"vocab": {"emoji": ["E_SMILE"]}}, "metadata"),
+        ({"first_dim": 2 ** 60}, "truncated"),
+        ({"first_name": b"\xff"}, "UTF-8"),
+    ])
+    def test_malformed_checkpoint_is_data_error(self, checkpoint, capsys,
+                                                change, message):
+        bad = checkpoint / "bad.faet"
+        _rewrite_checkpoint(checkpoint / "good.faet", bad, **change)
+        assert cli.main(["eval", "--model", str(bad),
+                         "--data", str(checkpoint / "data.jsonl")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_utf8_corpus_is_data_error(self, checkpoint, capsys):
+        data = checkpoint / "data.jsonl"
+        lines = data.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"E_", b"\xffE_", 1)
+        data.write_bytes(b"".join(lines))
+        assert cli.main(["eval", "--model", str(checkpoint / "good.faet"),
+                         "--data", str(data)]) == 2
+        assert "line 3: not valid UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_emoji_vectors_is_data_error(self, checkpoint, capsys):
+        data = str(checkpoint / "data.jsonl")
+        vec = checkpoint / "vec.txt"
+        vec.write_bytes(b"1 5\nE_SMILE\xff 1 1 1 1 1\n")
+        assert cli.main(["train", "--train", data, "--val", data,
+                         "--out", str(checkpoint / "m.faet"),
+                         "--emoji-vectors", str(vec), *TRAIN_FLAGS]) == 2
+        assert "line 2: not valid UTF-8" in capsys.readouterr().err
+        assert not list(checkpoint.glob("m.faet*"))
 
 
 class TestEmojiVectors:

@@ -8,7 +8,7 @@ import pytest
 from faet import corpus
 from faet.corpus import (
     Batch, CorpusError, PAD_ID, SplitSpec, TokenizedDoc, UNK_ID, build_vocab,
-    extract_emojis, make_batches, parse_jsonl_record, split_corpus,
+    encode_doc, extract_emojis, make_batches, parse_jsonl_record, split_corpus,
     split_report, split_sizes,
 )
 
@@ -205,8 +205,7 @@ class TestBatches:
         doc = TokenizedDoc([f"t{i}" for i in range(120)], ["😊"], 1)
         v = build_vocab([doc])
         (batch,) = make_batches([doc], v, batch_size=4, max_len=100)
-        assert batch.text_lengths[0] == 100
-        assert batch.text_ids.shape[1] == 100
+        assert len(batch.rows[0][0]) == 100
 
     def test_same_seed_identical_order(self):
         docs = self._corpus(40)
@@ -214,8 +213,8 @@ class TestBatches:
         a = make_batches(docs, v, 8, seed=3)
         b = make_batches(docs, v, 8, seed=3)
         for ba, bb in zip(a, b):
-            np.testing.assert_array_equal(ba.text_ids, bb.text_ids)
-            np.testing.assert_array_equal(ba.labels, bb.labels)
+            assert ba.rows == bb.rows
+            assert ba.labels == bb.labels
 
     def test_epoch_preserves_every_pair_once(self):
         docs = self._corpus(53)
@@ -223,9 +222,8 @@ class TestBatches:
         batches = make_batches(docs, v, 10, seed=9)
         seen = []
         for b in batches:
-            for row in range(len(b)):
-                n = b.text_lengths[row]
-                seen.append((tuple(b.text_ids[row, :n]), int(b.labels[row])))
+            for (text_ids, _), label in zip(b.rows, b.labels):
+                seen.append((tuple(text_ids), label))
         expected = []
         for d in docs:
             expected.append((tuple(v.encode_text(d.text_tokens)), d.label))
@@ -235,20 +233,28 @@ class TestBatches:
         v = build_vocab(self._corpus(4))
         doc = TokenizedDoc(["zzz", "qqq"], ["😊"], 0)
         (batch,) = make_batches([doc], v, 2, shuffle=False)
-        np.testing.assert_array_equal(batch.text_ids[0], [UNK_ID, UNK_ID])
+        assert batch.rows[0][0] == [UNK_ID, UNK_ID]
 
     def test_zero_emoji_allowed_only_in_predict(self):
         v = build_vocab(self._corpus(4))
-        doc = TokenizedDoc(["w0"], [], None)
-        with pytest.raises(CorpusError):
-            make_batches([doc], v, 1, mode="train")
-        (batch,) = make_batches([doc], v, 1, mode="predict")
-        assert batch.emoji_counts[0] == 0
+        doc = TokenizedDoc(["w0"], [], 1)
+        with pytest.raises(CorpusError, match="emoji"):
+            make_batches([doc], v, 1)
+        # prediction encodes documents one by one, without batches
+        assert encode_doc(doc, v) == (v.encode_text(["w0"]), [])
 
     def test_padding_uses_pad_id(self):
         docs = [TokenizedDoc(["a"], ["😊"], 1), TokenizedDoc(["a", "b", "c"], ["😊"], 0)]
         v = build_vocab(docs)
         (batch,) = make_batches(docs, v, 2, shuffle=False)
-        short_row = int(np.argmin(batch.text_lengths))
-        assert batch.text_ids[short_row, 1] == PAD_ID
+        # rows stay unpadded: only the model pads, from a constant zero row
+        assert [len(t) for t, _ in batch.rows] == [1, 3]
+        assert all(PAD_ID not in t for t, _ in batch.rows)
         assert isinstance(batch, Batch)
+
+    def test_unlabeled_document_rejected(self):
+        docs = self._corpus(4)
+        v = build_vocab(docs)
+        docs[2] = TokenizedDoc(["w0"], ["😊"], None)
+        with pytest.raises(CorpusError, match="label"):
+            make_batches(docs, v, 2)

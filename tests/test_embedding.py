@@ -26,14 +26,14 @@ class TestTextEncoder:
         assert np.any(out.data[1] != 0)
 
     def test_pad_row_receives_no_gradient(self):
-        # padded batches are cut to their true prefixes before embedding,
-        # so a training step never reaches the PAD row
+        # batches hold unpadded rows and the model pads from a constant zero
+        # row, so a training step on mixed lengths never reaches the PAD row
         docs = [TokenizedDoc(["a"], ["e"], 1),
                 TokenizedDoc(["b", "c", "a"], ["e"], 0)]
         vocab = build_vocab(docs)
         model = Model(TrainConfig(d=3, d_w=3, n_filters=2, dropout=0.0), vocab)
         (batch,) = make_batches(docs, vocab, batch_size=2, shuffle=False)
-        assert PAD_ID in batch.text_ids
+        assert [len(t) for t, _ in batch.rows] == [1, 3]
         model.batch_loss(batch).backward()
         grad = model.text_encoder.table.grad
         np.testing.assert_array_equal(grad[PAD_ID], np.zeros(3))

@@ -140,7 +140,7 @@ class TestBatchLoss:
         vocab = m.vocab
         (batch,) = make_batches(docs, vocab, batch_size=4, shuffle=False)
         total = m.batch_loss(batch).item()
-        lam = m.loss_config.lambda_align
+        lam = m.config.lambda_align
         manual = 0.0
         for doc in docs:
             out = forward_one(m, vocab.encode_text(doc.text_tokens),

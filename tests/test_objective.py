@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from oracles import alignment_pairs
+
 from faet import autograd as ag
 from faet.attention import FineAttentionParams, fine_attention
-from faet.objective import LossConfig, alignment_loss, cross_entropy, total_loss
+from faet.model import TrainConfig
+from faet.objective import alignment_loss, cross_entropy, total_loss
 
 
 class TestCrossEntropy:
@@ -88,36 +91,64 @@ class TestAlignmentLoss:
             f, {"logits": logits, "text": text, "w": w})
         assert max(report.values()) < 1e-4
 
+    def test_gradients_match_finite_differences_seven_words(self):
+        rng = np.random.default_rng(7)
+        logits = ag.param(rng.uniform(-1, 1, (7, 4)))
+        text = ag.param(rng.uniform(-1, 1, (7, 4)))
+        w = ag.param(rng.uniform(-1, 1, 8))
+
+        def f():
+            return alignment_loss(ag.softmax(logits, axis=1), text, w)
+
+        report = ag.finite_difference_check(
+            f, {"logits": logits, "text": text, "w": w})
+        assert max(report.values()) < 1e-4
+
+    def test_matches_pair_form_oracle(self):
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            n, m = int(rng.integers(2, 49)), int(rng.integers(2, 7))
+            h = int(rng.integers(1, 6))
+            raw = rng.uniform(0, 1, (n, m)) + 1e-9
+            beta = ag.param(raw / raw.sum(axis=1, keepdims=True))
+            text = ag.param(rng.normal(size=(n, h)))
+            w = ag.param(rng.normal(size=2 * h))
+            loss = alignment_loss(beta, text, w)
+            loss.backward()
+            expected = alignment_pairs(beta.data, text.data, w.data)
+            for got, want in zip((loss.data, beta.grad, text.grad, w.grad),
+                                 expected):
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max())
+
 
 class TestTotalLoss:
     def test_zero_lambda_is_pure_ce(self):
         ce = ag.constant(0.7)
         align = ag.constant(-1.0)
-        loss = total_loss(ce, align, LossConfig(lambda_align=0.0))
+        loss = total_loss(ce, align, 0.0)
         assert loss.item() == 0.7
 
     def test_arithmetic(self):
-        loss = total_loss(ag.constant(0.7), ag.constant(-1.0),
-                          LossConfig(lambda_align=1.0))
+        loss = total_loss(ag.constant(0.7), ag.constant(-1.0), 1.0)
         np.testing.assert_allclose(loss.item(), -0.3, atol=1e-15)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            LossConfig(lambda_align=-0.1)
+            TrainConfig(lambda_align=-0.1)
 
     def test_end_to_end_differentiable(self):
         rng = np.random.default_rng(5)
         attn = FineAttentionParams(hidden=3, rng=rng)
         text = ag.param(rng.uniform(-1, 1, (3, 3)))
         emoji = ag.param(rng.uniform(-1, 1, (2, 3)))
-        cfg = LossConfig(lambda_align=0.5)
 
         def f():
             out = fine_attention(text, emoji, attn)
             ce = cross_entropy(ag.softmax(ag.narrow(out.fused, 0, 0, 2)), 1)
             align = alignment_loss(out.word_emoji_weights, text,
                                    attn.distance_w)
-            return total_loss(ce, align, cfg)
+            return total_loss(ce, align, 0.5)
 
         groups = {"text": text, "emoji": emoji}
         groups.update(attn.parameters())

@@ -15,6 +15,7 @@ from faet.checkpoint import (
 )
 from faet.corpus import TokenizedDoc, build_vocab
 from faet.model import Model, TrainConfig
+from faet.optim import Adam
 from faet.synthetic import gen_overfit, gen_xor
 from faet.trainer import (
     NanLossError, PUBLISHED_REFERENCE, ablate, evaluate, metrics_from_pairs,
@@ -134,6 +135,23 @@ class TestTrainLoop:
         model.parameters()["out_w"].data[0, 0] = np.nan
         with pytest.raises(NanLossError, match="epoch 1, batch 0"):
             train(docs, docs, config, model=model)
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_unlabeled_document_fails_before_any_epoch(self, split, tmp_path,
+                                                       monkeypatch):
+        docs = gen_overfit(16, seed=10)
+        unlabeled = list(docs)
+        unlabeled[3] = TokenizedDoc(docs[3].text_tokens, docs[3].emoji_tokens,
+                                    None)
+        train_docs, val_docs = ((unlabeled, docs) if split == "train"
+                                else (docs, unlabeled))
+        steps = []
+        monkeypatch.setattr(Adam, "step", lambda self: steps.append(self))
+        log = tmp_path / "log.jsonl"
+        with pytest.raises(ValueError, match="without label"):
+            train(train_docs, val_docs, tiny_config(), log_path=str(log))
+        assert steps == []
+        assert not log.exists() or log.read_text() == ""
 
     def test_best_checkpoint_ties_keep_earlier_epoch(self):
         docs = gen_overfit(16, seed=5)
