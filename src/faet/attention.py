@@ -10,7 +10,10 @@ interaction scores additionally provide each text word's distribution over
 emojis, consumed by the alignment term of the objective.
 
 A single pooled (coarse) attention over emojis is included as the ablation
-variant.
+variant.  Both run once per batch of padded (B, n, 2d) text and (B, m, 2d)
+emoji states with per-row lengths; padded words and emojis get weight
+exactly 0, and an emoji-free row (emoji length 0) gets uniform text weights
+and zero emoji weights and summary.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import ShapeError, Value
-
 
 class FineAttentionParams:
     """Interaction scorer over 6d pair features plus the 4d pair-distance
@@ -54,126 +56,137 @@ class CoarseAttentionParams:
 
 @dataclass
 class AttentionOutputs:
-    interaction: Value          # (n, m)
-    emoji_weights: Value        # (m,) distribution over emojis
-    text_weights: Value         # (n,) distribution over text words
-    word_emoji_weights: Value   # (n, m) per-word distributions over emojis
-    emoji_summary: Value        # (2d,)
-    text_summary: Value         # (2d,)
-    fused: Value                # (4d,) == [text_summary ; emoji_summary]
+    interaction: Value          # (B, n, m)
+    emoji_weights: Value        # (B, m) distributions over emojis
+    text_weights: Value         # (B, n) distributions over text words
+    word_emoji_weights: Value   # (B, n, m) per-word distributions over emojis
+    emoji_summary: Value        # (B, 2d)
+    text_summary: Value         # (B, 2d)
+    fused: Value                # (B, 4d) == [text_summary ; emoji_summary]
+
+
+def valid_mask(lengths, size: int) -> np.ndarray:
+    """(B, size) bool, True on each row's first `lengths[b]` positions; one
+    all-True row when `lengths` is None."""
+    return np.arange(size) < np.reshape(
+        size if lengths is None else lengths, (-1, 1))
+
+
+def _masked(scores: Value, valid: np.ndarray) -> Value:
+    """`scores` where `valid`, -1e30 elsewhere: exp() of that minus any real
+    score is exactly 0, and a row with nothing valid stays finite."""
+    return ag.add(scores, ag.constant(np.where(valid, 0.0, -1e30)))
+
+
+def _pool(weights: Value, states: Value) -> Value:
+    """(B, k) weights x (B, k, 2d) states -> (B, 2d) weighted sums."""
+    batch, k, feat = states.shape
+    return ag.reshape(ag.matmul(ag.reshape(weights, (-1, 1, k)), states),
+                      (batch, feat))
 
 
 def interaction_matrix(text: Value, emoji: Value, weights: Value) -> Value:
-    """(n, 2d) text states x (m, 2d) emoji states -> (n, m) scores.
+    """(B, n, 2d) text states x (B, m, 2d) emoji states -> (B, n, m) scores.
 
-    Entry (i, j) depends on exactly one pair: w . [E_j ; T_i ; E_j * T_i].
+    Entry (b, i, j) is w . [E_bj ; T_bi ; E_bj * T_bi].  With
+    w = [w_e ; w_t ; w_p] that is (E w_e)_j + (T w_t)_i + ((T * w_p) E^T)_ij,
+    so no pair features are built.
     """
-    n, feat = text.shape
-    m = emoji.shape[0]
-    if emoji.shape[1] != feat:
-        raise ShapeError(
-            f"interaction: text features {feat} != emoji features {emoji.shape[1]}")
+    batch, n, feat = text.shape
+    m = emoji.shape[1]
     if weights.shape != (3 * feat,):
         raise ShapeError(
             f"interaction: weight length {weights.shape} != 3*features "
             f"({3 * feat},)")
-    t_grid = ag.broadcast_to(ag.reshape(text, (n, 1, feat)), (n, m, feat))
-    e_grid = ag.broadcast_to(ag.reshape(emoji, (1, m, feat)), (n, m, feat))
-    pair = ag.concat([e_grid, t_grid, ag.mul(e_grid, t_grid)], axis=2)
-    return ag.reshape(ag.matmul(ag.reshape(pair, (n * m, 3 * feat)), weights),
-                      (n, m))
+    w_e, w_t, w_p = (ag.narrow(weights, 0, k * feat, feat) for k in range(3))
+    product = ag.matmul(ag.mul(text, w_p), ag.transpose(emoji))  # (B, n, m)
+    return ag.add(ag.add(product, ag.reshape(ag.matmul(text, w_t),
+                                             (batch, n, 1))),
+                  ag.reshape(ag.matmul(emoji, w_e), (batch, 1, m)))
 
 
-def emoji_to_text(interaction: Value, emoji: Value) -> tuple[Value, Value]:
-    """Column-max pooling over text words -> (emoji weights (m,),
-    attended emoji summary (2d,)).
-
-    With no emojis (predict mode only) the weights are empty and the
-    summary is a zero vector.
+def emoji_to_text(interaction: Value, emoji: Value, text_valid: np.ndarray,
+                  emoji_valid: np.ndarray) -> tuple[Value, Value]:
+    """Column-max pooling over each row's text words -> (emoji weights
+    (B, m), attended emoji summaries (B, 2d)); zero for an emoji-free row.
     """
-    m = interaction.shape[1]
-    if m == 0:
-        return (ag.constant(np.zeros(0)),
-                ag.constant(np.zeros(emoji.shape[1] if emoji.ndim == 2 else 0)))
-    scores = ag.max_along(interaction, axis=0)      # (m,)
-    weights = ag.softmax(scores, axis=0)
-    return weights, ag.matmul(weights, emoji)
+    scores = ag.max_along(_masked(interaction, text_valid[..., None]), 1)
+    weights = ag.mul(ag.softmax(_masked(scores, emoji_valid), axis=1),
+                     ag.constant(emoji_valid))
+    return weights, _pool(weights, emoji)
 
 
-def text_to_emoji(interaction: Value, text: Value) -> tuple[Value, Value]:
-    """Row-max pooling over emojis -> (text weights (n,),
-    attended text summary (2d,)).
-
-    With no emojis there is nothing to score against: the weights fall back
-    to uniform, making the summary the plain average of the text states.
+def text_to_emoji(interaction: Value, text: Value, text_valid: np.ndarray,
+                  emoji_valid: np.ndarray) -> tuple[Value, Value]:
+    """Row-max pooling over each row's emojis -> (text weights (B, n),
+    attended text summaries (B, 2d)).  In an emoji-free row every word
+    scores 0: uniform weights, the plain average of its text states.
     """
-    n, m = interaction.shape
-    if m == 0:
-        weights = ag.softmax(ag.constant(np.zeros(n)), axis=0)
-    else:
-        weights = ag.softmax(ag.max_along(interaction, axis=1), axis=0)
-    return weights, ag.matmul(weights, text)
+    scores = ag.mul(ag.max_along(_masked(interaction, emoji_valid[:, None]), 2),
+                    ag.constant(emoji_valid.any(axis=1, keepdims=True)))
+    weights = ag.softmax(_masked(scores, text_valid), axis=1)
+    return weights, _pool(weights, text)
 
 
-def word_emoji_attention(interaction: Value) -> Value:
-    """Row-softmax of the interaction matrix: each text word's distribution
-    over the emojis (alignment-loss input)."""
-    return ag.softmax(interaction, axis=1)
+def word_emoji_attention(interaction: Value, emoji_valid: np.ndarray) -> Value:
+    """Softmax of the interaction matrix over each row's emojis: each text
+    word's distribution over the emojis (alignment-loss input)."""
+    return ag.softmax(_masked(interaction, emoji_valid[:, None]), axis=2)
 
 
 def fuse(text_summary: Value, emoji_summary: Value) -> Value:
-    """[text_summary ; emoji_summary], length 4d."""
+    """[text_summary ; emoji_summary] along the last axis (4d)."""
     if text_summary.shape != emoji_summary.shape:
         raise ShapeError(
             f"fuse: summary lengths differ: {text_summary.shape} vs "
             f"{emoji_summary.shape}")
-    return ag.concat([text_summary, emoji_summary], axis=0)
+    return ag.concat([text_summary, emoji_summary], axis=-1)
 
 
-def fine_attention(text: Value, emoji: Value,
-                   params: FineAttentionParams) -> AttentionOutputs:
-    """Full bidirectional pass over one document's hidden states."""
-    if emoji.shape[0] == 0:
-        n = text.shape[0]
-        text_weights, text_summary = text_to_emoji(
-            ag.constant(np.zeros((n, 0))), text)
-        zero = ag.constant(np.zeros(text.shape[1]))
-        return AttentionOutputs(
-            interaction=ag.constant(np.zeros((n, 0))),
-            emoji_weights=ag.constant(np.zeros(0)),
-            text_weights=text_weights,
-            word_emoji_weights=ag.constant(np.zeros((n, 0))),
-            emoji_summary=zero,
-            text_summary=text_summary,
-            fused=fuse(text_summary, zero))
+def fine_attention(text: Value, emoji: Value, params: FineAttentionParams,
+                   text_lengths=None, emoji_lengths=None) -> AttentionOutputs:
+    """Full bidirectional pass over a batch of (B, n, 2d) text and
+    (B, m, 2d) emoji states; row b is valid on its first text_lengths[b]
+    words and emoji_lengths[b] emojis (all of them when None)."""
     interaction = interaction_matrix(text, emoji, params.interaction_w)
-    emoji_weights, emoji_summary = emoji_to_text(interaction, emoji)
-    text_weights, text_summary = text_to_emoji(interaction, text)
+    text_valid = valid_mask(text_lengths, text.shape[1])
+    emoji_valid = valid_mask(emoji_lengths, emoji.shape[1])
+    emoji_weights, emoji_summary = emoji_to_text(interaction, emoji,
+                                                 text_valid, emoji_valid)
+    text_weights, text_summary = text_to_emoji(interaction, text,
+                                               text_valid, emoji_valid)
     return AttentionOutputs(
         interaction=interaction,
         emoji_weights=emoji_weights,
         text_weights=text_weights,
-        word_emoji_weights=word_emoji_attention(interaction),
+        word_emoji_weights=word_emoji_attention(interaction, emoji_valid),
         emoji_summary=emoji_summary,
         text_summary=text_summary,
         fused=fuse(text_summary, emoji_summary))
 
 
-def coarse_attention(text: Value, emoji: Value,
-                     params: CoarseAttentionParams) -> tuple[Value, Value]:
-    """Single sentence-conditioned attention over emoji states.
+def sentence_mean(text: Value, text_lengths=None) -> Value:
+    """(B, n, 2d) text states -> (B, 2d) mean over each row's words."""
+    valid = valid_mask(text_lengths, text.shape[1])
+    return _pool(ag.constant(valid / valid.sum(axis=1, keepdims=True)), text)
 
-    Scores each emoji by v . tanh(W @ [E_j ; mean(T)]); returns the
-    weighted emoji context (2d,) and the weights (m,).
+
+def coarse_attention(text: Value, emoji: Value, params: CoarseAttentionParams,
+                     text_lengths=None, emoji_lengths=None
+                     ) -> tuple[Value, Value]:
+    """Single sentence-conditioned attention over each row's emojis.
+
+    Scores emoji j by v . tanh(W @ [E_j ; mean(T)]), W split into its emoji
+    and sentence blocks; returns the weighted emoji contexts (B, 2d) and
+    the weights (B, m), both zero for an emoji-free row.
     """
-    m = emoji.shape[0]
-    feat = text.shape[1]
-    if m == 0:
-        return ag.constant(np.zeros(feat)), ag.constant(np.zeros(0))
-    sentence = ag.mean_along(text, axis=0)  # (2d,)
-    sent_grid = ag.broadcast_to(ag.reshape(sentence, (1, feat)), (m, feat))
-    scores = ag.matmul(
-        ag.tanh(ag.matmul(ag.concat([emoji, sent_grid], axis=1), params.w)),
-        params.v)  # (m,)
-    weights = ag.softmax(scores, axis=0)
-    return ag.matmul(weights, emoji), weights
+    batch, m, feat = emoji.shape
+    emoji_valid = valid_mask(emoji_lengths, m)
+    sentence = ag.matmul(sentence_mean(text, text_lengths),
+                         ag.narrow(params.w, 0, feat, feat))    # (B, 2d)
+    hidden = ag.add(ag.matmul(emoji, ag.narrow(params.w, 0, 0, feat)),
+                    ag.reshape(sentence, (batch, 1, -1)))
+    scores = ag.matmul(ag.tanh(hidden), params.v)               # (B, m)
+    weights = ag.mul(ag.softmax(_masked(scores, emoji_valid), axis=1),
+                     ag.constant(emoji_valid))
+    return _pool(weights, emoji), weights

@@ -129,12 +129,8 @@ class Value:
         return matmul(self, other)
 
 
-def param(data, rng: np.random.Generator | None = None,
-          scale: float | None = None, shape: tuple | None = None) -> Value:
-    """Create a trainable leaf, optionally seeded uniform in [-scale, scale]."""
-    if rng is not None:
-        assert shape is not None and scale is not None
-        data = rng.uniform(-scale, scale, size=shape)
+def param(data) -> Value:
+    """Create a trainable leaf."""
     return Value(data, requires_grad=True)
 
 
@@ -233,38 +229,28 @@ def mul(a, b) -> Value:
 
 
 def matmul(a, b) -> Value:
+    """numpy `@`: vectors, matrices, and (B, n, k) stacks, whose gradient
+    with respect to a shared operand sums over the stack."""
     a, b = _coerce(a), _coerce(b)
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        raise ShapeError(
-            f"matmul: only 1-D/2-D operands, got {a.shape} and {b.shape}")
     try:
         data = a.data @ b.data
     except ValueError as exc:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape}: {exc}") from exc
     out = make_node(data, (a, b), "matmul")
     if out.requires_grad:
+        # a vector acts as a one-row (left) or one-column (right) matrix
+        a2 = a.data[None] if a.ndim == 1 else a.data
+        b2 = b.data[:, None] if b.ndim == 1 else b.data
+
         def _bw(out=weakref.proxy(out)):
-            g = out.grad
-            if a.ndim == 2 and b.ndim == 2:
-                if a.requires_grad:
-                    a.grad += g @ b.data.T
-                if b.requires_grad:
-                    b.grad += a.data.T @ g
-            elif a.ndim == 2 and b.ndim == 1:
-                if a.requires_grad:
-                    a.grad += np.outer(g, b.data)
-                if b.requires_grad:
-                    b.grad += a.data.T @ g
-            elif a.ndim == 1 and b.ndim == 2:
-                if a.requires_grad:
-                    a.grad += b.data @ g
-                if b.requires_grad:
-                    b.grad += np.outer(a.data, g)
-            else:  # 1-D dot 1-D -> scalar
-                if a.requires_grad:
-                    a.grad += g * b.data
-                if b.requires_grad:
-                    b.grad += g * a.data
+            g = out.grad[..., None] if b.ndim == 1 else out.grad
+            g = g[..., None, :] if a.ndim == 1 else g
+            if a.requires_grad:
+                a.grad += _unbroadcast(g @ np.swapaxes(b2, -1, -2),
+                                       a2.shape).reshape(a.shape)
+            if b.requires_grad:
+                b.grad += _unbroadcast(np.swapaxes(a2, -1, -2) @ g,
+                                       b2.shape).reshape(b.shape)
         out._backward = _bw
     return out
 
@@ -470,14 +456,15 @@ def narrow(x, axis: int, start: int, length: int) -> Value:
 
 
 def transpose(x) -> Value:
+    """Swap the last two axes of a matrix or of a (B, n, m) stack."""
     x = _coerce(x)
-    if x.ndim != 2:
-        raise ShapeError(f"transpose: need 2-D, got {x.shape}")
-    out = make_node(x.data.T.copy(), (x,), "transpose")
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"transpose: need 2-D or 3-D, got {x.shape}")
+    out = make_node(np.swapaxes(x.data, -1, -2).copy(), (x,), "transpose")
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
-                x.grad += out.grad.T
+                x.grad += np.swapaxes(out.grad, -1, -2)
         out._backward = _bw
     return out
 

@@ -131,10 +131,6 @@ def _in_ranges(cp: int, ranges) -> bool:
     return any(lo <= cp <= hi for lo, hi in ranges)
 
 
-def is_emoji_char(ch: str) -> bool:
-    return _in_ranges(ord(ch), _EMOJI_RANGES)
-
-
 def load_alias_table(path: str) -> dict[str, str]:
     """Alias table file: one "name<TAB>emoji" entry per line."""
     table = {}

@@ -1,11 +1,12 @@
 """Full model assembly: embedding -> BiLSTM -> attention -> TextCNN.
 
-Embedding, the BiLSTM and the TextCNN head run once per batch over
-zero-padded sequences with per-row lengths; attention and the losses run
-per document, and batches average per-document losses.  The "fine"
-variant runs the word-level cross-attention; the "coarse" ablation variant
-replaces it with one pooled attention over emojis, keeping the classifier
-input width identical (6d per position) so head capacity stays comparable.
+Embedding, the BiLSTM, attention and the TextCNN head each run once per
+batch over zero-padded sequences with per-row lengths; the losses run per
+document on each document's unpadded slices, and batches average
+per-document losses.  The "fine" variant runs the word-level
+cross-attention; the "coarse" ablation variant replaces it with one pooled
+attention over emojis, keeping the classifier input width identical (6d
+per position) so head capacity stays comparable.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import autograd as ag
 from .attention import (
     CoarseAttentionParams, FineAttentionParams, coarse_attention,
-    fine_attention,
+    fine_attention, sentence_mean,
 )
 from .autograd import Value
 from .classifier import TextCnnParams, predict_label, textcnn_forward_batch
@@ -85,33 +86,20 @@ class TrainConfig:
 
 @dataclass
 class DocOutputs:
-    """Everything one forward pass exposes for loss and inspection."""
+    """One document's slices of a batched forward pass."""
 
-    text_states: Value                   # (n, 2d)
-    probs: Value | None = None           # (2,)
-    sense_weights: Value | None = None   # (m, 2), values only
-    attention: object | None = None      # AttentionOutputs for the fine variant
-    coarse_weights: Value | None = None
+    text_states: Value                       # (n, 2d)
+    probs: Value                             # (2,)
+    word_emoji_weights: Value | None         # (n, m), fine variant only
+    explain: dict                            # name -> per-document array
 
     def prediction(self, explain: bool = False) -> dict:
         """Probabilities and label; with `explain`, the attention dumps."""
         result = {"probs": self.probs.data.tolist(),
                   "label": predict_label(self.probs)}
         if explain:
-            explain_obj: dict = {}
-            if self.sense_weights is not None:
-                explain_obj["sense_weights"] = self.sense_weights.data.tolist()
-            if self.attention is not None:
-                att = self.attention
-                explain_obj.update({
-                    "interaction": att.interaction.data.tolist(),
-                    "emoji_weights": att.emoji_weights.data.tolist(),
-                    "text_weights": att.text_weights.data.tolist(),
-                    "word_emoji_weights": att.word_emoji_weights.data.tolist(),
-                })
-            if self.coarse_weights is not None:
-                explain_obj["coarse_weights"] = self.coarse_weights.data.tolist()
-            result["explain"] = explain_obj
+            result["explain"] = {name: values.tolist()
+                                 for name, values in self.explain.items()}
         return result
 
 
@@ -176,9 +164,9 @@ class Model:
                      ) -> list[DocOutputs]:
         """Forward a list of (text_ids, emoji_ids) documents.
 
-        Ids are unpadded; this is the one place that pads.  All layers
-        but attention run once over the list, padded to its longest
-        [text ; emoji] sequence.
+        Ids are unpadded; this is the one place that pads.  Every layer
+        runs once over the list, padded to its longest [text ; emoji]
+        sequence; each document's outputs are slices of the batch.
         """
         cfg = self.config
         drop = cfg.dropout if (train and dropout_rng is not None) else 0.0
@@ -211,29 +199,46 @@ class Model:
                                       lengths)                    # (B, L, 2d)
         states = ag.reshape(encoded, (len(docs) * length, -1))
 
-        outputs, summaries = [], []
-        for b, sense in enumerate(np.split(senses.data, np.cumsum(m)[:-1])):
-            text_states = ag.narrow(states, 0, b * length, n[b])
-            emoji_states = ag.narrow(states, 0, b * length + n[b], m[b])
-            out = DocOutputs(
-                text_states, sense_weights=ag.constant(sense) if m[b] else None)
-            if self.fine_params is not None:
-                out.attention = fine_attention(text_states, emoji_states,
-                                               self.fine_params)
-                summaries.append(out.attention.fused)             # (4d,)
-            else:
-                ctx, out.coarse_weights = coarse_attention(
-                    text_states, emoji_states, self.coarse_params)
-                summaries.append(ag.concat(
-                    [ag.mean_along(text_states, axis=0), ctx], axis=0))
-            outputs.append(out)
-        summary = ag.dropout(ag.reshape(ag.concat(summaries), (len(docs), -1)),
-                             drop, dropout_rng)
+        # (B, n, 2d) text and (B, m >= 1, 2d) emoji states; emoji padding
+        # re-reads a state of its own row, and attention masks it out
+        n_max, m_max = int(n.max()), max(1, int(m.max()))
+        text_states = ag.narrow(encoded, 1, 0, n_max)
+        emoji_states = ag.take_rows(states, rows[:, None] * length + np.minimum(
+            n[:, None] + np.arange(m_max), length - 1))
+        if self.fine_params is not None:
+            att = fine_attention(text_states, emoji_states, self.fine_params,
+                                 n, m)
+            summary = att.fused
+            word_emoji = ag.reshape(att.word_emoji_weights,
+                                    (len(docs) * n_max, m_max))
+        else:
+            context, coarse_weights = coarse_attention(
+                text_states, emoji_states, self.coarse_params, n, m)
+            summary = ag.concat([sentence_mean(text_states, n), context],
+                                axis=1)
+        summary = ag.dropout(summary, drop, dropout_rng)          # (B, 4d)
         probs, _ = textcnn_forward_batch(encoded, summary, self.cnn, drop,
                                          dropout_rng, lengths)
         probs = ag.reshape(probs, (2 * len(docs),))
-        for b, out in enumerate(outputs):
-            out.probs = ag.narrow(probs, 0, 2 * b, 2)
+
+        outputs = []
+        senses = np.split(senses.data, np.cumsum(m)[:-1])
+        for b, (n_b, m_b) in enumerate(zip(n, m)):
+            explain = {"sense_weights": senses[b]} if m_b else {}
+            if self.fine_params is not None:
+                explain.update(
+                    interaction=att.interaction.data[b, :n_b, :m_b],
+                    emoji_weights=att.emoji_weights.data[b, :m_b],
+                    text_weights=att.text_weights.data[b, :n_b],
+                    word_emoji_weights=att.word_emoji_weights.data[b, :n_b, :m_b])
+                beta = ag.narrow(ag.narrow(word_emoji, 0, b * n_max, n_b),
+                                 1, 0, m_b)
+            else:
+                explain["coarse_weights"] = coarse_weights.data[b, :m_b]
+                beta = None
+            outputs.append(DocOutputs(ag.narrow(states, 0, b * length, n_b),
+                                      ag.narrow(probs, 0, 2 * b, 2),
+                                      beta, explain))
         return outputs
 
     def score(self, docs: list[tuple], chunk: int = 64):
@@ -248,13 +253,11 @@ class Model:
     def doc_losses(self, outputs: DocOutputs, label: int) -> tuple[Value, Value]:
         """(cross-entropy, alignment) for one document's outputs."""
         ce = cross_entropy(outputs.probs, label, self.config.label_smoothing)
-        if outputs.attention is not None:
-            align = alignment_loss(outputs.attention.word_emoji_weights,
-                                   outputs.text_states,
-                                   self.fine_params.distance_w)
-        else:
-            align = ag.constant(0.0)
-        return ce, align
+        if outputs.word_emoji_weights is None:
+            return ce, ag.constant(0.0)
+        return ce, alignment_loss(outputs.word_emoji_weights,
+                                  outputs.text_states,
+                                  self.fine_params.distance_w)
 
     def batch_loss(self, batch, train: bool = False,
                    dropout_rng: np.random.Generator | None = None) -> Value:

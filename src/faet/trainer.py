@@ -11,7 +11,8 @@ import numpy as np
 from . import autograd as ag
 from .autograd import finite_difference_check
 from .classifier import predict_label
-from .corpus import TokenizedDoc, Vocab, build_vocab, encode_doc, make_batches
+from .corpus import (CorpusError, TokenizedDoc, Vocab, build_vocab,
+                     encode_doc, make_batches)
 from .model import Model, TrainConfig
 from .optim import Adam
 
@@ -110,9 +111,9 @@ def _scored(model: Model, docs: list[TokenizedDoc]):
 
 def _require_labels(docs: list[TokenizedDoc], what: str) -> None:
     if not docs:
-        raise ValueError(f"{what}: empty document list")
+        raise CorpusError(f"{what}: empty document list")
     if any(doc.label is None for doc in docs):
-        raise ValueError(f"{what}: document without label")
+        raise CorpusError(f"{what}: document without label")
 
 
 def _prediction_pairs(model: Model,

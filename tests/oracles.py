@@ -1,8 +1,9 @@
 """Independent brute-force oracles used only by the tests.
 
 Nothing here imports the library under test: confusion counting, metric
-formulas, softmax, the LSTM cell, the 1-D convolution, the pairwise
-alignment loss, and the unigram logistic baseline are all written from scratch so they can disagree with
+formulas, softmax, the LSTM cell, the 1-D convolution, one document's
+fine and coarse attention, the pairwise alignment loss, and the unigram
+logistic baseline are all written from scratch so they can disagree with
 the implementation if it is wrong.
 """
 
@@ -159,3 +160,38 @@ def alignment_pairs(beta, text, w):
     np.add.at(g_text, i, np.outer(g1, w[:h]) + np.outer(g2, w[h:]))
     np.add.at(g_text, o, np.outer(g1, w[h:]) + np.outer(g2, w[:h]))
     return loss, g_beta, g_text, g_w
+
+
+def fine_attention_doc(text, emoji, w):
+    """One document's fine attention from the pair-form score
+    u_ij = w . [e_j ; t_i ; e_j * t_i], one (word, emoji) pair at a time.
+
+    Returns (interaction (n, m), emoji weights (m,), text weights (n,),
+    per-word emoji distributions (n, m), fused [text ; emoji summary]).
+    Without emojis the text weights are uniform and the emoji summary is 0.
+    """
+    n, m = len(text), len(emoji)
+    u = np.zeros((n, m))
+    for i in range(n):
+        for j in range(m):
+            u[i, j] = w @ np.concatenate([emoji[j], text[i],
+                                          emoji[j] * text[i]])
+    if m:
+        emoji_w = softmax_direct(u.max(axis=0))
+        text_w = softmax_direct(u.max(axis=1))
+    else:
+        emoji_w, text_w = np.zeros(0), np.full(n, 1.0 / n)
+    beta = np.array([softmax_direct(row) for row in u]).reshape(n, m)
+    return u, emoji_w, text_w, beta, np.concatenate([text_w @ text,
+                                                     emoji_w @ emoji])
+
+
+def coarse_attention_doc(text, emoji, w, v):
+    """One document's coarse attention: emoji j scores
+    v . tanh([e_j ; mean(T)] @ W).  Returns (context, weights); without
+    emojis both are zero."""
+    sentence = text.mean(axis=0)
+    scores = np.array([v @ np.tanh(np.concatenate([e, sentence]) @ w)
+                       for e in emoji])
+    weights = softmax_direct(scores) if len(emoji) else np.zeros(0)
+    return weights @ emoji, weights

@@ -106,17 +106,19 @@ class TestNormalizationFuzz:
 
                 # 2 + 3. both pooling directions of the interaction matrix
                 n, m = int(rng.integers(1, 7)), int(rng.integers(1, 5))
-                text = ag.constant(rng.uniform(-3, 3, (n, 6)))
-                emoji = ag.constant(rng.uniform(-3, 3, (m, 6)))
+                text = ag.constant(rng.uniform(-3, 3, (1, n, 6)))
+                emoji = ag.constant(rng.uniform(-3, 3, (1, m, 6)))
                 inter = interaction_matrix(
                     text, emoji, ag.constant(rng.uniform(-3, 3, 18)))
-                emoji_w, _ = emoji_to_text(inter, emoji)
+                text_ok = np.ones((1, n), dtype=bool)
+                emoji_ok = np.ones((1, m), dtype=bool)
+                emoji_w, _ = emoji_to_text(inter, emoji, text_ok, emoji_ok)
                 check(emoji_w)
-                text_w, _ = text_to_emoji(inter, text)
+                text_w, _ = text_to_emoji(inter, text, text_ok, emoji_ok)
                 check(text_w)
 
                 # 4. per-word emoji rows
-                check(word_emoji_attention(inter), axis=1)
+                check(word_emoji_attention(inter, emoji_ok), axis=2)
 
                 # 5. class probabilities
                 params = TextCnnParams(10, 3, np.random.default_rng(trial + 1),

@@ -227,6 +227,30 @@ class TestPrimitiveGradientFuzz:
         _fd_fuzz(lambda r: (r.uniform(-3, 3, (3, 4)), r.uniform(-3, 3, (4,))),
                  lambda a, b: ag.sum_along(ag.tanh(ag.matmul(a, b))), 80, seed=106)
 
+    def test_matmul_stacked_3d_3d(self):
+        _fd_fuzz(lambda r: (r.uniform(-3, 3, (2, 3, 4)),
+                            r.uniform(-3, 3, (2, 4, 2))),
+                 lambda a, b: ag.sum_along(ag.tanh(ag.matmul(a, b))), 40,
+                 seed=121)
+
+    def test_matmul_stacked_3d_2d(self):
+        _fd_fuzz(lambda r: (r.uniform(-3, 3, (2, 3, 4)),
+                            r.uniform(-3, 3, (4, 2))),
+                 lambda a, b: ag.sum_along(ag.tanh(ag.matmul(a, b))), 40,
+                 seed=122)
+
+    def test_matmul_stacked_3d_1d(self):
+        _fd_fuzz(lambda r: (r.uniform(-3, 3, (2, 3, 4)),
+                            r.uniform(-3, 3, (4,))),
+                 lambda a, b: ag.sum_along(ag.tanh(ag.matmul(a, b))), 40,
+                 seed=123)
+
+    def test_transpose_stacked(self):
+        weights = np.arange(24.0).reshape(2, 4, 3) / 10.0
+        _fd_fuzz(lambda r: (r.uniform(-3, 3, (2, 3, 4)),),
+                 lambda x: ag.sum_along(ag.tanh(ag.transpose(x))
+                                        * ag.constant(weights)), 40, seed=124)
+
     def test_concat(self):
         _fd_fuzz(lambda r: (r.uniform(-3, 3, (2, 3)), r.uniform(-3, 3, (4, 3))),
                  lambda a, b: ag.sum_along(ag.tanh(ag.concat([a, b], axis=0))),

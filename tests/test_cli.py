@@ -273,6 +273,23 @@ class TestMalformedInput:
         assert "line 2: not valid UTF-8" in capsys.readouterr().err
         assert not list(checkpoint.glob("m.faet*"))
 
+    def test_empty_eval_data_is_data_error(self, checkpoint, capsys):
+        empty = checkpoint / "empty.jsonl"
+        empty.write_bytes(b"")
+        assert cli.main(["eval", "--model", str(checkpoint / "good.faet"),
+                         "--data", str(empty)]) == 2
+        assert "evaluate: empty document list" in capsys.readouterr().err
+
+    def test_empty_val_file_is_data_error(self, checkpoint, capsys):
+        empty = checkpoint / "empty.jsonl"
+        empty.write_bytes(b"\n")
+        assert cli.main(["train", "--train", str(checkpoint / "data.jsonl"),
+                         "--val", str(empty),
+                         "--out", str(checkpoint / "m.faet"),
+                         *TRAIN_FLAGS]) == 2
+        assert "validation: empty document list" in capsys.readouterr().err
+        assert not list(checkpoint.glob("m.faet*"))
+
 
 class TestEmojiVectors:
     def test_train_reports_loaded_and_ignored_counts(self, tmp_path):

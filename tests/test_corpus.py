@@ -91,6 +91,31 @@ class TestExtractEmojis:
         assert emojis == ["❤"]
 
 
+class TestLoadAliasTable:
+    def test_crlf_file_with_blank_line_feeds_extraction(self, tmp_path):
+        path = tmp_path / "aliases.tsv"
+        path.write_bytes("cry\t\U0001F62D\r\n\r\nsmile\t\U0001F60A\r\n"
+                         .encode("utf-8"))
+        table = corpus.load_alias_table(str(path))
+        assert table == {"cry": "\U0001F62D", "smile": "\U0001F60A"}
+        text, emojis = extract_emojis("bad [cry] day [smile]", table)
+        assert text == ["bad", "day"]
+        assert emojis == ["\U0001F62D", "\U0001F60A"]
+
+    def test_line_without_tab_names_line(self, tmp_path):
+        path = tmp_path / "aliases.tsv"
+        path.write_bytes("cry\t\U0001F62D\n\nsmile \U0001F60A\n"
+                         .encode("utf-8"))
+        with pytest.raises(CorpusError, match="line 3: alias line needs"):
+            corpus.load_alias_table(str(path))
+
+    def test_non_utf8_line_names_line(self, tmp_path):
+        path = tmp_path / "aliases.tsv"
+        path.write_bytes(b"cry\t\xf0\x9f\x98\xad\r\nsm\xffile\t:)\r\n")
+        with pytest.raises(CorpusError, match="line 2: not valid UTF-8"):
+            corpus.load_alias_table(str(path))
+
+
 def _docs(n):
     return [TokenizedDoc([f"t{i}"], [f"e{i % 3}"], i % 2) for i in range(n)]
 

@@ -5,10 +5,13 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faet import autograd as ag
+from faet import model as model_mod
 from faet.corpus import TokenizedDoc, build_vocab, make_batches
 from faet.model import Model, TrainConfig
+from oracles import fine_attention_doc
 
 
 def tiny_config(**overrides):
@@ -124,6 +127,45 @@ class TestForward:
         np.testing.assert_allclose(np.sum(explain["emoji_weights"]), 1.0,
                                    atol=1e-9)
 
+    @pytest.mark.parametrize("variant", ["fine", "coarse"])
+    def test_one_attention_call_per_batch(self, variant, monkeypatch):
+        docs = tiny_corpus()
+        m = Model(tiny_config(variant=variant), build_vocab(docs))
+        name = f"{variant}_attention"
+        calls = []
+        layer = getattr(model_mod, name)
+        monkeypatch.setattr(model_mod, name,
+                            lambda *args: calls.append(1) or layer(*args))
+        (batch,) = make_batches(docs, m.vocab, batch_size=4, shuffle=False)
+        m.batch_loss(batch)
+        assert len(calls) == 1
+
+    def test_attention_reads_each_documents_own_states(self, model,
+                                                       monkeypatch):
+        m, docs = model
+        encoded = []
+        encode = model_mod.bilstm_encode_batch
+        monkeypatch.setattr(model_mod, "bilstm_encode_batch",
+                            lambda *args: encoded.append(encode(*args))
+                            or encoded[-1])
+        rows = [(m.vocab.encode_text(d.text_tokens),
+                 m.vocab.encode_emojis(d.emoji_tokens)) for d in docs]
+        rows.append((m.vocab.encode_text(["good", "day"]), []))
+        outputs = m.forward_docs(rows)
+        states = encoded[0].data                  # (B, L, 2d), [text ; emoji]
+        w = m.fine_params.interaction_w.data
+        for b, (out, (text_ids, emoji_ids)) in enumerate(zip(outputs, rows)):
+            n, k = len(text_ids), len(emoji_ids)
+            u, emoji_w, text_w, beta, _ = fine_attention_doc(
+                states[b, :n], states[b, n:n + k], w)
+            explain = out.prediction(explain=True)["explain"]
+            for name, want in (("interaction", u), ("emoji_weights", emoji_w),
+                               ("text_weights", text_w),
+                               ("word_emoji_weights", beta)):
+                np.testing.assert_allclose(np.reshape(explain[name],
+                                                      np.shape(want)),
+                                           want, rtol=0, atol=1e-12)
+
     def test_explain_payload_coarse(self):
         docs = tiny_corpus()
         m = Model(tiny_config(variant="coarse"), build_vocab(docs))
@@ -203,3 +245,39 @@ class TestBatchLoss:
             assert [r() for r in nodes if r() is not None] == []
         finally:
             gc.enable()
+
+
+WORDS = [f"w{i}" for i in range(12)]
+EMOJIS = [f"E{i}" for i in range(4)]
+REORDER_MODELS = {
+    variant: Model(tiny_config(variant=variant, dropout=0.0, max_len=12),
+                   build_vocab([TokenizedDoc(WORDS, EMOJIS, 1)]))
+    for variant in ("fine", "coarse")}
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(docs=st.lists(st.builds(
+           TokenizedDoc,
+           st.lists(st.sampled_from(WORDS), min_size=1, max_size=12),
+           st.lists(st.sampled_from(EMOJIS), min_size=1, max_size=4),
+           st.integers(0, 1)), min_size=2, max_size=6),
+       variant=st.sampled_from(sorted(REORDER_MODELS)), data=st.data())
+def test_batch_loss_invariant_under_reordering(docs, variant, data):
+    m = REORDER_MODELS[variant]
+    params = m.parameters()
+
+    def loss_and_grads(batch_docs):
+        for p in params.values():
+            p.zero_grad()
+        (batch,) = make_batches(batch_docs, m.vocab, shuffle=False,
+                                batch_size=len(batch_docs), max_len=12)
+        loss = m.batch_loss(batch)
+        loss.backward()
+        return loss.item(), {name: p.grad.copy() for name, p in params.items()}
+
+    loss, grads = loss_and_grads(docs)
+    permuted_loss, permuted = loss_and_grads(data.draw(st.permutations(docs)))
+    assert abs(loss - permuted_loss) <= 1e-12
+    for name in params:
+        np.testing.assert_allclose(permuted[name], grads[name], rtol=0,
+                                   atol=1e-12, err_msg=name)

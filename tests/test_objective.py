@@ -144,10 +144,12 @@ class TestTotalLoss:
         emoji = ag.param(rng.uniform(-1, 1, (2, 3)))
 
         def f():
-            out = fine_attention(text, emoji, attn)
-            ce = cross_entropy(ag.softmax(ag.narrow(out.fused, 0, 0, 2)), 1)
-            align = alignment_loss(out.word_emoji_weights, text,
-                                   attn.distance_w)
+            out = fine_attention(ag.reshape(text, (1, 3, 3)),
+                                 ag.reshape(emoji, (1, 2, 3)), attn)
+            fused = ag.reshape(out.fused, (6,))
+            ce = cross_entropy(ag.softmax(ag.narrow(fused, 0, 0, 2)), 1)
+            align = alignment_loss(ag.reshape(out.word_emoji_weights, (3, 2)),
+                                   text, attn.distance_w)
             return total_loss(ce, align, 0.5)
 
         groups = {"text": text, "emoji": emoji}
@@ -163,8 +165,10 @@ class TestTotalLoss:
         emoji = ag.constant(rng.uniform(-1, 1, (3, 3)))
 
         def align_value():
-            out = fine_attention(text, emoji, attn)
-            return alignment_loss(out.word_emoji_weights, text, attn.distance_w)
+            out = fine_attention(ag.reshape(text, (1, 4, 3)),
+                                 ag.reshape(emoji, (1, 3, 3)), attn)
+            return alignment_loss(ag.reshape(out.word_emoji_weights, (4, 3)),
+                                  text, attn.distance_w)
 
         before = align_value()
         attn.interaction_w.zero_grad()

@@ -1,5 +1,6 @@
 """The one scoring path: chunked no-grad `Model.score` against
-`Model.predict_doc`, on generated documents."""
+`Model.predict_doc`, on generated documents: probabilities, labels and
+the per-document `--explain` payloads."""
 
 import math
 
@@ -48,9 +49,20 @@ def test_batched_scores_match_predict_doc(extra, variant, data):
     outputs = list(model.score(encoded, chunk=4))
     assert len(outputs) == len(docs)
     for out, (text_ids, emoji_ids) in zip(outputs, encoded):
-        single = model.predict_doc(text_ids, emoji_ids)
+        single = model.predict_doc(text_ids, emoji_ids, explain=True)
         probs = out.probs.data
         np.testing.assert_allclose(probs, single["probs"], rtol=0, atol=1e-12)
         assert predict_label(out.probs) == single["label"]
         assert abs(math.fsum(probs) - 1.0) <= 1e-12
         assert abs(math.fsum(single["probs"]) - 1.0) <= 1e-12
+        # the batch's explain payload is the document's own, never padded
+        n, m = len(text_ids), len(emoji_ids)
+        explain = out.prediction(explain=True)["explain"]
+        assert list(explain) == list(single["explain"])
+        shapes = {"sense_weights": (m, 2), "interaction": (n, m),
+                  "emoji_weights": (m,), "text_weights": (n,),
+                  "word_emoji_weights": (n, m), "coarse_weights": (m,)}
+        for name, values in explain.items():
+            assert np.shape(values) == shapes[name], name
+            np.testing.assert_allclose(values, single["explain"][name],
+                                       rtol=0, atol=1e-12, err_msg=name)
