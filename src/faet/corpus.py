@@ -1,14 +1,12 @@
-"""Corpus handling: JSONL ingestion, emoji extraction, splits, vocab, batches.
+"""Corpus handling: JSONL ingestion, splits, vocab, batches.
 
-The primary input format is JSONL with pre-tokenized fields; raw-text
-ingestion through `extract_emojis` is a convenience path so tokenizer
+The input format is JSONL with pre-tokenized fields, so tokenizer
 disputes stay out of the model's test surface.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,82 +108,6 @@ def write_jsonl(docs: list[TokenizedDoc], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for doc in docs:
             fh.write(doc.to_json() + "\n")
-
-
-# Pictographic code point blocks treated as emoji; joiners/variation
-# selectors are dropped so "😊️" still yields one emoji token.
-_EMOJI_RANGES = (
-    (0x1F300, 0x1F5FF), (0x1F600, 0x1F64F), (0x1F680, 0x1F6FF),
-    (0x1F900, 0x1F9FF), (0x1FA70, 0x1FAFF), (0x1F1E6, 0x1F1FF),
-    (0x2600, 0x26FF), (0x2700, 0x27BF),
-)
-_CJK_RANGES = (
-    (0x3400, 0x4DBF), (0x4E00, 0x9FFF), (0xF900, 0xFAFF),
-    (0x3000, 0x303F), (0xFF00, 0xFFEF),
-)
-_SKIP_CODEPOINTS = {0xFE0E, 0xFE0F, 0x200D}
-_ALIAS_RE = re.compile(r"(\[[^\[\]]*\])")
-
-
-def _in_ranges(cp: int, ranges) -> bool:
-    return any(lo <= cp <= hi for lo, hi in ranges)
-
-
-def load_alias_table(path: str) -> dict[str, str]:
-    """Alias table file: one "name<TAB>emoji" entry per line."""
-    table = {}
-    with open(path, "rb") as fh:
-        for i, line in utf8_lines(fh):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise CorpusError("alias line needs name<TAB>emoji", i)
-            name, emoji = line.split("\t", 1)
-            table[name] = emoji
-    return table
-
-
-def extract_emojis(raw: str, aliases: dict[str, str] | None = None
-                   ) -> tuple[list[str], list[str]]:
-    """Split a raw string into text tokens and emoji tokens, in order.
-
-    Emoji code points (and bracketed alias names like "[smile]") move to the
-    emoji stream with multiplicity preserved; the rest is tokenized
-    per-character for CJK runs and whitespace-delimited otherwise.
-    """
-    aliases = aliases or {}
-    text_tokens: list[str] = []
-    emoji_tokens: list[str] = []
-    word: list[str] = []
-
-    def flush():
-        if word:
-            text_tokens.append("".join(word))
-            word.clear()
-
-    for piece in _ALIAS_RE.split(raw):
-        if piece.startswith("[") and piece.endswith("]") and piece[1:-1] in aliases:
-            flush()
-            emoji_tokens.append(aliases[piece[1:-1]])
-            continue
-        for ch in piece:
-            cp = ord(ch)
-            if cp in _SKIP_CODEPOINTS:
-                continue
-            if _in_ranges(cp, _EMOJI_RANGES):
-                flush()
-                emoji_tokens.append(ch)
-            elif _in_ranges(cp, _CJK_RANGES):
-                flush()
-                if not ch.isspace():
-                    text_tokens.append(ch)
-            elif ch.isspace():
-                flush()
-            else:
-                word.append(ch)
-    flush()
-    return text_tokens, emoji_tokens
 
 
 @dataclass

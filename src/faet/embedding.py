@@ -74,13 +74,14 @@ class BisenseEmojiEmbedding:
         m = len(emoji_ids)
         e_pos = ag.take_rows(self.sense_pos, emoji_ids)  # (m, dim)
         e_neg = ag.take_rows(self.sense_neg, emoji_ids)
-        ctx = ag.broadcast_to(context, (m, self.dim))
+        # [e ; w] @ att_w = e @ att_w[:dim] + w @ att_w[dim:]: the context
+        # block is projected once and shared by both senses
+        w_emoji = ag.narrow(self.att_w, 0, 0, self.dim)
+        ctx = ag.matmul(context, ag.narrow(self.att_w, 0, self.dim, self.dim))
         score_pos = ag.matmul(
-            ag.tanh(ag.matmul(ag.concat([e_pos, ctx], axis=1), self.att_w)),
-            self.att_v)  # (m,)
+            ag.tanh(ag.add(ag.matmul(e_pos, w_emoji), ctx)), self.att_v)  # (m,)
         score_neg = ag.matmul(
-            ag.tanh(ag.matmul(ag.concat([e_neg, ctx], axis=1), self.att_w)),
-            self.att_v)
+            ag.tanh(ag.add(ag.matmul(e_neg, w_emoji), ctx)), self.att_v)
         scores = ag.concat([ag.reshape(score_pos, (m, 1)),
                             ag.reshape(score_neg, (m, 1))], axis=1)
         weights = ag.softmax(scores, axis=1)  # (m, 2)

@@ -1,4 +1,4 @@
-"""Corpus ingestion, emoji extraction, splitting, vocab, and batching."""
+"""Corpus ingestion, splitting, vocab, and batching."""
 
 import json
 
@@ -8,7 +8,7 @@ import pytest
 from faet import corpus
 from faet.corpus import (
     Batch, CorpusError, PAD_ID, SplitSpec, TokenizedDoc, UNK_ID, build_vocab,
-    encode_doc, extract_emojis, make_batches, parse_jsonl_record, split_corpus,
+    encode_doc, make_batches, parse_jsonl_record, split_corpus,
     split_report, split_sizes,
 )
 
@@ -51,69 +51,6 @@ class TestParseJsonl:
         doc = parse_jsonl_record(
             '{"text_tokens":["x"],"emoji_tokens":["e"],"label":0,"id":"a1"}')
         assert doc.label == 0
-
-
-class TestExtractEmojis:
-    def test_smiling_face_codepoint(self):
-        # independent oracle: U+1F60A sits in the emoticons block
-        assert ord("\U0001F60A") == 0x1F60A
-        text, emojis = extract_emojis("so happy \U0001F60A")
-        assert text == ["so", "happy"]
-        assert emojis == ["\U0001F60A"]
-
-    def test_no_emoji(self):
-        text, emojis = extract_emojis("no emoji here")
-        assert text == ["no", "emoji", "here"]
-        assert emojis == []
-
-    def test_multiplicity_preserved(self):
-        _, emojis = extract_emojis("bad day \U0001F60A\U0001F60A\U0001F60A")
-        assert emojis == ["\U0001F60A"] * 3
-
-    def test_alias_table(self):
-        text, emojis = extract_emojis("bad [cry] day", {"cry": "\U0001F62D"})
-        assert text == ["bad", "day"]
-        assert emojis == ["\U0001F62D"]
-
-    def test_unknown_alias_stays_text(self):
-        text, emojis = extract_emojis("a [nope] b", {"cry": "\U0001F62D"})
-        assert "[nope]" in text
-        assert emojis == []
-
-    def test_cjk_runs_split_per_character(self):
-        text, emojis = extract_emojis("天气 good \U0001F602")
-        assert text == ["天", "气", "good"]
-        assert emojis == ["\U0001F602"]
-
-    def test_variation_selector_dropped(self):
-        text, emojis = extract_emojis("ok ❤️")
-        assert text == ["ok"]
-        assert emojis == ["❤"]
-
-
-class TestLoadAliasTable:
-    def test_crlf_file_with_blank_line_feeds_extraction(self, tmp_path):
-        path = tmp_path / "aliases.tsv"
-        path.write_bytes("cry\t\U0001F62D\r\n\r\nsmile\t\U0001F60A\r\n"
-                         .encode("utf-8"))
-        table = corpus.load_alias_table(str(path))
-        assert table == {"cry": "\U0001F62D", "smile": "\U0001F60A"}
-        text, emojis = extract_emojis("bad [cry] day [smile]", table)
-        assert text == ["bad", "day"]
-        assert emojis == ["\U0001F62D", "\U0001F60A"]
-
-    def test_line_without_tab_names_line(self, tmp_path):
-        path = tmp_path / "aliases.tsv"
-        path.write_bytes("cry\t\U0001F62D\n\nsmile \U0001F60A\n"
-                         .encode("utf-8"))
-        with pytest.raises(CorpusError, match="line 3: alias line needs"):
-            corpus.load_alias_table(str(path))
-
-    def test_non_utf8_line_names_line(self, tmp_path):
-        path = tmp_path / "aliases.tsv"
-        path.write_bytes(b"cry\t\xf0\x9f\x98\xad\r\nsm\xffile\t:)\r\n")
-        with pytest.raises(CorpusError, match="line 2: not valid UTF-8"):
-            corpus.load_alias_table(str(path))
 
 
 def _docs(n):

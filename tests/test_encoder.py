@@ -5,7 +5,7 @@ import numpy as np
 from oracles import LstmState, gate_slice, initial_state, lstm_step
 
 from faet import autograd as ag
-from faet.encoder import LstmParams, bilstm_encode_batch, lstm_batch
+from faet.encoder import LstmParams, bilstm_encode_batch
 
 
 def zero_params(d, d_in):
@@ -32,7 +32,7 @@ class TestLstmStepAnalytic:
         out = step(np.ones(2), initial_state(3), p)
         np.testing.assert_allclose(out.c, 0.0, atol=1e-15)
         np.testing.assert_allclose(out.h, 0.0, atol=1e-15)
-        fused = lstm_batch(ag.constant(np.ones((1, 1, 2))), p).data
+        fused = bilstm_encode_batch(ag.constant(np.ones((1, 1, 2))), p, p).data
         np.testing.assert_allclose(fused, 0.0, atol=1e-15)
 
     def test_carry_cell_two(self):
@@ -47,7 +47,8 @@ class TestLstmStepAnalytic:
     def test_gate_ranges_and_hidden_bound(self):
         rng = np.random.default_rng(1)
         p = LstmParams(4, 3, rng)
-        hidden = lstm_batch(ag.constant(rng.uniform(-3, 3, (1, 6, 3))), p).data
+        hidden = bilstm_encode_batch(
+            ag.constant(rng.uniform(-3, 3, (1, 6, 3))), p, p).data
         assert np.all(np.abs(hidden) < 1.0)
 
     def test_forget_bias_initialized_to_one(self):
@@ -58,11 +59,13 @@ class TestLstmStepAnalytic:
                                       np.zeros(4))
 
     def test_cell_gradients_match_finite_differences(self):
-        p = LstmParams(3, 2, np.random.default_rng(2))
+        rng = np.random.default_rng(2)
+        p, other = LstmParams(3, 2, rng), LstmParams(3, 2, rng)
         x = np.array([[[0.4, -0.7]]])  # one sequence of one step
 
         def f():
-            return ag.sum_along(ag.tanh(lstm_batch(ag.constant(x), p)))
+            enc = bilstm_encode_batch(ag.constant(x), p, other)
+            return ag.sum_along(ag.tanh(ag.narrow(enc, 2, 0, 3)))
 
         report = ag.finite_difference_check(f, p.parameters("cell"))
         assert max(report.values()) < 1e-4
@@ -151,3 +154,57 @@ class TestBilstmEncode:
 
         report = ag.finite_difference_check(f, params, samples_per_group=4)
         assert max(report.values()) < 1e-4
+
+
+class TestPerRowLengths:
+    """Rows of one padded batch, each valid on its own prefix."""
+
+    LENGTHS = np.array([5, 1, 3, 7, 2, 7])   # a length-1 and full-length row
+
+    def batch(self, seed, d=3, d_in=2):
+        rng = np.random.default_rng(seed)
+        fwd, bwd = LstmParams(d, d_in, rng), LstmParams(d, d_in, rng)
+        x = rng.normal(size=(len(self.LENGTHS), self.LENGTHS.max(), d_in))
+        return rng, fwd, bwd, x
+
+    def test_each_row_equals_its_own_unpadded_encoding(self):
+        _, fwd, bwd, x = self.batch(60)
+        batched = bilstm_encode_batch(ag.constant(x), fwd, bwd,
+                                      self.LENGTHS).data
+        for b, n in enumerate(self.LENGTHS):
+            alone = encode(x[b, :n], fwd, bwd)
+            np.testing.assert_allclose(batched[b, :n], alone, atol=1e-14)
+
+    def test_padding_values_do_not_reach_valid_outputs(self):
+        rng, fwd, bwd, x = self.batch(61)
+        noisy = x.copy()
+        pad = np.arange(x.shape[1]) >= self.LENGTHS[:, None]
+        noisy[pad] = rng.uniform(-50, 50, (pad.sum(), x.shape[2]))
+        clean = bilstm_encode_batch(ag.constant(x), fwd, bwd, self.LENGTHS)
+        moved = bilstm_encode_batch(ag.constant(noisy), fwd, bwd, self.LENGTHS)
+        np.testing.assert_array_equal(moved.data[~pad], clean.data[~pad])
+
+    def test_gradient_check_with_mixed_lengths(self):
+        _, fwd, bwd, x = self.batch(62, d=2)
+        seq = ag.param(x)
+        params = {"seq": seq}
+        params.update(fwd.parameters("fwd"))
+        params.update(bwd.parameters("bwd"))
+
+        def f():
+            enc = bilstm_encode_batch(seq, fwd, bwd, self.LENGTHS)
+            return ag.sum_along(ag.tanh(enc))
+
+        report = ag.finite_difference_check(f, params, samples_per_group=6)
+        assert len(report) == 7
+        assert max(report.values()) < 1e-4
+
+    def test_no_grad_forward_equals_grad_forward_bitwise(self):
+        _, fwd, bwd, x = self.batch(63)
+        seq = ag.param(x)
+        with_grad = bilstm_encode_batch(seq, fwd, bwd, self.LENGTHS)
+        assert with_grad.requires_grad
+        with ag.no_grad():
+            scored = bilstm_encode_batch(seq, fwd, bwd, self.LENGTHS)
+        assert not scored.requires_grad
+        np.testing.assert_array_equal(scored.data, with_grad.data)
