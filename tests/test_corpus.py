@@ -53,6 +53,20 @@ class TestParseJsonl:
         assert doc.label == 0
 
 
+class TestLoadAliasTable:
+    """Line-numbered decoding of tab-separated side files, which are read
+    through `utf8_lines`."""
+
+    def test_non_utf8_line_names_line(self, tmp_path):
+        path = tmp_path / "aliases.tsv"
+        path.write_bytes(b"cry\t\xf0\x9f\x98\xad\r\nsm\xffile\t:)\r\n")
+        with open(path, "rb") as fh:
+            lines = corpus.utf8_lines(fh)
+            assert next(lines) == (1, "cry\t\U0001F62D\r\n")
+            with pytest.raises(CorpusError, match="line 2: not valid UTF-8"):
+                next(lines)
+
+
 def _docs(n):
     return [TokenizedDoc([f"t{i}"], [f"e{i % 3}"], i % 2) for i in range(n)]
 
