@@ -5,6 +5,13 @@ backward rule.  Operations build an implicit computation graph through the
 `_prev` links; `Value.backward()` topologically sorts the graph and applies
 the chain rule in reverse.  Everything is float64 and single-threaded, so a
 seeded forward/backward replay is bitwise reproducible.
+
+Backward allocates only where a gradient lands (Paszke et al. 2017,
+"Automatic differentiation in PyTorch"): an intermediate node borrows its
+first incoming gradient by reference through `accumulate`, and the rules
+that add into part of a gradient (`narrow`, `take_rows`) first take a
+buffer the node owns through `scatter_target`.  `narrow` and `transpose`
+return views of their input rather than copies.
 """
 
 from __future__ import annotations
@@ -40,25 +47,29 @@ def no_grad():
 class Value:
     """Dense tensor node in the differentiation graph.
 
-    `grad` is allocated (zeros) whenever the node requires grad, and is
-    accumulated into: repeated `backward()` calls add up on leaves, which is
-    the documented behavior (callers reset with `zero_grad`).
+    A grad-requiring leaf owns a zero-initialized `grad` from birth and
+    accumulates into it: repeated `backward()` calls add up on leaves, which
+    is the documented behavior (callers reset with `zero_grad`).  An
+    intermediate's `grad` is None until a gradient reaches it during
+    `backward()`, and may then alias another node's gradient: treat it as
+    read-only.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward", "_op",
-                 "__weakref__")
+                 "_owns_grad", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False,
                  _prev: tuple = (), _op: str = "leaf"):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad) and _grad_enabled
         self._prev = _prev if self.requires_grad else ()
-        # leaves carry their accumulator from birth; intermediates get a
-        # fresh one per backward pass
+        # leaves carry their accumulator from birth; intermediates receive
+        # a gradient only when backward reaches them
         self.grad = (np.zeros_like(self.data)
                      if self.requires_grad and not self._prev else None)
         self._backward: Callable[[], None] | None = None
         self._op = _op
+        self._owns_grad = False  # intermediates: grad is a private buffer
 
     @property
     def shape(self) -> tuple:
@@ -76,14 +87,17 @@ class Value:
         return float(self.data)
 
     def zero_grad(self) -> None:
-        if self.grad is not None:
+        if self._prev:
+            self.grad = None  # may alias another node's gradient
+        elif self.grad is not None:
             self.grad[...] = 0.0
 
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable grad-requiring leaf.
 
         Intermediate grads are reset per call; leaf grads accumulate across
-        calls.  Raises unless `self` is scalar.
+        calls.  A node that no gradient reaches keeps `grad = None` and its
+        rule is skipped.  Raises unless `self` is scalar.
         """
         if self.size != 1:
             raise ShapeError(
@@ -93,13 +107,13 @@ class Value:
         order = topo_order(self)
         for node in order:
             if node._prev:
-                node.grad = np.zeros_like(node.data)
+                node.grad = None
         if self._prev:
             self.grad = np.ones_like(self.data)
         else:
-            self.grad = self.grad + np.ones_like(self.data)
+            self.grad += 1.0
         for node in reversed(order):
-            if node._backward is not None:
+            if node._backward is not None and node.grad is not None:
                 node._backward()
 
     def __repr__(self) -> str:
@@ -187,11 +201,49 @@ def make_node(data, inputs: Sequence[Value], op: str) -> Value:
     The rule must hold `out` weakly (a `weakref.proxy` default argument):
     a strong reference would put every node in a cycle with its rule, so a
     step's graph would outlive its last reference until a full cyclic
-    garbage collection."""
-    needs = _grad_enabled and any(v.requires_grad for v in inputs)
-    out = Value(data, requires_grad=needs,
-                _prev=tuple(inputs) if needs else (), _op=op)
-    return out
+    garbage collection.  It passes each input's gradient to `accumulate`
+    (or adds into `scatter_target`), never into `grad` directly.
+
+    `data` may be a view of an input's data, and a rule may read its
+    inputs' data during backward.  That is safe because nothing writes
+    into a non-leaf `Value.data`, and the optimizer writes leaves only
+    after backward."""
+    needs = False
+    if _grad_enabled:
+        for v in inputs:
+            if v.requires_grad:
+                needs = True
+                break
+    return Value(data, requires_grad=needs,
+                 _prev=tuple(inputs) if needs else (), _op=op)
+
+
+def accumulate(node: Value, g: np.ndarray) -> None:
+    """Add gradient `g` (shaped like `node`) into `node.grad`.
+
+    A leaf adds into its own accumulator in place.  An intermediate keeps
+    its first gradient by reference, without a copy: `g` may alias another
+    node's gradient or data, so it is never written into.  A second
+    gradient replaces it with a fresh sum."""
+    if not node._prev:
+        node.grad += g
+    elif node.grad is None:
+        node.grad = g
+        node._owns_grad = False
+    else:
+        node.grad = node.grad + g
+        node._owns_grad = True
+
+
+def scatter_target(node: Value) -> np.ndarray:
+    """`node.grad` as a writable buffer of the node's own, for rules that
+    add into part of it: zeros if no gradient has arrived yet, else a
+    private copy of a borrowed one (a leaf's accumulator is its own)."""
+    if node._prev and (node.grad is None or not node._owns_grad):
+        node.grad = (np.zeros_like(node.data) if node.grad is None
+                     else node.grad.copy())
+        node._owns_grad = True
+    return node.grad
 
 
 def add(a, b) -> Value:
@@ -204,9 +256,9 @@ def add(a, b) -> Value:
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
             if a.requires_grad:
-                a.grad += _unbroadcast(out.grad, a.shape)
+                accumulate(a, _unbroadcast(out.grad, a.shape))
             if b.requires_grad:
-                b.grad += _unbroadcast(out.grad, b.shape)
+                accumulate(b, _unbroadcast(out.grad, b.shape))
         out._backward = _bw
     return out
 
@@ -221,9 +273,9 @@ def mul(a, b) -> Value:
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
             if a.requires_grad:
-                a.grad += _unbroadcast(out.grad * b.data, a.shape)
+                accumulate(a, _unbroadcast(out.grad * b.data, a.shape))
             if b.requires_grad:
-                b.grad += _unbroadcast(out.grad * a.data, b.shape)
+                accumulate(b, _unbroadcast(out.grad * a.data, b.shape))
         out._backward = _bw
     return out
 
@@ -246,11 +298,11 @@ def matmul(a, b) -> Value:
             g = out.grad[..., None] if b.ndim == 1 else out.grad
             g = g[..., None, :] if a.ndim == 1 else g
             if a.requires_grad:
-                a.grad += _unbroadcast(g @ np.swapaxes(b2, -1, -2),
-                                       a2.shape).reshape(a.shape)
+                accumulate(a, _unbroadcast(g @ np.swapaxes(b2, -1, -2),
+                                           a2.shape).reshape(a.shape))
             if b.requires_grad:
-                b.grad += _unbroadcast(np.swapaxes(a2, -1, -2) @ g,
-                                       b2.shape).reshape(b.shape)
+                accumulate(b, _unbroadcast(np.swapaxes(a2, -1, -2) @ g,
+                                           b2.shape).reshape(b.shape))
         out._backward = _bw
     return out
 
@@ -273,7 +325,7 @@ def concat(parts: Iterable[Value], axis: int = 0) -> Value:
                 if p.requires_grad:
                     sl = [slice(None)] * out.grad.ndim
                     sl[axis] = slice(start, start + length)
-                    p.grad += out.grad[tuple(sl)]
+                    accumulate(p, out.grad[tuple(sl)])
                 start += length
         out._backward = _bw
     return out
@@ -297,7 +349,7 @@ def sigmoid(x) -> Value:
         def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
                 s = out.data
-                x.grad += out.grad * s * (1.0 - s)
+                accumulate(x, out.grad * s * (1.0 - s))
         out._backward = _bw
     return out
 
@@ -308,7 +360,7 @@ def tanh(x) -> Value:
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
-                x.grad += out.grad * (1.0 - out.data * out.data)
+                accumulate(x, out.grad * (1.0 - out.data * out.data))
         out._backward = _bw
     return out
 
@@ -321,18 +373,7 @@ def log(x) -> Value:
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
-                x.grad += out.grad / clamped
-        out._backward = _bw
-    return out
-
-
-def relu(x) -> Value:
-    x = _coerce(x)
-    out = make_node(np.maximum(x.data, 0.0), (x,), "relu")
-    if out.requires_grad:
-        def _bw(out=weakref.proxy(out)):
-            if x.requires_grad:
-                x.grad += out.grad * (x.data > 0.0)
+                accumulate(x, out.grad / clamped)
         out._backward = _bw
     return out
 
@@ -351,7 +392,7 @@ def softmax(x, axis: int = -1) -> Value:
             if x.requires_grad:
                 g = out.grad
                 dot = np.sum(g * p, axis=axis, keepdims=True)
-                x.grad += p * (g - dot)
+                accumulate(x, p * (g - dot))
         out._backward = _bw
     return out
 
@@ -369,7 +410,8 @@ def max_along(x, axis: int) -> Value:
         np.put_along_axis(sel, np.expand_dims(idx, axis), True, axis=axis)
         def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
-                x.grad += np.where(sel, np.expand_dims(out.grad, axis), 0.0)
+                accumulate(x, np.where(sel, np.expand_dims(out.grad, axis),
+                                       0.0))
         out._backward = _bw
     return out
 
@@ -381,7 +423,7 @@ def sum_along(x, axis: int | None = None) -> Value:
         def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
                 g = out.grad if axis is None else np.expand_dims(out.grad, axis)
-                x.grad += np.broadcast_to(g, x.shape)
+                accumulate(x, np.broadcast_to(g, x.shape))
         out._backward = _bw
     return out
 
@@ -402,7 +444,7 @@ def dropout(x, rate: float, rng: np.random.Generator) -> Value:
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
-                x.grad += out.grad * mask
+                accumulate(x, out.grad * mask)
         out._backward = _bw
     return out
 
@@ -419,13 +461,13 @@ def take_rows(table, ids) -> Value:
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
             if table.requires_grad:
-                np.add.at(table.grad, ids, out.grad)
+                np.add.at(scatter_target(table), ids, out.grad)
         out._backward = _bw
     return out
 
 
 def narrow(x, axis: int, start: int, length: int) -> Value:
-    """Contiguous slice [start, start+length) along `axis`."""
+    """Contiguous slice [start, start+length) along `axis`, as a view."""
     x = _coerce(x)
     if start < 0 or start + length > x.shape[axis]:
         raise ShapeError(
@@ -434,25 +476,26 @@ def narrow(x, axis: int, start: int, length: int) -> Value:
     sl = [slice(None)] * x.ndim
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
-    out = make_node(x.data[sl].copy(), (x,), "narrow")
+    out = make_node(x.data[sl], (x,), "narrow")
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
-                x.grad[sl] += out.grad
+                scatter_target(x)[sl] += out.grad
         out._backward = _bw
     return out
 
 
 def transpose(x) -> Value:
-    """Swap the last two axes of a matrix or of a (B, n, m) stack."""
+    """Swap the last two axes of a matrix or of a (B, n, m) stack, as a
+    view."""
     x = _coerce(x)
     if x.ndim not in (2, 3):
         raise ShapeError(f"transpose: need 2-D or 3-D, got {x.shape}")
-    out = make_node(np.swapaxes(x.data, -1, -2).copy(), (x,), "transpose")
+    out = make_node(np.swapaxes(x.data, -1, -2), (x,), "transpose")
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
-                x.grad += np.swapaxes(out.grad, -1, -2)
+                accumulate(x, np.swapaxes(out.grad, -1, -2))
         out._backward = _bw
     return out
 
@@ -463,18 +506,7 @@ def reshape(x, shape) -> Value:
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
-                x.grad += out.grad.reshape(x.shape)
-        out._backward = _bw
-    return out
-
-
-def broadcast_to(x, shape) -> Value:
-    x = _coerce(x)
-    out = make_node(np.broadcast_to(x.data, shape).copy(), (x,), "broadcast")
-    if out.requires_grad:
-        def _bw(out=weakref.proxy(out)):
-            if x.requires_grad:
-                x.grad += _unbroadcast(out.grad, x.shape)
+                accumulate(x, out.grad.reshape(x.shape))
         out._backward = _bw
     return out
 

@@ -1,12 +1,18 @@
 """TextCNN head over the encoded sequence plus the fused attention vector.
 
-The fused vector is broadcast-concatenated onto every position, so each
-convolution window sees both local sequence features and the global
-attention summary.  Filters of widths {2, 3, 4} feed ReLU and
-max-over-time pooling; pooled features map affinely to two logits.
+Each position's features are its hidden state concatenated with the
+fused vector, so each convolution window sees both local sequence
+features and the global attention summary.  Filters of widths {2, 3, 4}
+feed ReLU and max-over-time pooling; pooled features map affinely to two
+logits.  Convolution, ReLU and pooling for every width are one
+hand-written graph node over the padded batch, with a backward that
+writes straight into the filters' parameter layout; dropout, the output
+layer and the softmax stay ordinary graph ops.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -52,49 +58,104 @@ def textcnn_forward_batch(states: Value, summaries: Value,
     (B, 2) logits); row b is valid on its first `lengths[b]` positions
     (all L when None).
 
-    Filter columns [i*C, i*C + 2d) act on the state at shift i of a
-    window and [i*C + 2d, (i+1)*C) on the row's summary, so a window is a
-    sum of per-shift state products (one matrix product per width) plus
-    one per-row summary term; neither windows nor the broadcast summary
-    are built.  Max-over-time pools each row's valid windows: widths
-    longer than a row contribute zero pooled features.  Dropout applies to
-    the pooled features only when a rate and rng are given (training).
+    Convolution, ReLU and max-over-time pooling are one fused node (see
+    `_conv_pool`).  Dropout applies to the pooled features only when a
+    rate and rng are given (training).
     """
-    batch, length, hidden = states.shape
-    fdim = summaries.shape[1]
-    f = params.n_filters
-    valid = np.reshape(length if lengths is None else lengths, (-1, 1, 1))
-    flat = ag.reshape(states, (batch * length, hidden))
-
-    pooled = []
-    for w in params.widths:
-        n_out = length - w + 1
-        if n_out < 1:
-            pooled.append(ag.constant(np.zeros((batch, f))))
-            continue
-        bank = ag.reshape(params.filters[w], (f, w, hidden + fdim))
-        # (B, L, F, w): filter f's shift-i state block at every position
-        shifted = ag.reshape(
-            ag.matmul(flat, ag.transpose(ag.reshape(
-                ag.narrow(bank, 2, 0, hidden), (f * w, hidden)))),
-            (batch, length, f, w))
-        shifts = [ag.narrow(ag.narrow(shifted, 3, i, 1), 1, i, n_out)
-                  for i in range(w)]                         # (B, n_out, F, 1)
-        summary_bank = ag.sum_along(ag.narrow(bank, 2, hidden, fdim), axis=1)
-        per_row = ag.add(ag.matmul(summaries, ag.transpose(summary_bank)),
-                         params.filter_bias[w])                  # (B, F)
-        conv = ag.relu(ag.add(
-            ag.reshape(sum(shifts[1:], shifts[0]), (batch, n_out, f)),
-            ag.reshape(per_row, (batch, 1, f))))
-        # ReLU outputs are >= 0, so zeroing invalid windows leaves every
-        # valid maximum in place and pools a window-less row to 0
-        mask = np.arange(n_out)[:, None] < valid - w + 1
-        pooled.append(ag.max_along(ag.mul(conv, ag.constant(mask)), axis=1))
-    feats = ag.concat(pooled, axis=1)  # (B, widths * n_filters)
+    feats = _conv_pool(states, summaries, params, lengths)
     if dropout_rate > 0.0 and dropout_rng is not None:
         feats = ag.dropout(feats, dropout_rate, dropout_rng)
     logits = ag.add(ag.matmul(feats, params.out_w), params.out_b)
     return ag.softmax(logits, axis=1), logits
+
+
+def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
+               lengths) -> Value:
+    """(B, L, 2d) states + (B, 4d) summaries -> (B, widths * F) pooled
+    features, width by width, as one graph node.
+
+    Filter columns [i*C, i*C + 2d) act on the state at shift i of a
+    window and [i*C + 2d, (i+1)*C) on the row's summary, so a window is a
+    sum of per-shift state products plus one per-row summary term.  Per
+    width that is one GEMM of all positions against every (filter, shift)
+    state block with the shifts summed on its output; the summary terms of
+    all widths are one GEMM against the shift-summed summary blocks.
+    Neither windows nor the broadcast summary are built.
+    Max-over-time pools each row's valid windows: ReLU outputs are >= 0,
+    so zeroing invalid windows leaves every valid maximum in place and
+    pools a window-less row (or a width longer than L) to 0.  Ties route
+    the gradient to the first maximal window.
+    """
+    batch, length, hidden = states.shape
+    f = params.n_filters
+    widths = params.widths
+    filters = [params.filters[w] for w in widths]
+    biases = [params.filter_bias[w] for w in widths]
+    banks = [p.data.reshape(f, w, -1) for p, w in zip(filters, widths)]
+    # (widths * F, 4d): each filter's summary block summed over its shifts
+    summary_bank = np.concatenate([bank[:, :, hidden:].sum(axis=1)
+                                   for bank in banks])
+    per_row = (summaries.data @ summary_bank.T
+               + np.concatenate([b.data for b in biases]))
+    feats = np.zeros((batch, len(widths) * f))
+    out = ag.make_node(feats, (states, summaries, *filters, *biases),
+                       "textcnn")
+    flat = states.data.reshape(batch * length, hidden)
+    valid = np.reshape(length if lengths is None else lengths, (-1, 1))
+    args = []  # per width: each (row, filter)'s winning window, or None
+    for k, (w, bank) in enumerate(zip(widths, banks)):
+        n_out = length - w + 1
+        if n_out < 1:
+            args.append(None)
+            continue
+        # (B, L, F, w): filter f's shift-i state block at every position
+        shifted = (flat @ bank[:, :, :hidden].reshape(f * w, hidden).T
+                   ).reshape(batch, length, f, w)
+        conv = shifted[:, :n_out, :, 0].copy()
+        for i in range(1, w):
+            conv += shifted[:, i:i + n_out, :, i]
+        conv += per_row[:, None, k * f:(k + 1) * f]
+        np.maximum(conv, 0.0, out=conv)
+        conv *= (np.arange(n_out) < valid - w + 1)[..., None]
+        args.append(conv.argmax(axis=1))                          # (B, F)
+        feats[:, k * f:(k + 1) * f] = conv.max(axis=1)
+
+    if out.requires_grad:
+        # the gradient reaches a window only where it won a positive maximum
+        live = feats > 0.0
+        rows = np.arange(batch)[:, None, None]
+        cols = np.arange(f)[None, :, None]
+
+        def _bw(out=weakref.proxy(out)):
+            g = out.grad * live                          # (B, widths * F)
+            if summaries.requires_grad:
+                ag.accumulate(summaries, g @ summary_bank)
+            d_summary_bank = g.T @ summaries.data
+            d_flat = np.zeros_like(flat) if states.requires_grad else None
+            for k, (w, arg) in enumerate(zip(widths, args)):
+                block = slice(k * f, (k + 1) * f)
+                if biases[k].requires_grad:
+                    ag.accumulate(biases[k], g[:, block].sum(axis=0))
+                if arg is not None:
+                    shifts = np.arange(w)
+                    d_shifted = np.zeros((batch, length, f, w))
+                    d_shifted[rows, arg[..., None] + shifts, cols, shifts] = \
+                        g[:, block, None]
+                    d_shifted = d_shifted.reshape(batch * length, f * w)
+                    if d_flat is not None:
+                        d_flat += d_shifted @ filters[k].data.reshape(
+                            f * w, -1)[:, :hidden]
+                if filters[k].requires_grad:
+                    # straight into the (F, w * C) parameter layout
+                    grad = ag.scatter_target(filters[k]).reshape(f, w, -1)
+                    grad[:, :, hidden:] += d_summary_bank[block, None]
+                    if arg is not None:
+                        grad.reshape(f * w, -1)[:, :hidden] += \
+                            d_shifted.T @ flat
+            if d_flat is not None:
+                ag.accumulate(states, d_flat.reshape(states.shape))
+        out._backward = _bw
+    return out
 
 
 def predict_label(probs) -> int:

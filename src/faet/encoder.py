@@ -143,15 +143,15 @@ def bilstm_encode_batch(seq: Value, fwd: LstmParams, bwd: LstmParams,
             for k, p in enumerate(params):
                 flat_pre = d_pre[k].reshape(length * batch, 4 * d)
                 if p.w_in.requires_grad:
-                    p.w_in.grad += xs[k].T @ flat_pre
+                    ag.accumulate(p.w_in, xs[k].T @ flat_pre)
                 if p.w_rec.requires_grad and length > 1:
                     # h_{t-1} against the pre-activations of step t >= 1
-                    p.w_rec.grad += (hidden[k, :-1].reshape(-1, d).T
-                                     @ d_pre[k, 1:].reshape(-1, 4 * d))
+                    ag.accumulate(p.w_rec, hidden[k, :-1].reshape(-1, d).T
+                                  @ d_pre[k, 1:].reshape(-1, 4 * d))
                 if p.bias.requires_grad:
-                    p.bias.grad += flat_pre.sum(axis=0)
+                    ag.accumulate(p.bias, flat_pre.sum(axis=0))
                 if seq.requires_grad:
                     dx = (flat_pre @ p.w_in.data.T).reshape(length, batch, d_in)
-                    seq.grad += dx[orders[k], rows[:, None]]
+                    ag.accumulate(seq, dx[orders[k], rows[:, None]])
         out._backward = _bw
     return out

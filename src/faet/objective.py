@@ -25,16 +25,12 @@ def cross_entropy(probs: Value, label: int,
     """-log probs[label], with the log input clamped at 1e-12.
 
     With smoothing s the target distribution becomes
-    (1-s)*onehot + s/2 on both classes.
+    (1-s)*onehot + s/2 on both classes.  The sign rides on the constant
+    target, so the loss is two graph nodes.
     """
-    logp = ag.log(probs)  # (2,)
-    if label_smoothing > 0.0:
-        target = np.full(2, label_smoothing / 2.0)
-        target[label] += 1.0 - label_smoothing
-        return -ag.matmul(logp, ag.constant(target))
-    onehot = np.zeros(2)
-    onehot[label] = 1.0
-    return -ag.matmul(logp, ag.constant(onehot))
+    target = np.full(2, label_smoothing / 2.0)
+    target[label] += 1.0 - label_smoothing
+    return ag.matmul(ag.log(probs), ag.constant(-target))
 
 
 def alignment_loss(word_emoji_weights: Value, text: Value,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 from dataclasses import dataclass, field
 
@@ -182,6 +183,10 @@ def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
     best_val_acc = -1.0
     best_state = model.state()
     log_file = open(log_path, "w", encoding="utf-8") if log_path else None
+    # step graphs are acyclic and die by reference counting, but their
+    # many short-lived nodes would keep triggering cyclic collections
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         for epoch in range(1, config.epochs + 1):
             batches = make_batches(train_docs, vocab, config.batch_size,
@@ -214,6 +219,8 @@ def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
                 best_epoch = epoch
                 best_state = model.state()
     finally:
+        if gc_was_enabled:
+            gc.enable()
         if log_file:
             log_file.close()
     return TrainResult(model=model, log=log, best_epoch=best_epoch,

@@ -110,6 +110,86 @@ class TestForward:
         assert max(report.values()) < 1e-4
 
 
+class TestBatchedRows:
+    """Padded batches with per-row lengths, including rows shorter than
+    the widest filter."""
+
+    LENGTHS = np.array([5, 1, 3, 7, 2])     # 7 is the full padded length
+
+    def make_case(self, seed=20):
+        rng = np.random.default_rng(seed)
+        params = make_params(channels=7, seed=seed + 1)
+        for bias in params.filter_bias.values():
+            bias.data[...] = rng.uniform(-0.5, 0.5, bias.shape)
+        states = rng.uniform(-1, 1, (len(self.LENGTHS), 7, 4))
+        summaries = rng.uniform(-1, 1, (len(self.LENGTHS), 3))
+        return params, states, summaries
+
+    def test_each_row_equals_that_row_alone(self):
+        params, states, summaries = self.make_case()
+        _, logits = textcnn_forward_batch(
+            ag.constant(states), ag.constant(summaries), params,
+            lengths=self.LENGTHS)
+        for b, n in enumerate(self.LENGTHS):
+            _, alone = textcnn_forward(ag.constant(states[b, :n]),
+                                       ag.constant(summaries[b]), params)
+            np.testing.assert_allclose(logits.data[b], alone.data,
+                                       rtol=0, atol=1e-12)
+            # and against windows built one at a time
+            per_pos = np.concatenate(
+                [states[b, :n], np.tile(summaries[b], (n, 1))], axis=1)
+            feats = np.concatenate([
+                np.maximum(conv1d_direct(per_pos, params.filters[w].data,
+                                         params.filter_bias[w].data, w),
+                           0.0).max(axis=0) if n >= w else np.zeros(3)
+                for w in params.widths])
+            np.testing.assert_allclose(
+                logits.data[b], feats @ params.out_w.data + params.out_b.data,
+                rtol=0, atol=1e-12)
+
+    def test_padding_never_reaches_an_output(self):
+        params, states, summaries = self.make_case()
+        _, logits = textcnn_forward_batch(
+            ag.constant(states), ag.constant(summaries), params,
+            lengths=self.LENGTHS)
+        pad = np.arange(states.shape[1]) >= self.LENGTHS[:, None]
+        states[pad] = np.random.default_rng(21).uniform(-5, 5,
+                                                         states[pad].shape)
+        _, changed = textcnn_forward_batch(
+            ag.constant(states), ag.constant(summaries), params,
+            lengths=self.LENGTHS)
+        np.testing.assert_array_equal(logits.data, changed.data)
+
+    def test_gradients_match_finite_differences(self):
+        params, states, summaries = self.make_case(seed=22)
+        states, summaries = ag.param(states), ag.param(summaries)
+        labels = np.eye(2)[[0, 1, 1, 0, 1]]
+        groups = {"states": states, "summaries": summaries}
+        groups.update(params.parameters())
+
+        def f():
+            probs, _ = textcnn_forward_batch(states, summaries, params,
+                                             lengths=self.LENGTHS)
+            return ag.sum_along(ag.mul(ag.log(probs), ag.constant(-labels)))
+
+        report = ag.finite_difference_check(f, groups, samples_per_group=24)
+        assert max(report.values()) < 1e-4
+
+    def test_no_grad_forward_is_bitwise_the_grad_forward(self):
+        params, states, summaries = self.make_case()
+        probs, logits = textcnn_forward_batch(
+            ag.param(states), ag.param(summaries), params,
+            lengths=self.LENGTHS)
+        assert probs.requires_grad
+        with ag.no_grad():
+            probs_ng, logits_ng = textcnn_forward_batch(
+                ag.param(states), ag.param(summaries), params,
+                lengths=self.LENGTHS)
+        assert not probs_ng.requires_grad
+        np.testing.assert_array_equal(probs.data, probs_ng.data)
+        np.testing.assert_array_equal(logits.data, logits_ng.data)
+
+
 class TestPredictLabel:
     def test_positive(self):
         assert predict_label(np.array([0.4, 0.6])) == 1

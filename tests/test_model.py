@@ -239,8 +239,14 @@ class TestBatchLoss:
             loss = m.batch_loss(batch, train=True,
                                 dropout_rng=np.random.default_rng(3))
             loss.backward()
-            nodes = [weakref.ref(v) for v in ag.topo_order(loss) if v._prev]
-            assert len(nodes) > 100
+            graph = [v for v in ag.topo_order(loss) if v._prev]
+            ops = [v._op for v in graph]
+            # the whole step's graph: the encoder, the head and one
+            # cross-entropy chain per document
+            assert ops.count("bilstm") == 1 and ops.count("textcnn") == 1
+            assert ops.count("log") == len(batch)
+            nodes = [weakref.ref(v) for v in graph]
+            del graph
             del loss
             assert [r() for r in nodes if r() is not None] == []
         finally:

@@ -1,6 +1,7 @@
 """Training loop, metrics, checkpointing, and the ablation harness."""
 
 import dataclasses
+import gc
 import json
 import os
 import struct
@@ -135,6 +136,44 @@ class TestTrainLoop:
         model.parameters()["out_w"].data[0, 0] = np.nan
         with pytest.raises(NanLossError, match="epoch 1, batch 0"):
             train(docs, docs, config, model=model)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_training_leaves_no_cyclic_garbage(self, enabled, monkeypatch):
+        # two emojis per document, so the alignment loss runs too
+        docs = [TokenizedDoc(d.text_tokens, d.emoji_tokens + ["E_N"], d.label)
+                for d in gen_overfit(16, seed=6)]
+        collector_on = []
+        step = Adam.step
+
+        def recording_step(self):
+            collector_on.append(gc.isenabled())
+            step(self)
+        monkeypatch.setattr(Adam, "step", recording_step)
+        gc.collect()
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            train(docs, docs, tiny_config(dropout=0.2, epochs=2))
+            assert gc.isenabled() is enabled
+            assert gc.collect() == 0
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert collector_on and not any(collector_on)  # paused every step
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_nan_loss_restores_collector_state(self, enabled):
+        docs = gen_overfit(16, seed=4)
+        config = tiny_config()
+        model = Model(config, build_vocab(docs))
+        model.parameters()["out_w"].data[0, 0] = np.nan
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(NanLossError):
+                train(docs, docs, config, model=model)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
     @pytest.mark.parametrize("split", ["train", "val"])
     def test_unlabeled_document_fails_before_any_epoch(self, split, tmp_path,
