@@ -63,9 +63,11 @@ class Value:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad) and _grad_enabled
         self._prev = _prev if self.requires_grad else ()
-        # leaves carry their accumulator from birth; intermediates receive
+        # leaves carry their accumulator from birth (np.zeros, unlike
+        # zeros_like, leaves a large one unfaulted until first written, so
+        # a model that only scores never pays for it); intermediates receive
         # a gradient only when backward reaches them
-        self.grad = (np.zeros_like(self.data)
+        self.grad = (np.zeros(self.data.shape)
                      if self.requires_grad and not self._prev else None)
         self._backward: Callable[[], None] | None = None
         self._op = _op

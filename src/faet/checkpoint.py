@@ -14,6 +14,7 @@ import json
 import math
 import os
 import struct
+import sys
 
 import numpy as np
 
@@ -61,7 +62,7 @@ def _write(fh, model: Model) -> None:
         fh.write(struct.pack("<B", data.ndim))
         for dim in data.shape:
             fh.write(struct.pack("<Q", dim))
-        fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(data, dtype="<f8"))
 
 
 def _read(fh, n: int, what: str) -> bytes:
@@ -102,12 +103,23 @@ def read_config(path: str) -> TrainConfig:
 
 
 def load_checkpoint(path: str) -> Model:
-    """Rebuild a model from file; shapes are verified against the embedded
-    config."""
+    """Rebuild a model from file.
+
+    The model is built from the embedded config without drawing a random
+    number, and each blob is read straight into its parameter's array.  A
+    blob's size is checked against what is left of the file before its
+    name and shape are checked against the model; every parameter must
+    appear exactly once.
+    """
     with open(path, "rb") as fh:
         config, vocab = _read_header(fh, path)
-
-        state = {}
+        try:
+            model = Model.blank(config, vocab)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
+        params = model.parameters()
+        size = os.fstat(fh.fileno()).st_size
+        seen = set()
         (count,) = struct.unpack("<I", _read(fh, 4, "parameter count"))
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read(fh, 2, "name length"))
@@ -119,18 +131,27 @@ def load_checkpoint(path: str) -> Model:
             (ndim,) = struct.unpack("<B", _read(fh, 1, "ndim"))
             shape = tuple(
                 struct.unpack("<Q", _read(fh, 8, "dim"))[0] for _ in range(ndim))
-            size = math.prod(shape)
-            raw = _read(fh, size * 8, f"data of {name!r}")
-            try:
-                state[name] = np.frombuffer(raw, "<f8").reshape(shape).copy()
-            except ValueError as exc:  # a zero-size shape too big to hold
-                raise CheckpointError(f"{path}: {name!r}: {exc}") from exc
+            truncated = f"truncated checkpoint while reading data of {name!r}"
+            if math.prod(shape) * 8 > size - fh.tell():
+                raise CheckpointError(truncated)
+            if name not in params:
+                raise CheckpointError(f"{path}: unknown parameter {name!r}")
+            if name in seen:
+                raise CheckpointError(
+                    f"{path}: parameter {name!r} appears twice")
+            data = params[name].data
+            if shape != data.shape:
+                raise CheckpointError(
+                    f"{path}: checkpoint shape {shape} != model shape "
+                    f"{data.shape} for {name!r}")
+            if fh.readinto(data) != data.nbytes:
+                raise CheckpointError(truncated)
+            if sys.byteorder == "big":
+                data.byteswap(inplace=True)
+            seen.add(name)
+        if len(seen) != len(params):
+            raise CheckpointError(
+                f"{path}: missing parameters {sorted(params.keys() - seen)}")
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after parameters")
-
-    model = Model(config, vocab)
-    try:
-        model.load_state(state)
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}") from exc
     return model

@@ -172,8 +172,8 @@ def _cmd_train(args) -> int:
                    log_path=args.log)
     final_path = args.out + ".final"
     save_checkpoint(result.model, final_path)
-    result.model.load_state(result.best_state)
-    save_checkpoint(result.model, args.out)
+    save_checkpoint(Model.from_state(config, result.model.vocab,
+                                     result.best_state), args.out)
     summary = {"best_epoch": result.best_epoch,
                "best_val_acc": result.best_val_acc,
                "checkpoint": args.out, "final_checkpoint": final_path,

@@ -22,10 +22,8 @@ class TextEncoder:
     sequences from a constant zero row.
     """
 
-    def __init__(self, dim: int, vocab_size: int,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, dim: int, vocab_size: int, rng: np.random.Generator):
         self.dim = dim
-        rng = rng or np.random.default_rng(0)
         init = rng.uniform(-0.1, 0.1, size=(vocab_size, dim))
         init[PAD_ID] = 0.0
         self.table = ag.param(init)

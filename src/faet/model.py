@@ -30,6 +30,15 @@ from .objective import alignment_loss, cross_entropy, total_loss
 VARIANTS = ("fine", "coarse")
 
 
+class _NoDraw:
+    """Stands in for a seeded generator in a draw-free build: `uniform`
+    returns an uninitialized array of the requested shape."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.empty(size)
+
+
 @dataclass
 class TrainConfig:
     """Model and training hyperparameters.
@@ -107,13 +116,49 @@ class Model:
     """One trained classifier instance (either variant) plus its vocab."""
 
     def __init__(self, config: TrainConfig, vocab: Vocab):
+        seeds = np.random.SeedSequence([config.seed, 0]).spawn(6)
+        self._build(config, vocab, [np.random.default_rng(s) for s in seeds])
+
+    @classmethod
+    def blank(cls, config: TrainConfig, vocab: Vocab) -> "Model":
+        """A model of `config`'s shapes built without drawing a random
+        number.  Its parameter values are unspecified: the caller must
+        overwrite every parameter before the model is used."""
+        model = cls.__new__(cls)
+        with np.errstate(all="ignore"):  # arithmetic on placeholder values
+            model._build(config, vocab, [_NoDraw] * 6)
+        return model
+
+    @classmethod
+    def from_state(cls, config: TrainConfig, vocab: Vocab,
+                   state: dict[str, np.ndarray]) -> "Model":
+        """A model whose parameters are the arrays of `state` themselves
+        (no copy, no random draw); names, shapes and dtypes must match
+        what `config` builds."""
+        model = cls.blank(config, vocab)
+        params = model.parameters()
+        if set(state) != set(params):
+            mismatched = set(params) ^ set(state)
+            raise ValueError(
+                f"state names do not match model: {sorted(mismatched)}")
+        for name, arr in state.items():
+            if params[name].data.shape != arr.shape:
+                raise ValueError(
+                    f"state shape {arr.shape} != model shape "
+                    f"{params[name].data.shape} for {name!r}")
+            if arr.dtype != np.float64:
+                raise ValueError(
+                    f"state dtype {arr.dtype} is not float64 for {name!r}")
+            params[name].data = arr
+        return model
+
+    def _build(self, config: TrainConfig, vocab: Vocab, rngs: list) -> None:
+        """Create every parameter container, each drawing its initial
+        values from its own one of the six `rngs`."""
         if vocab.n_emoji < 1:
             raise ValueError("emoji vocabulary is empty")
         self.config = config
         self.vocab = vocab
-        seeds = np.random.SeedSequence([config.seed, 0]).spawn(6)
-        rngs = [np.random.default_rng(s) for s in seeds]
-
         self.text_encoder = TextEncoder(config.d_w, vocab.n_text, rngs[0])
         self.emoji_table = BisenseEmojiEmbedding(vocab.n_emoji, config.d_w,
                                                  rngs[1])
@@ -146,18 +191,6 @@ class Model:
 
     def state(self) -> dict[str, np.ndarray]:
         return {k: p.data.copy() for k, p in self.parameters().items()}
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        params = self.parameters()
-        if set(state) != set(params):
-            missing = set(params) ^ set(state)
-            raise ValueError(f"state names do not match model: {sorted(missing)}")
-        for name, arr in state.items():
-            if params[name].data.shape != arr.shape:
-                raise ValueError(
-                    f"state shape {arr.shape} != model shape "
-                    f"{params[name].data.shape} for {name!r}")
-            params[name].data[...] = arr
 
     def forward_docs(self, docs: list[tuple], train: bool = False,
                      dropout_rng: np.random.Generator | None = None

@@ -238,8 +238,7 @@ def ablate(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
     for variant in ("fine", "coarse"):
         cfg = dataclasses.replace(config, variant=variant)
         result = train(train_docs, val_docs, cfg)
-        best = Model(cfg, result.model.vocab)
-        best.load_state(result.best_state)
+        best = Model.from_state(cfg, result.model.vocab, result.best_state)
         pairs = _prediction_pairs(best, test_docs)
         variants[variant] = {
             "metrics": metrics_from_pairs(pairs).to_dict(),

@@ -245,6 +245,8 @@ class TestMalformedInput:
         ({"vocab": {"emoji": ["E_SMILE"]}}, "metadata"),
         ({"first_dim": 2 ** 60}, "truncated"),
         ({"first_name": b"\xff"}, "UTF-8"),
+        ({"vocab": {"text": ["<pad>", "<unk>"], "emoji": []}},
+         "emoji vocabulary is empty"),
     ])
     def test_malformed_checkpoint_is_data_error(self, checkpoint, capsys,
                                                 change, message):
@@ -253,6 +255,18 @@ class TestMalformedInput:
         assert cli.main(["eval", "--model", str(bad),
                          "--data", str(checkpoint / "data.jsonl")]) == 2
         assert message in capsys.readouterr().err
+
+    def test_missing_parameter_is_data_error(self, checkpoint, capsys):
+        docs = gen_overfit(16, seed=1)
+        model = Model(TrainConfig(d=3, d_w=3, n_filters=2), build_vocab(docs))
+        full = model.parameters()
+        model.parameters = lambda: {k: v for k, v in full.items()
+                                    if k != "out_b"}
+        bad = checkpoint / "bad.faet"
+        save_checkpoint(model, str(bad))
+        assert cli.main(["eval", "--model", str(bad),
+                         "--data", str(checkpoint / "data.jsonl")]) == 2
+        assert "missing parameters ['out_b']" in capsys.readouterr().err
 
     def test_non_utf8_corpus_is_data_error(self, checkpoint, capsys):
         data = checkpoint / "data.jsonl"

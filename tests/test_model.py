@@ -1,6 +1,7 @@
 """Full-model assembly: variants, batching equivalence, loss composition."""
 
 import gc
+import hashlib
 import weakref
 
 import numpy as np
@@ -59,15 +60,46 @@ class TestParameters:
         assert "coarse_w" in names and "coarse_v" in names
         assert "interaction_w" not in names
 
-    def test_load_state_rejects_wrong_names_and_shapes(self, model):
+    def test_from_state_rejects_wrong_names_and_shapes(self, model):
         m, docs = model
         other = Model(tiny_config(d=7), build_vocab(docs))
         with pytest.raises(ValueError, match="shape"):
-            m.load_state(other.state())
+            Model.from_state(m.config, m.vocab, other.state())
         state = m.state()
         state.pop("out_b")
         with pytest.raises(ValueError, match="names"):
-            m.load_state(state)
+            Model.from_state(m.config, m.vocab, state)
+
+    def test_from_state_adopts_arrays_without_drawing(self, model,
+                                                      monkeypatch):
+        m, _ = model
+        state = m.state()
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("random numbers drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        monkeypatch.setattr(np.random, "SeedSequence", no_draws)
+        adopted = Model.from_state(m.config, m.vocab, state)
+        for name, p in adopted.parameters().items():
+            assert p.data is state[name]
+
+    @pytest.mark.parametrize("variant, digest", [
+        ("fine",
+         "3275fcd22d21f136ab5b30e5e8b36d35304f184f7b9e051d9c66af81d715c74a"),
+        ("coarse",
+         "866e856d64a2cbe72f93ea281f283d9d6b129d5009428b1ccfd3afff34c6b058"),
+    ])
+    def test_fresh_init_draws_are_pinned(self, variant, digest):
+        # sha256 over sorted (name, float64 bytes): a fresh model must draw
+        # the same numbers in the same order as every earlier release
+        state = Model(tiny_config(variant=variant),
+                      build_vocab(tiny_corpus())).state()
+        h = hashlib.sha256()
+        for name in sorted(state):
+            h.update(name.encode())
+            h.update(state[name].tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestForward:

@@ -14,7 +14,7 @@ from oracles import accuracy_by_hand, prf_by_hand, recount_confusion
 from faet.checkpoint import (
     CheckpointError, load_checkpoint, read_config, save_checkpoint,
 )
-from faet.corpus import TokenizedDoc, build_vocab
+from faet.corpus import TokenizedDoc, build_vocab, make_batches
 from faet.model import Model, TrainConfig
 from faet.optim import Adam
 from faet.synthetic import gen_overfit, gen_xor
@@ -29,6 +29,22 @@ def tiny_config(**overrides):
                 batch_size=8, epochs=3, max_len=20, lr=5e-3, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def _write_v1(path, config: dict, vocab: dict, entries) -> None:
+    """Write format 1 byte by byte from (name, array) `entries`, in the
+    order given."""
+    blob = bytearray(b"FAET" + struct.pack("<I", 1))
+    for meta in (config, vocab):
+        raw = json.dumps(meta, sort_keys=True, ensure_ascii=False).encode()
+        blob += struct.pack("<Q", len(raw)) + raw
+    blob += struct.pack("<I", len(entries))
+    for name, arr in entries:
+        blob += struct.pack("<H", len(name)) + name.encode()
+        blob += struct.pack("<B", arr.ndim)
+        blob += b"".join(struct.pack("<Q", n) for n in arr.shape)
+        blob += arr.astype("<f8").tobytes()
+    path.write_bytes(bytes(blob))
 
 
 class TestMetrics:
@@ -270,25 +286,63 @@ class TestCheckpoint:
         state = model.state()
         config = dict(model.config.to_json_dict(),
                       encoder_mode="trainable_table")
-        blob = bytearray(b"FAET" + struct.pack("<I", 1))
-        for meta in (config, model.vocab.to_json_dict()):
-            raw = json.dumps(meta, sort_keys=True, ensure_ascii=False).encode()
-            blob += struct.pack("<Q", len(raw)) + raw
-        blob += struct.pack("<I", len(state))
-        for name in sorted(state):
-            arr = state[name]
-            blob += struct.pack("<H", len(name)) + name.encode()
-            blob += struct.pack("<B", arr.ndim)
-            blob += b"".join(struct.pack("<Q", n) for n in arr.shape)
-            blob += arr.astype("<f8").tobytes()
         path = tmp_path / "old.faet"
-        path.write_bytes(bytes(blob))
+        _write_v1(path, config, model.vocab.to_json_dict(),
+                  [(name, state[name]) for name in sorted(state)])
         loaded = load_checkpoint(str(path))
         assert loaded.config == model.config
         loaded_state = loaded.state()
         assert set(loaded_state) == set(state)
         for name, arr in state.items():
             assert loaded_state[name].tobytes() == arr.tobytes()
+
+    def test_duplicate_parameter_name_rejected(self, tmp_path):
+        docs = gen_overfit(16, seed=13)
+        model = Model(tiny_config(), build_vocab(docs))
+        state = model.state()
+        entries = [(name, state[name]) for name in sorted(state)]
+        assert entries[0][0] == "cnn.bias_w2"
+        path = tmp_path / "dup.faet"
+        _write_v1(path, model.config.to_json_dict(),
+                  model.vocab.to_json_dict(), entries[:1] + entries)
+        with pytest.raises(CheckpointError,
+                           match="'cnn.bias_w2' appears twice"):
+            load_checkpoint(str(path))
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        docs = gen_overfit(16, seed=14)
+        model = Model(tiny_config(), build_vocab(docs))
+        path = str(tmp_path / "model.faet")
+        save_checkpoint(model, path)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("random numbers drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        monkeypatch.setattr(np.random, "SeedSequence", no_draws)
+        loaded = load_checkpoint(path)
+        Model.from_state(loaded.config, loaded.vocab, loaded.state())
+
+    def test_loaded_parameters_are_trainable_arrays(self, tmp_path):
+        docs = gen_overfit(16, seed=15)
+        vocab = build_vocab(docs)
+        model = Model(tiny_config(), vocab)
+        path = str(tmp_path / "model.faet")
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        params = loaded.parameters()
+        for name, p in params.items():
+            assert p.data.dtype == np.float64, name
+            assert p.data.flags.c_contiguous, name
+            assert p.data.flags.writeable, name
+        before = loaded.state()
+        optimizer = Adam(params, lr=1e-2)
+        (batch,) = make_batches(docs[:4], vocab, 4, max_len=20,
+                                shuffle=False)
+        loaded.batch_loss(batch).backward()
+        optimizer.step()
+        assert any(not np.array_equal(before[name], p.data)
+                   for name, p in params.items())
 
     def test_failed_save_leaves_previous_file(self, tmp_path):
         docs = gen_overfit(16, seed=12)
