@@ -95,13 +95,6 @@ def _read_header(fh, path: str) -> tuple[TrainConfig, Vocab]:
     return config, vocab
 
 
-def read_config(path: str) -> TrainConfig:
-    """Read only the embedded config (cheap peek, no parameter blobs)."""
-    with open(path, "rb") as fh:
-        config, _ = _read_header(fh, path)
-    return config
-
-
 def load_checkpoint(path: str) -> Model:
     """Rebuild a model from file.
 

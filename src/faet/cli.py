@@ -195,6 +195,8 @@ def _cmd_eval(args) -> int:
 def _cmd_predict(args) -> int:
     model = load_checkpoint(args.model)
     docs = read_jsonl(args.data, mode="predict")
+    if not docs:
+        raise CorpusError("predict: empty document list")
     encoded = [encode_doc(doc, model.vocab, model.config.max_len)
                for doc in docs]
     for out in model.score(encoded):

@@ -28,6 +28,11 @@ from .encoder import LstmParams, bilstm_encode_batch
 from .objective import alignment_loss, cross_entropy, total_loss
 
 VARIANTS = ("fine", "coarse")
+# `Model.score` sorts by length within windows of this many chunks.  The
+# encoder outputs (B, L, 2d) that 4 buffered chunks keep alive are about
+# the size of one chunk's own gate buffer (2, L, B, 4d), so scoring memory
+# stays bounded by the window, not by the input.
+SCORE_WINDOW_CHUNKS = 4
 
 
 class _NoDraw:
@@ -275,12 +280,28 @@ class Model:
         return outputs
 
     def score(self, docs: list[tuple], chunk: int = 64):
-        """Yield each document's outputs from no-grad `forward_docs` passes
-        over `chunk` documents at a time, in input order.  Every scoring
-        caller (evaluation, prediction, ablation) goes through here."""
-        for start in range(0, len(docs), chunk):
-            with ag.no_grad():
-                outputs = self.forward_docs(docs[start:start + chunk])
+        """Yield each document's outputs from no-grad `forward_docs` passes,
+        in input order.  Every scoring caller (evaluation, prediction,
+        ablation) goes through here.
+
+        Each window of `SCORE_WINDOW_CHUNKS * chunk` documents is stably
+        sorted by length [text ; emoji] and cut into consecutive groups of
+        `chunk`, so a group pads only to its own longest document; each
+        group reaches `forward_docs` in input order.  An input of at most
+        `chunk` documents is therefore one pass over the list as given.
+        """
+        window = SCORE_WINDOW_CHUNKS * chunk
+        for start in range(0, len(docs), window):
+            part = docs[start:start + window]
+            order = sorted(range(len(part)),
+                           key=lambda i: len(part[i][0]) + len(part[i][1]))
+            outputs = [None] * len(part)
+            for first in range(0, len(part), chunk):
+                group = sorted(order[first:first + chunk])
+                with ag.no_grad():
+                    results = self.forward_docs([part[i] for i in group])
+                for i, out in zip(group, results):
+                    outputs[i] = out
             yield from outputs
 
     def doc_losses(self, outputs: DocOutputs, label: int) -> tuple[Value, Value]:

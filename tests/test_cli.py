@@ -294,6 +294,17 @@ class TestMalformedInput:
                          "--data", str(empty)]) == 2
         assert "evaluate: empty document list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [b"", b"\n  \n"])
+    def test_empty_predict_data_is_data_error(self, checkpoint, capsys,
+                                              content):
+        empty = checkpoint / "empty.jsonl"
+        empty.write_bytes(content)
+        assert cli.main(["predict", "--model", str(checkpoint / "good.faet"),
+                         "--data", str(empty)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "predict: empty document list" in err
+
     def test_empty_val_file_is_data_error(self, checkpoint, capsys):
         empty = checkpoint / "empty.jsonl"
         empty.write_bytes(b"\n")

@@ -1,15 +1,18 @@
-"""The one scoring path: chunked no-grad `Model.score` against
-`Model.predict_doc`, on generated documents: probabilities, labels and
-the per-document `--explain` payloads."""
+"""The one scoring path: length-sorted, chunked no-grad `Model.score`
+against `Model.predict_doc`, on generated documents: probabilities,
+labels and the per-document `--explain` payloads, and the groups of
+documents that reach `forward_docs`."""
 
+import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from faet.classifier import predict_label
 from faet.corpus import TokenizedDoc, build_vocab, encode_doc
-from faet.model import Model, TrainConfig
+from faet.model import SCORE_WINDOW_CHUNKS, Model, TrainConfig
 
 WORDS = [f"w{i}" for i in range(8)]
 EMOJIS = [f"E{i}" for i in range(3)]
@@ -66,3 +69,132 @@ def test_batched_scores_match_predict_doc(extra, variant, data):
             assert np.shape(values) == shapes[name], name
             np.testing.assert_allclose(values, single["explain"][name],
                                        rtol=0, atol=1e-12, err_msg=name)
+
+
+def _mixed_docs(model, count, seed=0):
+    """`count` encoded documents of 1..MAX_LEN words and 0..3 emojis."""
+    rng = np.random.default_rng(seed)
+    docs = [TokenizedDoc(list(rng.choice(WORDS, rng.integers(1, MAX_LEN + 1))),
+                         list(rng.choice(EMOJIS, rng.integers(0, 4))), None)
+            for _ in range(count)]
+    return [encode_doc(doc, model.vocab, MAX_LEN) for doc in docs]
+
+
+def _length(doc):
+    return len(doc[0]) + len(doc[1])
+
+
+def _padded(groups):
+    return sum(len(group) * max(map(_length, group)) for group in groups)
+
+
+def _record_groups(model, monkeypatch):
+    """The lists `model.forward_docs` receives, in call order."""
+    groups = []
+    forward = model.forward_docs
+
+    def record(docs, *args, **kwargs):
+        groups.append(list(docs))
+        return forward(docs, *args, **kwargs)
+
+    monkeypatch.setattr(model, "forward_docs", record)
+    return groups
+
+
+class TestScoringGroups:
+    CHUNK = 4
+    WINDOW = SCORE_WINDOW_CHUNKS * CHUNK
+
+    def _groups(self, monkeypatch, docs, chunk=CHUNK):
+        model = MODELS["fine"]
+        groups = _record_groups(model, monkeypatch)
+        outputs = list(model.score(docs, chunk=chunk))
+        assert len(outputs) == len(docs)
+        return groups
+
+    def test_groups_follow_length_order_within_each_window(self, monkeypatch):
+        docs = _mixed_docs(MODELS["fine"], 2 * self.WINDOW + 3, seed=1)
+        position = {id(doc): i for i, doc in enumerate(docs)}
+        groups = self._groups(monkeypatch, docs)
+        for start in range(0, len(docs), self.WINDOW):
+            window = docs[start:start + self.WINDOW]
+            count = -(-len(window) // self.CHUNK)
+            ours, groups = groups[:count], groups[count:]
+            # every document of the window exactly once, `chunk` at a time
+            assert sorted(position[id(d)] for g in ours for d in g) == \
+                list(range(start, start + len(window)))
+            assert [len(g) for g in ours[:-1]] == [self.CHUNK] * (count - 1)
+            keys = [[(_length(d), position[id(d)]) for d in g] for g in ours]
+            for group_keys in keys:
+                # members in input order
+                assert [i for _, i in group_keys] == \
+                    sorted(i for _, i in group_keys)
+            for earlier, later in zip(keys, keys[1:]):
+                # stable length order from group to group
+                assert max(earlier) < min(later)
+        assert groups == []
+
+    def test_padded_positions_are_the_sorted_optimum(self, monkeypatch):
+        docs = _mixed_docs(MODELS["fine"], 2 * self.WINDOW + 3, seed=2)
+        groups = self._groups(monkeypatch, docs)
+        optimum = 0
+        for start in range(0, len(docs), self.WINDOW):
+            lengths = sorted(map(_length, docs[start:start + self.WINDOW]))
+            optimum += sum(len(lengths[i:i + self.CHUNK])
+                           * max(lengths[i:i + self.CHUNK])
+                           for i in range(0, len(lengths), self.CHUNK))
+        assert _padded(groups) == optimum
+        input_order = [docs[i:i + self.CHUNK]
+                       for i in range(0, len(docs), self.CHUNK)]
+        assert _padded(groups) < _padded(input_order)
+
+    def test_no_pairing_pads_less(self, monkeypatch):
+        # every split of 8 documents into 4 pairs: none pads less
+        docs = _mixed_docs(MODELS["fine"], 8, seed=3)
+        groups = self._groups(monkeypatch, docs, chunk=2)
+
+        def pairings(rest):
+            if not rest:
+                yield []
+                return
+            for other in rest[1:]:
+                remaining = [d for d in rest[1:] if d is not other]
+                for tail in pairings(remaining):
+                    yield [[rest[0], other], *tail]
+
+        assert _padded(groups) == min(map(_padded, pairings(docs)))
+
+    def test_at_most_one_chunk_is_passed_unchanged(self, monkeypatch):
+        docs = _mixed_docs(MODELS["fine"], self.CHUNK, seed=4)
+        for count in range(1, self.CHUNK + 1):
+            groups = self._groups(monkeypatch, docs[:count])
+            assert len(groups) == 1
+            assert all(a is b for a, b in
+                       itertools.zip_longest(groups[0], docs[:count]))
+        # the default chunk: one pass over the list as given
+        many = _mixed_docs(MODELS["fine"], 40, seed=5)
+        groups = self._groups(monkeypatch, many, chunk=64)
+        assert len(groups) == 1
+        assert all(a is b for a, b in itertools.zip_longest(groups[0], many))
+
+    def test_first_output_waits_for_one_window_at_most(self, monkeypatch):
+        model = MODELS["fine"]
+        docs = _mixed_docs(model, 3 * self.WINDOW, seed=6)
+        groups = _record_groups(model, monkeypatch)
+        scored = model.score(docs, chunk=self.CHUNK)
+        next(scored)
+        assert 1 <= len(groups) <= self.WINDOW // self.CHUNK
+        assert len(list(scored)) == len(docs) - 1
+
+    @pytest.mark.parametrize("variant", sorted(MODELS))
+    def test_windowed_outputs_match_predict_doc(self, variant):
+        model = MODELS[variant]
+        docs = _mixed_docs(model, 3 * self.WINDOW + 5, seed=7)
+        outputs = list(model.score(docs, chunk=self.CHUNK))
+        assert len(outputs) == len(docs)
+        for out, (text_ids, emoji_ids) in zip(outputs, docs):
+            single = model.predict_doc(text_ids, emoji_ids)
+            assert out.text_states.shape[0] == len(text_ids)
+            np.testing.assert_allclose(out.probs.data, single["probs"],
+                                       rtol=0, atol=1e-12)
+            assert predict_label(out.probs) == single["label"]

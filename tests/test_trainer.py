@@ -11,9 +11,7 @@ import pytest
 
 from oracles import accuracy_by_hand, prf_by_hand, recount_confusion
 
-from faet.checkpoint import (
-    CheckpointError, load_checkpoint, read_config, save_checkpoint,
-)
+from faet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from faet.corpus import TokenizedDoc, build_vocab, make_batches
 from faet.model import Model, TrainConfig
 from faet.optim import Adam
@@ -239,7 +237,7 @@ class TestCheckpoint:
             np.testing.assert_array_equal(arr, original[name])
         assert loaded.config == result.model.config
         assert loaded.vocab.text_to_id == result.model.vocab.text_to_id
-        assert read_config(path).d == config.d
+        assert load_checkpoint(path).config.d == config.d
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.faet"
