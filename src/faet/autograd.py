@@ -7,11 +7,13 @@ the chain rule in reverse.  Everything is float64 and single-threaded, so a
 seeded forward/backward replay is bitwise reproducible.
 
 Backward allocates only where a gradient lands (Paszke et al. 2017,
-"Automatic differentiation in PyTorch"): an intermediate node borrows its
-first incoming gradient by reference through `accumulate`, and the rules
-that add into part of a gradient (`narrow`, `take_rows`) first take a
-buffer the node owns through `scatter_target`.  `narrow` and `transpose`
-return views of their input rather than copies.
+"Automatic differentiation in PyTorch"): a node, leaf or intermediate,
+starts without a gradient buffer and borrows its first incoming gradient
+by reference through `accumulate`; the rules that add into part of a
+gradient (`narrow`, `take_rows`) first take a buffer the node owns
+through `scatter_target`.  So a model that only scores never allocates a
+gradient, and `zero_grad` drops a buffer instead of clearing it.
+`narrow` and `transpose` return views of their input rather than copies.
 """
 
 from __future__ import annotations
@@ -47,31 +49,37 @@ def no_grad():
 class Value:
     """Dense tensor node in the differentiation graph.
 
-    A grad-requiring leaf owns a zero-initialized `grad` from birth and
-    accumulates into it: repeated `backward()` calls add up on leaves, which
-    is the documented behavior (callers reset with `zero_grad`).  An
-    intermediate's `grad` is None until a gradient reaches it during
-    `backward()`, and may then alias another node's gradient: treat it as
-    read-only.
+    No node allocates a gradient when it is built.  Backward hands each
+    node its first gradient by reference, which may alias another node's
+    gradient: treat `grad` as read-only after a backward.  Repeated
+    `backward()` calls add up on grad-requiring leaves, which is the
+    documented behavior (callers reset with `zero_grad`); an
+    intermediate's gradient is reset per call.  Reading `grad` on a
+    grad-requiring leaf that no gradient reached gives an exact-zero
+    buffer of the leaf's own, which may be written into; an intermediate
+    no gradient reached reads None.  Graph code reads the `_grad` slot,
+    where an unreached leaf holds None.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward", "_op",
-                 "_owns_grad", "__weakref__")
+    __slots__ = ("data", "_grad", "requires_grad", "_prev", "_backward",
+                 "_op", "_owns_grad", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False,
                  _prev: tuple = (), _op: str = "leaf"):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad) and _grad_enabled
         self._prev = _prev if self.requires_grad else ()
-        # leaves carry their accumulator from birth (np.zeros, unlike
-        # zeros_like, leaves a large one unfaulted until first written, so
-        # a model that only scores never pays for it); intermediates receive
-        # a gradient only when backward reaches them
-        self.grad = (np.zeros(self.data.shape)
-                     if self.requires_grad and not self._prev else None)
+        self._grad: np.ndarray | None = None
         self._backward: Callable[[], None] | None = None
         self._op = _op
-        self._owns_grad = False  # intermediates: grad is a private buffer
+        self._owns_grad = False  # _grad is a private buffer, not borrowed
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        if self._grad is None and self.requires_grad and not self._prev:
+            self._grad = np.zeros(self.data.shape)
+            self._owns_grad = True
+        return self._grad
 
     @property
     def shape(self) -> tuple:
@@ -89,16 +97,13 @@ class Value:
         return float(self.data)
 
     def zero_grad(self) -> None:
-        if self._prev:
-            self.grad = None  # may alias another node's gradient
-        elif self.grad is not None:
-            self.grad[...] = 0.0
+        self._grad = None  # dropped, not zeroed: it may be borrowed
 
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable grad-requiring leaf.
 
         Intermediate grads are reset per call; leaf grads accumulate across
-        calls.  A node that no gradient reaches keeps `grad = None` and its
+        calls.  A node that no gradient reaches keeps no gradient and its
         rule is skipped.  Raises unless `self` is scalar.
         """
         if self.size != 1:
@@ -109,13 +114,10 @@ class Value:
         order = topo_order(self)
         for node in order:
             if node._prev:
-                node.grad = None
-        if self._prev:
-            self.grad = np.ones_like(self.data)
-        else:
-            self.grad += 1.0
+                node._grad = None
+        accumulate(self, np.ones_like(self.data))
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+            if node._backward is not None and node._grad is not None:
                 node._backward()
 
     def __repr__(self) -> str:
@@ -221,31 +223,31 @@ def make_node(data, inputs: Sequence[Value], op: str) -> Value:
 
 
 def accumulate(node: Value, g: np.ndarray) -> None:
-    """Add gradient `g` (shaped like `node`) into `node.grad`.
+    """Add gradient `g` (shaped like `node`) into `node`'s gradient.
 
-    A leaf adds into its own accumulator in place.  An intermediate keeps
-    its first gradient by reference, without a copy: `g` may alias another
-    node's gradient or data, so it is never written into.  A second
-    gradient replaces it with a fresh sum."""
-    if not node._prev:
-        node.grad += g
-    elif node.grad is None:
-        node.grad = g
+    The first gradient is kept by reference, without a copy: `g` may alias
+    another node's gradient or data, so it is never written into.  A second
+    gradient replaces a borrowed one with a fresh sum, which the node owns
+    and adds any further gradient into in place."""
+    if node._grad is None:
+        node._grad = g
         node._owns_grad = False
+    elif node._owns_grad:
+        node._grad += g
     else:
-        node.grad = node.grad + g
+        node._grad = node._grad + g
         node._owns_grad = True
 
 
 def scatter_target(node: Value) -> np.ndarray:
-    """`node.grad` as a writable buffer of the node's own, for rules that
-    add into part of it: zeros if no gradient has arrived yet, else a
-    private copy of a borrowed one (a leaf's accumulator is its own)."""
-    if node._prev and (node.grad is None or not node._owns_grad):
-        node.grad = (np.zeros_like(node.data) if node.grad is None
-                     else node.grad.copy())
+    """`node`'s gradient as a writable buffer of the node's own, for rules
+    that add into part of it: zeros if no gradient has arrived yet, else a
+    private copy of a borrowed one."""
+    if node._grad is None or not node._owns_grad:
+        node._grad = (np.zeros_like(node.data) if node._grad is None
+                      else node._grad.copy())
         node._owns_grad = True
-    return node.grad
+    return node._grad
 
 
 def add(a, b) -> Value:
@@ -258,9 +260,9 @@ def add(a, b) -> Value:
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
             if a.requires_grad:
-                accumulate(a, _unbroadcast(out.grad, a.shape))
+                accumulate(a, _unbroadcast(out._grad, a.shape))
             if b.requires_grad:
-                accumulate(b, _unbroadcast(out.grad, b.shape))
+                accumulate(b, _unbroadcast(out._grad, b.shape))
         out._backward = _bw
     return out
 
@@ -275,9 +277,9 @@ def mul(a, b) -> Value:
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
             if a.requires_grad:
-                accumulate(a, _unbroadcast(out.grad * b.data, a.shape))
+                accumulate(a, _unbroadcast(out._grad * b.data, a.shape))
             if b.requires_grad:
-                accumulate(b, _unbroadcast(out.grad * a.data, b.shape))
+                accumulate(b, _unbroadcast(out._grad * a.data, b.shape))
         out._backward = _bw
     return out
 
@@ -297,7 +299,7 @@ def matmul(a, b) -> Value:
         b2 = b.data[:, None] if b.ndim == 1 else b.data
 
         def _bw(out=weakref.proxy(out)):
-            g = out.grad[..., None] if b.ndim == 1 else out.grad
+            g = out._grad[..., None] if b.ndim == 1 else out._grad
             g = g[..., None, :] if a.ndim == 1 else g
             if a.requires_grad:
                 accumulate(a, _unbroadcast(g @ np.swapaxes(b2, -1, -2),
@@ -325,9 +327,9 @@ def concat(parts: Iterable[Value], axis: int = 0) -> Value:
             start = 0
             for p, length in zip(parts, sizes):
                 if p.requires_grad:
-                    sl = [slice(None)] * out.grad.ndim
+                    sl = [slice(None)] * out._grad.ndim
                     sl[axis] = slice(start, start + length)
-                    accumulate(p, out.grad[tuple(sl)])
+                    accumulate(p, out._grad[tuple(sl)])
                 start += length
         out._backward = _bw
     return out
@@ -351,7 +353,7 @@ def sigmoid(x) -> Value:
         def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
                 s = out.data
-                accumulate(x, out.grad * s * (1.0 - s))
+                accumulate(x, out._grad * s * (1.0 - s))
         out._backward = _bw
     return out
 
@@ -362,7 +364,7 @@ def tanh(x) -> Value:
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
-                accumulate(x, out.grad * (1.0 - out.data * out.data))
+                accumulate(x, out._grad * (1.0 - out.data * out.data))
         out._backward = _bw
     return out
 
@@ -375,7 +377,7 @@ def log(x) -> Value:
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
-                accumulate(x, out.grad / clamped)
+                accumulate(x, out._grad / clamped)
         out._backward = _bw
     return out
 
@@ -392,7 +394,7 @@ def softmax(x, axis: int = -1) -> Value:
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
-                g = out.grad
+                g = out._grad
                 dot = np.sum(g * p, axis=axis, keepdims=True)
                 accumulate(x, p * (g - dot))
         out._backward = _bw
@@ -412,7 +414,7 @@ def max_along(x, axis: int) -> Value:
         np.put_along_axis(sel, np.expand_dims(idx, axis), True, axis=axis)
         def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
-                accumulate(x, np.where(sel, np.expand_dims(out.grad, axis),
+                accumulate(x, np.where(sel, np.expand_dims(out._grad, axis),
                                        0.0))
         out._backward = _bw
     return out
@@ -424,7 +426,8 @@ def sum_along(x, axis: int | None = None) -> Value:
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
-                g = out.grad if axis is None else np.expand_dims(out.grad, axis)
+                g = (out._grad if axis is None
+                     else np.expand_dims(out._grad, axis))
                 accumulate(x, np.broadcast_to(g, x.shape))
         out._backward = _bw
     return out
@@ -446,7 +449,7 @@ def dropout(x, rate: float, rng: np.random.Generator) -> Value:
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
-                accumulate(x, out.grad * mask)
+                accumulate(x, out._grad * mask)
         out._backward = _bw
     return out
 
@@ -463,7 +466,7 @@ def take_rows(table, ids) -> Value:
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
             if table.requires_grad:
-                np.add.at(scatter_target(table), ids, out.grad)
+                np.add.at(scatter_target(table), ids, out._grad)
         out._backward = _bw
     return out
 
@@ -482,7 +485,7 @@ def narrow(x, axis: int, start: int, length: int) -> Value:
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
-                scatter_target(x)[sl] += out.grad
+                scatter_target(x)[sl] += out._grad
         out._backward = _bw
     return out
 
@@ -497,7 +500,7 @@ def transpose(x) -> Value:
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
-                accumulate(x, np.swapaxes(out.grad, -1, -2))
+                accumulate(x, np.swapaxes(out._grad, -1, -2))
         out._backward = _bw
     return out
 
@@ -508,7 +511,7 @@ def reshape(x, shape) -> Value:
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
-                accumulate(x, out.grad.reshape(x.shape))
+                accumulate(x, out._grad.reshape(x.shape))
         out._backward = _bw
     return out
 

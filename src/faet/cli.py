@@ -71,7 +71,15 @@ def _resolve_config(args) -> TrainConfig:
     values = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            values.update(json.load(fh))
+            try:
+                loaded = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ValueError(
+                    f"{args.config}: not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object, "
+                             f"got {type(loaded).__name__}")
+        values.update(loaded)
         unknown = sorted(set(values) - set(TrainConfig.__dataclass_fields__))
         if unknown:
             raise ValueError(f"{args.config}: unknown config key(s): "

@@ -11,6 +11,7 @@ per position) so head capacity stays comparable.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -33,6 +34,10 @@ VARIANTS = ("fine", "coarse")
 # the size of one chunk's own gate buffer (2, L, B, 4d), so scoring memory
 # stays bounded by the window, not by the input.
 SCORE_WINDOW_CHUNKS = 4
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class _NoDraw:
@@ -73,6 +78,13 @@ class TrainConfig:
         self.widths = tuple(self.widths)
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
+        for name in ("d", "d_w", "n_filters", "batch_size", "epochs", "max_len",
+                     "min_count", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not all(_is_integer(w) for w in self.widths):
+            raise ValueError(f"widths must be integers, got {self.widths}")
         for name in ("d", "d_w", "n_filters", "batch_size", "epochs", "max_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")

@@ -33,9 +33,7 @@ class Adam:
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
         for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                raise ValueError(f"adam: parameter {name!r} has no gradient")
+            g = p.grad  # exact zeros where no gradient reached `p`
             if g.shape != p.data.shape:
                 raise ValueError(
                     f"adam: gradient shape {g.shape} != parameter shape "

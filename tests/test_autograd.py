@@ -261,6 +261,37 @@ class TestLazyGradients:
         np.testing.assert_array_equal(x.grad, [1.0, 1.0])
 
 
+class TestLeafGradientsOnDemand:
+    """Leaves allocate no gradient until backward reaches them, then follow
+    the intermediates' borrow-or-own rule."""
+
+    def test_leaves_start_without_a_buffer_and_zero_grad_drops_it(self):
+        x = ag.param([1.0, 2.0])
+        assert x._grad is None
+        loss = ag.sum_along(ag.mul(x, ag.constant([3.0, 4.0])))
+        loss.backward()
+        loss.backward()  # the second gradient gives x a buffer of its own
+        np.testing.assert_array_equal(x.grad, [6.0, 8.0])
+        x.zero_grad()
+        assert x._grad is None
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0])
+
+    def test_two_leaves_borrowing_one_gradient_accumulate_separately(self):
+        # add hands x and y one and the same gradient array
+        x = ag.param([1.0, 2.0])
+        y = ag.param([3.0, 4.0])
+        c = np.array([2.0, 5.0])
+        loss = ag.sum_along(ag.mul(ag.add(x, y), ag.constant(c)))
+        loss.backward()
+        assert x._grad is y._grad
+        first = x.grad
+        for calls in (2, 3):
+            loss.backward()
+            np.testing.assert_array_equal(x.grad, calls * c)
+            np.testing.assert_array_equal(y.grad, calls * c)
+            np.testing.assert_array_equal(first, c)
+
+
 def _fd_fuzz(make_inputs, forward, n_trials, seed, tol=1e-4, h=1e-6):
     """Fuzz one primitive: analytic grad vs central differences."""
     rng = np.random.default_rng(seed)
@@ -449,6 +480,23 @@ class TestAdam:
             opt.step()
             counts.append(opt.step_count)
         assert counts == [1, 2, 3]
+
+    def test_unreached_steps_match_explicit_zero_gradients(self):
+        rng = np.random.default_rng(8)
+        init = rng.normal(size=3)
+        grads = [None if k % 3 == 1 else rng.normal(size=3) for k in range(7)]
+        reached = ag.param(init.copy())
+        fed = ag.param(init.copy())
+        optimizers = Adam({"p": reached}, lr=1e-2), Adam({"p": fed}, lr=1e-2)
+        for g in grads:
+            for opt in optimizers:
+                opt.zero_grad()
+            if g is not None:
+                ag.sum_along(ag.mul(reached, ag.constant(g))).backward()
+            fed.grad[...] = 0.0 if g is None else g
+            for opt in optimizers:
+                opt.step()
+        np.testing.assert_array_equal(reached.data, fed.data)
 
     def test_zero_grad_resets(self):
         p = ag.param([1.0])

@@ -84,6 +84,11 @@ class TestConfigValidation:
         (None, ["--dropout", "1.0"], "dropout"),
         (None, ["--label-smoothing", "3"], "label_smoothing"),
         (None, ["--lambda-align", "-0.5"], "lambda_align"),
+        ({"max_len": 2.5}, [], "max_len"),
+        ({"min_count": 1.5}, [], "min_count"),
+        ({"max_len": True}, [], "max_len"),
+        ({"widths": [2, 2.5]}, [], "widths"),
+        ({"widths": [2, True]}, [], "widths"),
     ])
     def test_bad_value_exits_one_without_checkpoint(self, workspace, tmp_path,
                                                     config, flags, name):
@@ -97,6 +102,28 @@ class TestConfigValidation:
                          *extra, *flags)
         assert result.returncode == 1
         assert name in result.stderr
+        assert not list(tmp_path.glob("m.faet*"))
+
+    @pytest.mark.parametrize("name", ["d", "d_w", "n_filters", "batch_size",
+                                      "epochs", "max_len", "min_count",
+                                      "seed"])
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_integer_fields_reject_other_types(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"],
+                             ids=["invalid_json", "not_an_object"])
+    def test_unreadable_config_file_exits_one_naming_it(self, workspace,
+                                                        tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        corpus = str(workspace / "corpus.jsonl")
+        result = run_cli("train", "--train", corpus, "--val", corpus,
+                         "--out", str(tmp_path / "m.faet"), *TRAIN_FLAGS,
+                         "--config", str(path))
+        assert result.returncode == 1
+        assert str(path) in result.stderr
         assert not list(tmp_path.glob("m.faet*"))
 
     @pytest.mark.parametrize("flag", [["--encoder-mode", "trainable_table"],

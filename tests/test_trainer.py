@@ -12,7 +12,7 @@ import pytest
 from oracles import accuracy_by_hand, prf_by_hand, recount_confusion
 
 from faet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from faet.corpus import TokenizedDoc, build_vocab, make_batches
+from faet.corpus import TokenizedDoc, build_vocab, encode_doc, make_batches
 from faet.model import Model, TrainConfig
 from faet.optim import Adam
 from faet.synthetic import gen_overfit, gen_xor
@@ -238,6 +238,19 @@ class TestCheckpoint:
         assert loaded.config == result.model.config
         assert loaded.vocab.text_to_id == result.model.vocab.text_to_id
         assert load_checkpoint(path).config.d == config.d
+
+    def test_scoring_models_carry_no_gradient_storage(self, tmp_path):
+        docs = gen_overfit(16, seed=6)
+        model = Model(tiny_config(), build_vocab(docs))
+        path = str(tmp_path / "model.faet")
+        save_checkpoint(model, path)
+        for scorer in (model, load_checkpoint(path)):
+            params = scorer.parameters().values()
+            assert all(p._grad is None for p in params)
+            evaluate(scorer, docs)
+            scorer.predict_doc(*encode_doc(docs[0], scorer.vocab,
+                                           scorer.config.max_len))
+            assert all(p._grad is None for p in params)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.faet"
