@@ -69,6 +69,16 @@ def textcnn_forward_batch(states: Value, summaries: Value,
     return ag.softmax(logits, axis=1), logits
 
 
+def _shift_products(length: int, width: int) -> bool:
+    """True when width `width` over rows of `length` positions takes the
+    per-shift form: pooling reads `(length - width + 1) * width` of the
+    `length * width` (position, shift) products that one GEMM over all
+    positions computes, and the per-shift form computes only those.  It
+    pays off once fewer than 3/4 of them are read (stock rows of 4
+    positions: widths 3 and 4; long rows keep the one GEMM)."""
+    return 4 * (length - width + 1) < 3 * length
+
+
 def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
                lengths) -> Value:
     """(B, L, 2d) states + (B, 4d) summaries -> (B, widths * F) pooled
@@ -77,10 +87,13 @@ def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
     Filter columns [i*C, i*C + 2d) act on the state at shift i of a
     window and [i*C + 2d, (i+1)*C) on the row's summary, so a window is a
     sum of per-shift state products plus one per-row summary term.  Per
-    width that is one GEMM of all positions against every (filter, shift)
-    state block with the shifts summed on its output; the summary terms of
-    all widths are one GEMM against the shift-summed summary blocks.
-    Neither windows nor the broadcast summary are built.
+    width the state products take one of two forms (`_shift_products`):
+    one GEMM of all positions against every (filter, shift) state block
+    with the shifts summed on its output, or one GEMM per shift of the
+    time-major `(L·B, 2d)` states that window at that shift against that
+    shift's block.  The summary terms of all widths are one GEMM against
+    the shift-summed summary blocks.  Neither windows nor the broadcast
+    summary are built.
     Max-over-time pools each row's valid windows: ReLU outputs are >= 0,
     so zeroing invalid windows leaves every valid maximum in place and
     pools a window-less row (or a width longer than L) to 0.  Ties route
@@ -92,15 +105,24 @@ def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
     filters = [params.filters[w] for w in widths]
     biases = [params.filter_bias[w] for w in widths]
     banks = [p.data.reshape(f, w, -1) for p, w in zip(filters, widths)]
-    # (widths * F, 4d): each filter's summary block summed over its shifts
-    summary_bank = np.concatenate([bank[:, :, hidden:].sum(axis=1)
-                                   for bank in banks])
+    per_shift = [length >= w and _shift_products(length, w) for w in widths]
+    # (widths * F, 4d): each filter's summary block summed over its shifts,
+    # one shift at a time (a strided sum over the shift axis is slower)
+    summary_bank = np.empty((len(widths) * f, summaries.shape[1]))
+    for k, bank in enumerate(banks):
+        block = summary_bank[k * f:(k + 1) * f]
+        np.copyto(block, bank[:, 0, hidden:])
+        for i in range(1, bank.shape[1]):
+            block += bank[:, i, hidden:]
     per_row = (summaries.data @ summary_bank.T
                + np.concatenate([b.data for b in biases]))
     feats = np.zeros((batch, len(widths) * f))
     out = ag.make_node(feats, (states, summaries, *filters, *biases),
                        "textcnn")
     flat = states.data.reshape(batch * length, hidden)
+    # time-major rows: position t of every row is rows [t*B, (t+1)*B)
+    steps = (np.ascontiguousarray(states.data.transpose(1, 0, 2)).reshape(
+        length * batch, hidden) if any(per_shift) else None)
     valid = np.reshape(length if lengths is None else lengths, (-1, 1))
     args = []  # per width: each (row, filter)'s winning window, or None
     for k, (w, bank) in enumerate(zip(widths, banks)):
@@ -108,12 +130,20 @@ def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
         if n_out < 1:
             args.append(None)
             continue
-        # (B, L, F, w): filter f's shift-i state block at every position
-        shifted = (flat @ bank[:, :, :hidden].reshape(f * w, hidden).T
-                   ).reshape(batch, length, f, w)
-        conv = shifted[:, :n_out, :, 0].copy()
-        for i in range(1, w):
-            conv += shifted[:, i:i + n_out, :, i]
+        if per_shift[k]:
+            conv = steps[:n_out * batch] @ bank[:, 0, :hidden].T
+            for i in range(1, w):
+                conv += steps[i * batch:(i + n_out) * batch] @ \
+                    bank[:, i, :hidden].T
+            # (B, n_out, F) view of the time-major (n_out, B, F) sums
+            conv = conv.reshape(n_out, batch, f).transpose(1, 0, 2)
+        else:
+            # (B, L, F, w): filter f's shift-i state block at every position
+            shifted = (flat @ bank[:, :, :hidden].reshape(f * w, hidden).T
+                       ).reshape(batch, length, f, w)
+            conv = shifted[:, :n_out, :, 0].copy()
+            for i in range(1, w):
+                conv += shifted[:, i:i + n_out, :, i]
         conv += per_row[:, None, k * f:(k + 1) * f]
         np.maximum(conv, 0.0, out=conv)
         conv *= (np.arange(n_out) < valid - w + 1)[..., None]
@@ -123,37 +153,63 @@ def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
     if out.requires_grad:
         # the gradient reaches a window only where it won a positive maximum
         live = feats > 0.0
-        rows = np.arange(batch)[:, None, None]
-        cols = np.arange(f)[None, :, None]
+        rows = np.arange(batch)[:, None]
+        cols = np.arange(f)
 
         def _bw(out=weakref.proxy(out)):
             g = out.grad * live                          # (B, widths * F)
             if summaries.requires_grad:
                 ag.accumulate(summaries, g @ summary_bank)
             d_summary_bank = g.T @ summaries.data
-            d_flat = np.zeros_like(flat) if states.requires_grad else None
-            for k, (w, arg) in enumerate(zip(widths, args)):
+            d_flat = d_steps = None
+            if states.requires_grad:
+                d_flat = np.zeros_like(flat)
+                if steps is not None:
+                    d_steps = np.zeros_like(steps)
+            for k, (w, bank, arg) in enumerate(zip(widths, banks, args)):
                 block = slice(k * f, (k + 1) * f)
                 if biases[k].requires_grad:
                     ag.accumulate(biases[k], g[:, block].sum(axis=0))
-                if arg is not None:
+                grad = None
+                if filters[k].requires_grad:
+                    # in the (F, w * C) parameter layout; every column is
+                    # written exactly once below
+                    grad = np.empty(bank.shape)
+                    grad[:, :, hidden:] = d_summary_bank[block, None]
+                if arg is None:
+                    if grad is not None:
+                        grad[:, :, :hidden] = 0.0
+                elif per_shift[k]:
+                    n_out = length - w + 1
+                    d_conv = np.zeros((n_out, batch, f))
+                    d_conv[arg, rows, cols] = g[:, block]
+                    d_conv = d_conv.reshape(n_out * batch, f)
+                    for i in range(w):
+                        window = slice(i * batch, (i + n_out) * batch)
+                        if d_steps is not None:
+                            d_steps[window] += d_conv @ bank[:, i, :hidden]
+                        if grad is not None:
+                            grad[:, i, :hidden] = d_conv.T @ steps[window]
+                else:
                     shifts = np.arange(w)
                     d_shifted = np.zeros((batch, length, f, w))
-                    d_shifted[rows, arg[..., None] + shifts, cols, shifts] = \
-                        g[:, block, None]
+                    d_shifted[rows[..., None], arg[..., None] + shifts,
+                              cols[:, None], shifts] = g[:, block, None]
                     d_shifted = d_shifted.reshape(batch * length, f * w)
                     if d_flat is not None:
-                        d_flat += d_shifted @ filters[k].data.reshape(
-                            f * w, -1)[:, :hidden]
-                if filters[k].requires_grad:
-                    # straight into the (F, w * C) parameter layout
-                    grad = ag.scatter_target(filters[k]).reshape(f, w, -1)
-                    grad[:, :, hidden:] += d_summary_bank[block, None]
-                    if arg is not None:
-                        grad.reshape(f * w, -1)[:, :hidden] += \
+                        d_flat += d_shifted @ bank[:, :, :hidden].reshape(
+                            f * w, hidden)
+                    if grad is not None:
+                        grad.reshape(f * w, -1)[:, :hidden] = \
                             d_shifted.T @ flat
+                if grad is not None:
+                    ag.accumulate(filters[k], grad.reshape(f, -1))
             if d_flat is not None:
-                ag.accumulate(states, d_flat.reshape(states.shape))
+                d_states = d_flat.reshape(states.shape)
+                if d_steps is not None:
+                    d_states += d_steps.reshape(length, batch,
+                                                hidden).transpose(1, 0, 2)
+                ag.accumulate(states, d_states)
         out._backward = _bw
     return out
 

@@ -196,9 +196,6 @@ class Vocab:
         ids = [self.text_to_id.get(t, UNK_ID) for t in tokens]
         return [UNK_ID if i == PAD_ID else i for i in ids]
 
-    def decode_text(self, ids: list[int]) -> list[str]:
-        return [self.id_to_text[i] for i in ids]
-
     def encode_emojis(self, tokens: list[str]) -> list[int]:
         try:
             return [self.emoji_to_id[t] for t in tokens]

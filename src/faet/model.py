@@ -12,6 +12,7 @@ per position) so head capacity stays comparable.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -38,6 +39,10 @@ SCORE_WINDOW_CHUNKS = 4
 
 def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class _NoDraw:
@@ -75,6 +80,9 @@ class TrainConfig:
     min_count: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.widths, Sequence):
+            raise ValueError(
+                f"widths must be a sequence of integers, got {self.widths!r}")
         self.widths = tuple(self.widths)
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
@@ -83,6 +91,11 @@ class TrainConfig:
             if not _is_integer(getattr(self, name)):
                 raise ValueError(
                     f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("lr", "lambda_align", "dropout", "label_smoothing"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be a real number, got "
+                    f"{getattr(self, name)!r}")
         if not all(_is_integer(w) for w in self.widths):
             raise ValueError(f"widths must be integers, got {self.widths}")
         for name in ("d", "d_w", "n_filters", "batch_size", "epochs", "max_len"):

@@ -7,6 +7,13 @@ import numpy as np
 from .autograd import Value
 
 
+# `Adam.step` updates each parameter this many elements at a time, so a
+# block's parameter, moments, gradient and scratch values (5 x 256 KiB)
+# stay in cache across the update's passes instead of streaming every
+# full array through memory once per pass.
+BLOCK = 2 ** 15
+
+
 class Adam:
     """Bias-corrected Adam over a named parameter dict.
 
@@ -23,11 +30,17 @@ class Adam:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.step_count = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.m = {k: np.zeros(p.data.shape) for k, p in params.items()}
+        self.v = {k: np.zeros(p.data.shape) for k, p in params.items()}
+        size = max((p.data.size for p in params.values()), default=0)
+        self._scratch = np.empty(min(size, BLOCK))
 
     def step(self) -> None:
-        """Apply one in-place update from the accumulated gradients."""
+        """Apply one in-place update from the accumulated gradients.
+
+        Each parameter is updated in blocks of `BLOCK` consecutive
+        elements, every block with the same element-wise sequence, so the
+        result is bitwise that of one whole-array pass."""
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
@@ -38,21 +51,30 @@ class Adam:
                 raise ValueError(
                     f"adam: gradient shape {g.shape} != parameter shape "
                     f"{p.data.shape} for {name!r}")
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            scratch = np.asarray(g * g)  # 0-d products decay to scalars
-            scratch *= 1.0 - self.beta2
-            v += scratch
-            # bias-corrected update folded into the scratch buffer
-            np.sqrt(v, out=scratch)
-            scratch /= np.sqrt(bc2)
-            scratch += self.epsilon
-            np.divide(m, scratch, out=scratch)
-            scratch *= self.lr / bc1
-            p.data -= scratch
+            if not p.data.flags.c_contiguous:  # the blocks are flat views
+                p.data = np.ascontiguousarray(p.data)
+            flat = p.data.reshape(-1)
+            g = g.reshape(-1)
+            m_flat = self.m[name].reshape(-1)
+            v_flat = self.v[name].reshape(-1)
+            for lo in range(0, flat.size, BLOCK):
+                hi = min(lo + BLOCK, flat.size)
+                m, v = m_flat[lo:hi], v_flat[lo:hi]
+                scratch = self._scratch[:hi - lo]
+                np.multiply(g[lo:hi], 1.0 - self.beta1, out=scratch)
+                m *= self.beta1
+                m += scratch
+                v *= self.beta2
+                np.multiply(g[lo:hi], g[lo:hi], out=scratch)
+                scratch *= 1.0 - self.beta2
+                v += scratch
+                # bias-corrected update folded into the scratch buffer
+                np.sqrt(v, out=scratch)
+                scratch /= np.sqrt(bc2)
+                scratch += self.epsilon
+                np.divide(m, scratch, out=scratch)
+                scratch *= self.lr / bc1
+                flat[lo:hi] -= scratch
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -2,9 +2,10 @@
 
 Nothing here imports the library under test: confusion counting, metric
 formulas, softmax, the LSTM cell, the 1-D convolution, one document's
-fine and coarse attention, the pairwise alignment loss, and the unigram
-logistic baseline are all written from scratch so they can disagree with
-the implementation if it is wrong.
+fine and coarse attention, the pairwise alignment loss, a whole-array
+Adam update, vocabulary decoding and the unigram logistic baseline are
+all written from scratch so they can disagree with the implementation if
+it is wrong.
 """
 
 from dataclasses import dataclass
@@ -132,6 +133,32 @@ def conv1d_direct(x, weights, bias, width):
     n_out = x.shape[0] - width + 1
     return np.stack([weights @ x[t:t + width].reshape(-1) + bias
                      for t in range(n_out)])
+
+
+def adam_step(param, m, v, grad, t, lr, beta1=0.9, beta2=0.999,
+              epsilon=1e-8):
+    """Step `t` (from 1) of bias-corrected Adam on whole arrays, in place
+    on `param`, `m` and `v`, in the element-wise order the optimizer
+    keeps: the reference its blocked update must match bit for bit."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    scratch = np.asarray(grad * grad)  # 0-d products decay to scalars
+    scratch *= 1.0 - beta2
+    v += scratch
+    np.sqrt(v, out=scratch)
+    scratch /= np.sqrt(bc2)
+    scratch += epsilon
+    np.divide(m, scratch, out=scratch)
+    scratch *= lr / bc1
+    param -= scratch
+
+
+def decode_text(vocab, ids):
+    """Text tokens of `ids`, read straight off the vocabulary's list."""
+    return [vocab.id_to_text[i] for i in ids]
 
 
 def alignment_pairs(beta, text, w):

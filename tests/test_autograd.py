@@ -6,11 +6,11 @@ differences, which stay the independent reference throughout the suite.
 
 import numpy as np
 import pytest
-from oracles import _sigmoid
+from oracles import _sigmoid, adam_step
 
 from faet import autograd as ag
 from faet.autograd import ShapeError, Value
-from faet.optim import Adam
+from faet.optim import BLOCK, Adam
 
 
 def central_diff(f, x, i, h=1e-6):
@@ -497,6 +497,34 @@ class TestAdam:
             for opt in optimizers:
                 opt.step()
         np.testing.assert_array_equal(reached.data, fed.data)
+
+    def test_blocked_step_is_bitwise_the_whole_array_update(self):
+        rng = np.random.default_rng(9)
+        init = {"long": rng.normal(size=3 * BLOCK + 7),    # 4 blocks
+                "scalar": np.array(0.7),
+                "unreached": rng.normal(size=(5, 3)),
+                "transposed": rng.normal(size=(4, 6)).T}   # not C-contiguous
+        params = {k: ag.param(a.copy(order="K")) for k, a in init.items()}
+        assert not params["transposed"].data.flags.c_contiguous
+        opt = Adam(params, lr=3e-3)
+        ref = {k: (a.copy(), np.zeros_like(a), np.zeros_like(a))
+               for k, a in init.items()}
+        for t in range(1, 6):
+            opt.zero_grad()
+            for name, p in params.items():
+                g = np.zeros(p.shape)
+                if name != "unreached":
+                    g = rng.normal(scale=10.0 ** -t, size=p.shape)
+                    p.grad[...] = g
+                adam_step(*ref[name], g, t, lr=3e-3)
+            opt.step()
+        for name, p in params.items():
+            param, m, v = ref[name]
+            np.testing.assert_array_equal(p.data, param, err_msg=name)
+            np.testing.assert_array_equal(opt.m[name], m, err_msg=name)
+            np.testing.assert_array_equal(opt.v[name], v, err_msg=name)
+            moved = not np.array_equal(p.data, init[name])
+            assert moved == (name != "unreached")
 
     def test_zero_grad_resets(self):
         p = ag.param([1.0])

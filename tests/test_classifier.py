@@ -1,10 +1,12 @@
 """TextCNN head behavior and label decisions."""
 
 import numpy as np
+import pytest
 
 from oracles import conv1d_direct
 
 from faet import autograd as ag
+from faet import classifier
 from faet.classifier import TextCnnParams, predict_label, textcnn_forward_batch
 
 
@@ -116,9 +118,18 @@ class TestBatchedRows:
 
     LENGTHS = np.array([5, 1, 3, 7, 2])     # 7 is the full padded length
 
-    def make_case(self, seed=20):
+    # each width's state products, forced into one form; None keeps the
+    # rule, which at L = 7 mixes both forms (width 2 one GEMM, 3 and 4
+    # per shift)
+    FORMS = {"one_gemm": lambda length, width: False,
+             "per_shift": lambda length, width: True,
+             None: classifier._shift_products}
+    # a width longer than the padded length 7 pools every row to 0
+    WIDE = (2, 3, 4, 8)
+
+    def make_case(self, seed=20, widths=(2, 3, 4)):
         rng = np.random.default_rng(seed)
-        params = make_params(channels=7, seed=seed + 1)
+        params = make_params(channels=7, seed=seed + 1, widths=widths)
         for bias in params.filter_bias.values():
             bias.data[...] = rng.uniform(-0.5, 0.5, bias.shape)
         states = rng.uniform(-1, 1, (len(self.LENGTHS), 7, 4))
@@ -188,6 +199,59 @@ class TestBatchedRows:
         assert not probs_ng.requires_grad
         np.testing.assert_array_equal(probs.data, probs_ng.data)
         np.testing.assert_array_equal(logits.data, logits_ng.data)
+
+    def test_form_per_width_is_pinned(self):
+        assert [classifier._shift_products(4, w) for w in (2, 3, 4)] == \
+            [False, True, True]                 # stock rows
+        assert [classifier._shift_products(54, w) for w in (2, 3, 4)] == \
+            [False, False, False]               # long rows
+        assert [classifier._shift_products(7, w) for w in self.WIDE[:3]] \
+            == [False, True, True]              # this class's batches
+
+    def forward_and_grads(self, monkeypatch, form):
+        monkeypatch.setattr(classifier, "_shift_products", self.FORMS[form])
+        params, states, summaries = self.make_case(seed=23, widths=self.WIDE)
+        states, summaries = ag.param(states), ag.param(summaries)
+        groups = {"states": states, "summaries": summaries,
+                  **params.parameters()}
+        probs, logits = textcnn_forward_batch(states, summaries, params,
+                                              lengths=self.LENGTHS)
+        labels = np.eye(2)[[1, 0, 1, 1, 0]]
+        ag.sum_along(ag.mul(ag.log(probs), ag.constant(-labels))).backward()
+        return logits.data, {k: p.grad for k, p in groups.items()}
+
+    def test_forms_agree_in_forward_and_every_gradient(self, monkeypatch):
+        logits, grads = self.forward_and_grads(monkeypatch, "one_gemm")
+        assert np.any(logits != 0.0)
+        for form in ("per_shift", None):
+            other, other_grads = self.forward_and_grads(monkeypatch, form)
+            np.testing.assert_allclose(other, logits, rtol=0, atol=1e-12)
+            assert other_grads.keys() == grads.keys()
+            for name, grad in grads.items():
+                np.testing.assert_allclose(other_grads[name], grad, rtol=0,
+                                           atol=1e-12, err_msg=name)
+        # padding and the too-wide filter's state columns get no gradient
+        pad = np.arange(7) >= self.LENGTHS[:, None]
+        assert not np.any(grads["states"][pad])
+        wide = grads["cnn.filters_w8"].reshape(3, 8, 7)[:, :, :4]
+        assert not np.any(wide)
+
+    @pytest.mark.parametrize("form", ["one_gemm", "per_shift"])
+    def test_each_form_matches_finite_differences(self, monkeypatch, form):
+        monkeypatch.setattr(classifier, "_shift_products", self.FORMS[form])
+        params, states, summaries = self.make_case(seed=24, widths=self.WIDE)
+        states, summaries = ag.param(states), ag.param(summaries)
+        labels = np.eye(2)[[1, 1, 0, 0, 1]]
+        groups = {"states": states, "summaries": summaries}
+        groups.update(params.parameters())
+
+        def f():
+            probs, _ = textcnn_forward_batch(states, summaries, params,
+                                             lengths=self.LENGTHS)
+            return ag.sum_along(ag.mul(ag.log(probs), ag.constant(-labels)))
+
+        report = ag.finite_difference_check(f, groups, samples_per_group=24)
+        assert max(report.values()) < 1e-4
 
 
 class TestPredictLabel:

@@ -89,6 +89,12 @@ class TestConfigValidation:
         ({"max_len": True}, [], "max_len"),
         ({"widths": [2, 2.5]}, [], "widths"),
         ({"widths": [2, True]}, [], "widths"),
+        ({"widths": 3}, [], "widths"),
+        ({"lr": True}, [], "lr"),
+        ({"lambda_align": True}, [], "lambda_align"),
+        ({"lr": "0.1"}, [], "lr"),
+        ({"label_smoothing": "0"}, [], "label_smoothing"),
+        ({"dropout": None}, [], "dropout"),
     ])
     def test_bad_value_exits_one_without_checkpoint(self, workspace, tmp_path,
                                                     config, flags, name):
@@ -96,9 +102,13 @@ class TestConfigValidation:
         if config is not None:
             (tmp_path / "config.json").write_text(json.dumps(config))
             extra = ["--config", str(tmp_path / "config.json")]
+        # a flag overrides the file's value: leave out those the file sets
+        unset = {"--" + key.replace("_", "-") for key in config or {}}
+        train_flags = [arg for pair in zip(TRAIN_FLAGS[::2], TRAIN_FLAGS[1::2])
+                       if pair[0] not in unset for arg in pair]
         corpus = str(workspace / "corpus.jsonl")
         result = run_cli("train", "--train", corpus, "--val", corpus,
-                         "--out", str(tmp_path / "m.faet"), *TRAIN_FLAGS,
+                         "--out", str(tmp_path / "m.faet"), *train_flags,
                          *extra, *flags)
         assert result.returncode == 1
         assert name in result.stderr
@@ -111,6 +121,18 @@ class TestConfigValidation:
     def test_integer_fields_reject_other_types(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["lr", "lambda_align", "dropout",
+                                      "label_smoothing"])
+    @pytest.mark.parametrize("value", [True, "0.1", None])
+    def test_real_fields_reject_other_types(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [3, None])
+    def test_widths_must_be_a_sequence(self, value):
+        with pytest.raises(ValueError, match="widths must be a sequence"):
+            TrainConfig(widths=value)
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]"],
                              ids=["invalid_json", "not_an_object"])
