@@ -335,20 +335,14 @@ def concat(parts: Iterable[Value], axis: int = 0) -> Value:
     return out
 
 
-def sigmoid_inplace(z: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid written into `z` and returned, as
-    0.5 * tanh(0.5 * z) + 0.5: no exp() to overflow for any input, and
-    within 2.2e-16 of the two-branch exp() form."""
-    z *= 0.5
-    np.tanh(z, out=z)
-    z *= 0.5
-    z += 0.5
-    return z
-
-
 def sigmoid(x) -> Value:
+    """Logistic sigmoid as 0.5 * tanh(0.5 * x) + 0.5: no exp() to overflow
+    for any input, and within 2.2e-16 of the two-branch exp() form."""
     x = _coerce(x)
-    out = make_node(sigmoid_inplace(x.data.copy()), (x,), "sigmoid")
+    s = np.tanh(0.5 * x.data)
+    s *= 0.5
+    s += 0.5
+    out = make_node(s, (x,), "sigmoid")
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
             if x.requires_grad:
@@ -529,6 +523,7 @@ def finite_difference_check(
     scalar Value per call (dropout disabled).  At least `samples_per_group`
     coordinates of every group are probed; the report maps group name to
     max relative error |analytic - numeric| / max(1, |analytic|, |numeric|).
+    The analytic gradients stay in each parameter's `grad`.
     """
     for p in params.values():
         p.zero_grad()

@@ -3,15 +3,20 @@
 Emoji positions are encoded in-sequence after the text positions; each
 output row is the concatenation [forward hidden ; backward hidden], so the
 feature size is 2d.  A batch is zero-padded to its longest row; per-row
-lengths keep each row's backward direction on its own prefix.
+lengths keep both directions on each row's own prefix, and every padded
+output is exactly 0.
 
-Both directions run as one fused graph node over time-major buffers, with
-the stacked direction as the leading axis: the input projection is one
-GEMM per direction over all (time, row) pairs, outside the recurrence, and
-one time loop steps both recurrences with a single stacked
-`(2, B, d) @ (2, d, 4d)` product per step (Appleyard, Kocisky & Blunsom
-2016, arXiv:1604.01946).  The backward pass is one loop over both
-directions as well.
+Both directions are one fused graph node over packed time-major buffers
+(Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946).  Inside the node the
+rows are stably sorted longest first, so step t runs only the first a_t
+rows, those longer than t, and the buffers hold just those (step, row)
+pairs, step after step.  The input projection is one GEMM per direction
+over all of them, outside the recurrence.  Each direction then runs a
+time loop of its own that reads its own `(d, 4d)` recurrent matrix in
+place, so the matrix stays cache-resident across the steps instead of
+alternating with the other direction's (Diamos et al. 2016, "Persistent
+RNNs").  The backward pass is one loop over both directions, which share
+the packing.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import weakref
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Value, sigmoid_inplace
+from .autograd import ShapeError, Value
 
 
 class LstmParams:
@@ -50,108 +55,156 @@ class LstmParams:
                 f"{prefix}.bias": self.bias}
 
 
+def _row_lengths(lengths, batch: int, length: int) -> np.ndarray:
+    """`lengths` as a (batch,) integer vector with every entry in
+    [1, length]; None means every row is full."""
+    if lengths is None:
+        return np.full(batch, length)
+    lengths = np.asarray(lengths)
+    if (lengths.shape != (batch,) or lengths.dtype.kind not in "iu"
+            or np.any(lengths < 1) or np.any(lengths > length)):
+        raise ShapeError(
+            f"bilstm: lengths must be a ({batch},) integer vector with "
+            f"entries in [1, {length}], got {lengths!r}")
+    return lengths
+
+
 def bilstm_encode_batch(seq: Value, fwd: LstmParams, bwd: LstmParams,
                         lengths=None) -> Value:
     """(B, L, d_in) padded batch with per-row `lengths` (None: all L) ->
     (B, L, 2d) features, as a single fused node.
 
-    Row b is valid on its first `lengths[b]` positions.  The forward
-    direction runs left to right over all L positions; the backward
-    direction starts at each row's last valid position, so padding never
-    reaches a valid output.  Each step is the standard cell update: sigmoid
-    input/forget/output gates, tanh candidate, c' = f*c + i*g,
-    h' = o*tanh(c').  The backward rule is hand-rolled BPTT, checked
-    against a per-step reference and central differences by the test
-    suite.  Gate activations overwrite the input projection in place;
-    without a gradient to compute, no per-step cell, tanh(c) or hidden
-    history is kept.
+    Row b is valid on its first `lengths[b]` positions, each an integer in
+    [1, L] (else `ShapeError`).  The forward direction reads them left to
+    right, the backward direction right to left from the row's last valid
+    position; padding is never read and its outputs are 0.  Each step is
+    the standard cell update: sigmoid input/forget/output gates, tanh
+    candidate, c' = f*c + i*g, h' = o*tanh(c').  The backward rule is
+    hand-rolled BPTT, checked against a per-step reference and central
+    differences by the test suite.  Gate activations overwrite the input
+    projection in place; without a gradient to compute, no per-step cell,
+    tanh(c) or hidden history is kept: the hidden state of a step goes
+    into that step's spent input-gate columns.
     """
     d = fwd.d
     batch, length, d_in = seq.shape
+    lengths = _row_lengths(lengths, batch, length)
     params = (fwd, bwd)
-    out = ag.make_node(np.empty((batch, length, 2 * d)),
-                       (seq,) + tuple(v for p in params
-                                      for v in (p.w_in, p.w_rec, p.bias)),
-                       "bilstm")
-    keep = out.requires_grad
-    # step t of direction k reads position orders[k][b, t] of row b: left
-    # to right, or each row's valid prefix back to front with padding in
-    # place; both are their own inverse, so they also map outputs back
+
+    # packed index p runs over (step, rank) pairs, step-major, where rank
+    # orders the rows longest first; step t is the block
+    # [starts[t], starts[t] + active[t]) and reads rows ranked < active[t]
+    order = np.argsort(-lengths, kind="stable")
+    ranked = lengths[order]
     steps = np.arange(length)
-    valid = np.reshape(length if lengths is None else lengths, (-1, 1))
-    orders = (np.broadcast_to(steps, (batch, length)),
-              np.where(steps < valid, valid - 1 - steps, steps))
-    rows = np.arange(batch)
+    active = (ranked > steps[:, None]).sum(axis=1)
+    starts = np.concatenate(([0], np.cumsum(active)))
+    total = int(starts[-1])
+    step_of = np.repeat(steps, active)
+    rank_of = np.arange(total) - starts[step_of]
+    row_of = order[rank_of]
+    # the position each direction reads at packed index p
+    positions = (step_of, ranked[rank_of] - 1 - step_of)
+    ragged = total < batch * length
     halves = (slice(0, d), slice(d, 2 * d))
 
-    # time-major inputs, (L*B, d_in) each, and their projections
-    xs = [seq.data[rows, order.T].reshape(length * batch, d_in)
-          for order in orders]
-    gates = np.empty((2, length, batch, 4 * d))
+    out = ag.make_node(
+        (np.zeros if ragged else np.empty)((batch, length, 2 * d)),
+        (seq,) + tuple(v for p in params for v in (p.w_in, p.w_rec, p.bias)),
+        "bilstm")
+    keep = out.requires_grad
+    gates = np.empty((2, total, 4 * d))
+    if keep:
+        xs = []
+        cells, tanh_c, hidden = (np.empty((2, total, d)) for _ in range(3))
+    else:
+        c = np.empty((batch, d))
     for k, p in enumerate(params):
-        flat = gates[k].reshape(length * batch, 4 * d)
-        np.matmul(xs[k], p.w_in.data, out=flat)
-        flat += p.bias.data
-    w_rec = np.stack([fwd.w_rec.data, bwd.w_rec.data])          # (2, d, 4d)
-
-    hidden = np.empty((2, length, batch, d)) if keep else None
-    cells = np.empty((2, length, batch, d)) if keep else None
-    tanh_c = np.empty((2, length, batch, d)) if keep else None
-    c = np.zeros((2, batch, d))
-    for t in range(length):
-        z = gates[:, t]                                         # (2, B, 4d)
-        if t:
-            z += h @ w_rec
-        sigmoid_inplace(z[..., :3 * d])
-        np.tanh(z[..., 3 * d:], out=z[..., 3 * d:])
-        i, f, o = z[..., :d], z[..., d:2 * d], z[..., 2 * d:3 * d]
-        g = z[..., 3 * d:]
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        for k in range(2):
-            out.data[rows, orders[k][:, t], halves[k]] = h[k]
+        x = seq.data[row_of, positions[k]]                   # (N, d_in)
+        np.matmul(x, p.w_in.data, out=gates[k])
+        gates[k] += p.bias.data
         if keep:
-            cells[:, t], tanh_c[:, t], hidden[:, t] = c, tc, h
+            xs.append(x)
+        w_rec = p.w_rec.data
+        for t in range(length):
+            a, lo = active[t], starts[t]
+            rows = slice(lo, lo + a)
+            z = gates[k, rows]                               # (a_t, 4d)
+            if t:
+                prev = slice(starts[t - 1], starts[t - 1] + a)
+                z += (hidden[k, prev] if keep else gates[k, prev, :d]) @ w_rec
+            # sigmoid(x) = 0.5 * tanh(0.5 * x) + 0.5 on the first three
+            # blocks, so one tanh covers all four
+            s = z[:, :3 * d]
+            s *= 0.5
+            np.tanh(z, out=z)
+            s *= 0.5
+            s += 0.5
+            i, f, o = z[:, :d], z[:, d:2 * d], z[:, 2 * d:3 * d]
+            g = z[:, 3 * d:]
+            if keep:
+                c_t = cells[k, rows]
+                np.multiply(i, g, out=c_t)
+                if t:
+                    c_t += f * cells[k, prev]
+                np.multiply(o, np.tanh(c_t, out=tanh_c[k, rows]),
+                            out=hidden[k, rows])
+            else:
+                c_t = c[:a]
+                if t:
+                    c_t *= f
+                    g *= i
+                    c_t += g
+                else:
+                    np.multiply(i, g, out=c_t)
+                np.multiply(o, np.tanh(c_t, out=g), out=i)
+        out.data[row_of, positions[k], halves[k]] = (
+            hidden[k] if keep else gates[k, :, :d])
 
     if keep:
         def _bw(out=weakref.proxy(out)):
-            d_hidden = np.empty((2, length, batch, d))
+            d_hidden = np.empty((2, total, d))
             for k in range(2):
-                d_hidden[k] = out.grad[rows, orders[k].T, halves[k]]
-            d_pre = np.empty((2, length, batch, 4 * d))
+                d_hidden[k] = out.grad[row_of, positions[k], halves[k]]
+            d_pre = np.empty((2, total, 4 * d))
+            # rows ranked >= a_{t+1} ended at step t: no gradient from t+1
             dh_rec = np.zeros((2, batch, d))
             dc_rec = np.zeros((2, batch, d))
             for t in range(length - 1, -1, -1):
-                z = gates[:, t]
+                a, lo = active[t], starts[t]
+                rows = slice(lo, lo + a)
+                z = gates[:, rows]
                 i, f, o = z[..., :d], z[..., d:2 * d], z[..., 2 * d:3 * d]
                 g = z[..., 3 * d:]
-                tc = tanh_c[:, t]
-                dh = d_hidden[:, t] + dh_rec
-                dc = dh * o * (1.0 - tc * tc) + dc_rec
-                blk = d_pre[:, t]
+                tc = tanh_c[:, rows]
+                dh = d_hidden[:, rows] + dh_rec[:, :a]
+                dc = dh * o * (1.0 - tc * tc) + dc_rec[:, :a]
+                blk = d_pre[:, rows]
                 blk[..., :d] = dc * g * i * (1.0 - i)
                 blk[..., 2 * d:3 * d] = dh * tc * o * (1.0 - o)
                 blk[..., 3 * d:] = dc * i * (1.0 - g * g)
                 if t:
-                    blk[..., d:2 * d] = dc * cells[:, t - 1] * f * (1.0 - f)
-                    dc_rec = dc * f
+                    prev = slice(starts[t - 1], starts[t - 1] + a)
+                    blk[..., d:2 * d] = dc * cells[:, prev] * f * (1.0 - f)
+                    np.multiply(dc, f, out=dc_rec[:, :a])
                     for k, p in enumerate(params):
-                        np.matmul(blk[k], p.w_rec.data.T, out=dh_rec[k])
+                        np.matmul(blk[k], p.w_rec.data.T, out=dh_rec[k, :a])
                 else:
                     blk[..., d:2 * d] = 0.0
+            # h_{t-1} of each packed index of a step t >= 1, in order
+            h_prev = (np.arange(batch, total) - active[step_of[batch:] - 1]
+                      if ragged else slice(0, total - batch))
             for k, p in enumerate(params):
-                flat_pre = d_pre[k].reshape(length * batch, 4 * d)
                 if p.w_in.requires_grad:
-                    ag.accumulate(p.w_in, xs[k].T @ flat_pre)
-                if p.w_rec.requires_grad and length > 1:
-                    # h_{t-1} against the pre-activations of step t >= 1
-                    ag.accumulate(p.w_rec, hidden[k, :-1].reshape(-1, d).T
-                                  @ d_pre[k, 1:].reshape(-1, 4 * d))
+                    ag.accumulate(p.w_in, xs[k].T @ d_pre[k])
+                if p.w_rec.requires_grad and total > batch:
+                    ag.accumulate(p.w_rec,
+                                  hidden[k, h_prev].T @ d_pre[k, batch:])
                 if p.bias.requires_grad:
-                    ag.accumulate(p.bias, flat_pre.sum(axis=0))
+                    ag.accumulate(p.bias, d_pre[k].sum(axis=0))
                 if seq.requires_grad:
-                    dx = (flat_pre @ p.w_in.data.T).reshape(length, batch, d_in)
-                    ag.accumulate(seq, dx[orders[k], rows[:, None]])
+                    dx = (np.zeros if ragged else np.empty)(seq.shape)
+                    dx[row_of, positions[k]] = d_pre[k] @ p.w_in.data.T
+                    ag.accumulate(seq, dx)
         out._backward = _bw
     return out

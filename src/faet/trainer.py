@@ -282,18 +282,30 @@ def gradcheck_config() -> TrainConfig:
 def gradient_check_report(config: TrainConfig | None = None,
                           samples_per_group: int = 8,
                           tolerance: float = 1e-4) -> dict:
-    """Finite-difference check of the full loss on a seeded 3-text-token /
-    2-emoji document, one entry per parameter group."""
+    """Finite-difference check of the full loss, one entry per parameter
+    group, on a seeded batch of two documents of different lengths (4 text
+    tokens + 2 emojis, then 6 + 3): the shorter row comes first, so the
+    BiLSTM's padded, reordered rows are under the check too.
+
+    The documents are chosen so that every group of `gradcheck_config()`
+    gets a nonzero analytic gradient.  A group whose analytic gradient is
+    entirely zero (say, a filter width no window fits) would match its
+    finite differences without testing anything, so it fails the report
+    and is named under "zero_gradient".
+    """
     config = config or gradcheck_config()
-    docs = [TokenizedDoc(["t0", "t1", "t2"], ["e0", "e1"], 1),
-            TokenizedDoc(["t1", "t2", "t0"], ["e1", "e0"], 0)]
+    docs = [TokenizedDoc(["t0", "t1", "t2", "t3"], ["e0", "e1"], 1),
+            TokenizedDoc(["t3", "t2", "t1", "t0", "t2", "t1"],
+                         ["e1", "e0", "e1"], 0)]
     vocab = build_vocab(docs)
     model = Model(config, vocab)
-    (batch,) = make_batches(docs[:1], vocab, 1, config.max_len,
+    (batch,) = make_batches(docs, vocab, len(docs), config.max_len,
                             shuffle=False)
-    groups = finite_difference_check(lambda: model.batch_loss(batch),
-                                     model.parameters(),
+    params = model.parameters()
+    groups = finite_difference_check(lambda: model.batch_loss(batch), params,
                                      samples_per_group=samples_per_group)
+    zero = [name for name, p in params.items() if not np.any(p.grad)]
     worst = max(groups.values())
     return {"groups": groups, "max_relative_error": worst,
-            "tolerance": tolerance, "pass": bool(worst <= tolerance)}
+            "tolerance": tolerance, "zero_gradient": zero,
+            "pass": bool(worst <= tolerance and not zero)}

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and byte-level reproducibility."""
 
+import dataclasses
 import json
 import os
 import struct
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from faet import cli
+from faet import cli, trainer
 from faet.autograd import ShapeError
 from faet.checkpoint import load_checkpoint, save_checkpoint
 from faet.corpus import TokenizedDoc, build_vocab, encode_doc, write_jsonl
@@ -65,6 +66,14 @@ class TestExitCodes:
     def test_gradcheck_impossible_tolerance_exits_three(self):
         result = run_cli("gradcheck", "--samples", "2", "--tolerance", "1e-30")
         assert result.returncode == 3
+
+    def test_gradcheck_all_zero_group_exits_three(self, monkeypatch, capsys):
+        config = dataclasses.replace(trainer.gradcheck_config(),
+                                     widths=(2, 12))
+        monkeypatch.setattr(trainer, "gradcheck_config", lambda: config)
+        assert cli.main(["gradcheck", "--samples", "1"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["zero_gradient"] == ["cnn.filters_w12", "cnn.bias_w12"]
 
     def test_internal_shape_error_is_not_a_usage_error(self, monkeypatch):
         def broken(args):

@@ -1,10 +1,12 @@
 """LSTM cell analytics and BiLSTM sequence encoding."""
 
 import numpy as np
+import pytest
 
 from oracles import LstmState, gate_slice, initial_state, lstm_step
 
 from faet import autograd as ag
+from faet.autograd import ShapeError
 from faet.encoder import LstmParams, bilstm_encode_batch
 
 
@@ -208,3 +210,96 @@ class TestPerRowLengths:
             scored = bilstm_encode_batch(seq, fwd, bwd, self.LENGTHS)
         assert not scored.requires_grad
         np.testing.assert_array_equal(scored.data, with_grad.data)
+
+    # equal lengths, one row, all length 1, ties with a length-1 row first
+    CASES = [[4, 4, 4], [6], [1, 1, 1], [1, 5, 2, 5, 5, 3]]
+
+    def encode_case(self, lengths, seed, grad, perm=None):
+        """Encode a seeded batch with `lengths`, its rows taken in the
+        order `perm`, and with `grad` backward a seeded upstream gradient
+        (padding included) -> (output, gradients by group)."""
+        rng = np.random.default_rng(seed)
+        fwd, bwd = LstmParams(3, 2, rng), LstmParams(3, 2, rng)
+        lengths = np.array(lengths)
+        x = rng.normal(size=(len(lengths), lengths.max(), 2))
+        upstream = rng.normal(size=x.shape[:2] + (6,))
+        if perm is not None:
+            lengths, x, upstream = lengths[perm], x[perm], upstream[perm]
+        seq = ag.param(x)
+        if not grad:
+            with ag.no_grad():
+                return bilstm_encode_batch(seq, fwd, bwd, lengths).data, {}
+        out = bilstm_encode_batch(seq, fwd, bwd, lengths)
+        ag.sum_along(ag.mul(out, ag.constant(upstream))).backward()
+        params = {"seq": seq, **fwd.parameters("fwd"),
+                  **bwd.parameters("bwd")}
+        return out.data, {k: v.grad for k, v in params.items()}
+
+    @pytest.mark.parametrize("lengths", CASES + [LENGTHS.tolist()])
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_padding_is_zero_and_rows_match_their_own_encoding(
+            self, lengths, grad):
+        rng = np.random.default_rng(64)
+        fwd, bwd = LstmParams(3, 2, rng), LstmParams(3, 2, rng)
+        x = rng.normal(size=(len(lengths), max(lengths), 2))
+        seq = ag.param(x)
+        if grad:
+            out = bilstm_encode_batch(seq, fwd, bwd, lengths).data
+        else:
+            with ag.no_grad():
+                out = bilstm_encode_batch(seq, fwd, bwd, lengths).data
+        for b, n in enumerate(lengths):
+            assert np.all(out[b, n:] == 0.0)
+            np.testing.assert_allclose(out[b, :n], encode(x[b, :n], fwd, bwd),
+                                       atol=1e-14)
+
+    @pytest.mark.parametrize("lengths", CASES)
+    def test_no_grad_forward_equals_grad_forward_bitwise_per_case(
+            self, lengths):
+        scored, _ = self.encode_case(lengths, 65, grad=False)
+        with_grad, _ = self.encode_case(lengths, 65, grad=True)
+        np.testing.assert_array_equal(scored, with_grad)
+
+    @pytest.mark.parametrize("lengths", CASES[:1] + CASES[3:] +
+                             [LENGTHS.tolist()])
+    def test_permuting_rows_permutes_outputs_and_gradients(self, lengths):
+        perm = np.random.default_rng(66).permutation(len(lengths))
+        out, grads = self.encode_case(lengths, 67, grad=True)
+        moved, moved_grads = self.encode_case(lengths, 67, grad=True,
+                                              perm=perm)
+        np.testing.assert_allclose(moved, out[perm], rtol=0, atol=1e-12)
+        grads["seq"] = grads["seq"][perm]
+        for name, g in grads.items():
+            np.testing.assert_allclose(moved_grads[name], g, rtol=0,
+                                       atol=1e-12, err_msg=name)
+
+    def test_gradient_check_with_ties_and_longest_row_not_first(self):
+        lengths = np.array([1, 4, 2, 4, 3])
+        rng = np.random.default_rng(68)
+        fwd, bwd = LstmParams(2, 2, rng), LstmParams(2, 2, rng)
+        seq = ag.param(rng.uniform(-1, 1, (5, 4, 2)))
+        weights = ag.constant(rng.normal(size=(5, 4, 4)))
+        params = {"seq": seq, **fwd.parameters("fwd"),
+                  **bwd.parameters("bwd")}
+
+        def f():
+            enc = bilstm_encode_batch(seq, fwd, bwd, lengths)
+            return ag.sum_along(ag.mul(ag.tanh(enc), weights))
+
+        report = ag.finite_difference_check(f, params, samples_per_group=8)
+        assert max(report.values()) < 1e-4
+
+    @pytest.mark.parametrize("lengths", [
+        [5, 2],                 # past the padded length 4
+        [2],                    # one entry for two rows
+        [-1, 3], [0, 3],        # below 1
+        [[2, 3]],               # not a vector
+        [2.0, 3.0],             # not integers
+        [True, True],
+    ])
+    def test_bad_lengths_raise_shape_error(self, lengths):
+        rng = np.random.default_rng(69)
+        fwd, bwd = LstmParams(2, 2, rng), LstmParams(2, 2, rng)
+        seq = ag.constant(rng.normal(size=(2, 4, 2)))
+        with pytest.raises(ShapeError, match="lengths"):
+            bilstm_encode_batch(seq, fwd, bwd, np.array(lengths))

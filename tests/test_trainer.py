@@ -15,10 +15,11 @@ from faet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from faet.corpus import TokenizedDoc, build_vocab, encode_doc, make_batches
 from faet.model import Model, TrainConfig
 from faet.optim import Adam
+import faet.model
 from faet.synthetic import gen_overfit, gen_xor
 from faet.trainer import (
-    NanLossError, PUBLISHED_REFERENCE, ablate, evaluate, metrics_from_pairs,
-    train,
+    NanLossError, PUBLISHED_REFERENCE, ablate, evaluate, gradcheck_config,
+    gradient_check_report, metrics_from_pairs, train,
 )
 
 
@@ -403,3 +404,37 @@ class TestAblate:
         standalone = train(train_docs, test_docs, coarse_cfg)
         assert (standalone.best_val_acc
                 == report["variants"]["coarse"]["best_val_acc"])
+
+
+class TestGradientCheckReport:
+    def test_batch_has_rows_of_different_lengths_longest_not_first(
+            self, monkeypatch):
+        seen = []
+        encode = faet.model.bilstm_encode_batch
+
+        def spy(seq, fwd, bwd, lengths=None):
+            seen.append(np.array(lengths))
+            return encode(seq, fwd, bwd, lengths)
+
+        monkeypatch.setattr(faet.model, "bilstm_encode_batch", spy)
+        gradient_check_report(samples_per_group=1)
+        lengths = seen[0]
+        assert len(lengths) >= 2 and len(set(lengths.tolist())) >= 2
+        assert lengths[0] < lengths.max()
+        assert all(np.array_equal(s, lengths) for s in seen)
+
+    def test_every_group_has_a_nonzero_analytic_gradient(self):
+        report = gradient_check_report(samples_per_group=2)
+        assert report["zero_gradient"] == []
+        assert report["pass"] is True
+        assert max(report["groups"].values()) <= 1e-4
+
+    def test_group_with_all_zero_gradient_fails_and_is_named(self):
+        # no window of width 12 fits a row of at most 9 positions, so that
+        # width's filters and bias get no gradient at all
+        config = dataclasses.replace(gradcheck_config(), widths=(2, 12))
+        report = gradient_check_report(config, samples_per_group=2,
+                                       tolerance=1.0)
+        assert report["zero_gradient"] == ["cnn.filters_w12", "cnn.bias_w12"]
+        assert report["max_relative_error"] <= report["tolerance"]
+        assert report["pass"] is False
