@@ -33,7 +33,8 @@ params = FineAttentionParams(hidden=4, rng=rng)
 params.interaction_w.data[...] = 0.0
 params.interaction_w.data[8:] = 2.0  # score the elementwise-product block
 
-out = fine_attention(text_states, emoji_states, params)
+# per-row lengths: the document's 3 words and 2 emojis are all valid
+out = fine_attention(text_states, emoji_states, params, [3], [2])
 
 print("interaction matrix (rows = words, cols = emojis):")
 for word, row in zip(WORDS, out.interaction.data[0]):

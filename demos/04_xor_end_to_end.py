@@ -21,7 +21,7 @@ fit, val = train_docs[:288], train_docs[288:]
 
 config = TrainConfig(d=32, d_w=32, n_filters=12, dropout=0.2, batch_size=32,
                      epochs=12, lr=2e-3, seed=3)
-report = ablate(fit, val, test_docs, config, n_examples=6)
+report = ablate(fit, val, test_docs, config)
 
 print("test accuracy:")
 for variant in ("fine", "coarse"):
@@ -32,7 +32,7 @@ print("agreement:", report["agreement"])
 
 print("\nsample predictions (1 = positive):")
 print(f"  {'text':32s} {'emoji':8s} fine coarse label")
-for ex in report["examples"]:
+for ex in report["examples"][:6]:
     text = " ".join(ex["text"])[:32]
     print(f"  {text:32s} {ex['emojis'][0]:8s} {ex['fine']:4d} "
           f"{ex['coarse']:6d} {ex['label']:5d}")

@@ -66,10 +66,8 @@ class AttentionOutputs:
 
 
 def valid_mask(lengths, size: int) -> np.ndarray:
-    """(B, size) bool, True on each row's first `lengths[b]` positions; one
-    all-True row when `lengths` is None."""
-    return np.arange(size) < np.reshape(
-        size if lengths is None else lengths, (-1, 1))
+    """(B, size) bool, True on each row's first `lengths[b]` positions."""
+    return np.arange(size) < np.reshape(lengths, (-1, 1))
 
 
 def _masked(scores: Value, valid: np.ndarray) -> Value:
@@ -144,10 +142,10 @@ def fuse(text_summary: Value, emoji_summary: Value) -> Value:
 
 
 def fine_attention(text: Value, emoji: Value, params: FineAttentionParams,
-                   text_lengths=None, emoji_lengths=None) -> AttentionOutputs:
+                   text_lengths, emoji_lengths) -> AttentionOutputs:
     """Full bidirectional pass over a batch of (B, n, 2d) text and
     (B, m, 2d) emoji states; row b is valid on its first text_lengths[b]
-    words and emoji_lengths[b] emojis (all of them when None)."""
+    words and emoji_lengths[b] emojis."""
     interaction = interaction_matrix(text, emoji, params.interaction_w)
     text_valid = valid_mask(text_lengths, text.shape[1])
     emoji_valid = valid_mask(emoji_lengths, emoji.shape[1])
@@ -165,15 +163,14 @@ def fine_attention(text: Value, emoji: Value, params: FineAttentionParams,
         fused=fuse(text_summary, emoji_summary))
 
 
-def sentence_mean(text: Value, text_lengths=None) -> Value:
+def sentence_mean(text: Value, text_lengths) -> Value:
     """(B, n, 2d) text states -> (B, 2d) mean over each row's words."""
     valid = valid_mask(text_lengths, text.shape[1])
     return _pool(ag.constant(valid / valid.sum(axis=1, keepdims=True)), text)
 
 
 def coarse_attention(text: Value, emoji: Value, params: CoarseAttentionParams,
-                     text_lengths=None, emoji_lengths=None
-                     ) -> tuple[Value, Value]:
+                     text_lengths, emoji_lengths) -> tuple[Value, Value]:
     """Single sentence-conditioned attention over each row's emojis.
 
     Scores emoji j by v . tanh(W @ [E_j ; mean(T)]), W split into its emoji

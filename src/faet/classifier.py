@@ -19,12 +19,10 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Value
 
-DEFAULT_WIDTHS = (2, 3, 4)
-
 
 class TextCnnParams:
     def __init__(self, channels: int, n_filters: int,
-                 rng: np.random.Generator, widths=DEFAULT_WIDTHS):
+                 rng: np.random.Generator, widths):
         self.channels = channels  # per-position features (2d + 4d)
         self.n_filters = n_filters
         self.widths = tuple(widths)
@@ -51,20 +49,19 @@ class TextCnnParams:
 
 
 def textcnn_forward_batch(states: Value, summaries: Value,
-                          params: TextCnnParams, dropout_rate: float = 0.0,
-                          dropout_rng: np.random.Generator | None = None,
-                          lengths=None) -> tuple[Value, Value]:
+                          params: TextCnnParams, lengths,
+                          dropout_rate: float = 0.0,
+                          dropout_rng: np.random.Generator | None = None
+                          ) -> tuple[Value, Value]:
     """(B, L, 2d) padded states + (B, 4d) summaries -> ((B, 2) probs,
-    (B, 2) logits); row b is valid on its first `lengths[b]` positions
-    (all L when None).
+    (B, 2) logits); row b is valid on its first `lengths[b]` positions.
 
     Convolution, ReLU and max-over-time pooling are one fused node (see
-    `_conv_pool`).  Dropout applies to the pooled features only when a
-    rate and rng are given (training).
+    `_conv_pool`); dropout at `dropout_rate` applies to the pooled
+    features (rate 0: none).
     """
-    feats = _conv_pool(states, summaries, params, lengths)
-    if dropout_rate > 0.0 and dropout_rng is not None:
-        feats = ag.dropout(feats, dropout_rate, dropout_rng)
+    feats = ag.dropout(_conv_pool(states, summaries, params, lengths),
+                       dropout_rate, dropout_rng)
     logits = ag.add(ag.matmul(feats, params.out_w), params.out_b)
     return ag.softmax(logits, axis=1), logits
 
@@ -123,7 +120,7 @@ def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
     # time-major rows: position t of every row is rows [t*B, (t+1)*B)
     steps = (np.ascontiguousarray(states.data.transpose(1, 0, 2)).reshape(
         length * batch, hidden) if any(per_shift) else None)
-    valid = np.reshape(length if lengths is None else lengths, (-1, 1))
+    valid = np.reshape(lengths, (-1, 1))
     args = []  # per width: each (row, filter)'s winning window, or None
     for k, (w, bank) in enumerate(zip(widths, banks)):
         n_out = length - w + 1

@@ -70,7 +70,8 @@ def parse_jsonl_record(line: str, line_number: int | None = None,
                           line_number)
 
     label = obj.get("label")
-    if label is not None and label not in (0, 1):
+    # JSON 1.0 and true compare equal to 1 but are not integer labels
+    if label is not None and (type(label) is not int or label not in (0, 1)):
         raise CorpusError(f"label must be 0 or 1, got {label!r}", line_number)
 
     if mode == "train":
@@ -245,7 +246,7 @@ class Batch:
         return len(self.rows)
 
 
-def encode_doc(doc: TokenizedDoc, vocab: Vocab, max_len: int = 100
+def encode_doc(doc: TokenizedDoc, vocab: Vocab, max_len: int
                ) -> tuple[list[int], list[int]]:
     text_ids = vocab.encode_text(doc.text_tokens[:max_len])
     emoji_ids = vocab.encode_emojis(doc.emoji_tokens)
@@ -253,7 +254,7 @@ def encode_doc(doc: TokenizedDoc, vocab: Vocab, max_len: int = 100
 
 
 def make_batches(docs: list[TokenizedDoc], vocab: Vocab, batch_size: int,
-                 max_len: int = 100, seed: int = 0, shuffle: bool = True
+                 max_len: int, seed: int = 0, shuffle: bool = True
                  ) -> list[Batch]:
     """Seeded shuffle, then encode into unpadded rows; the final partial
     batch is kept.  Every document needs an emoji and a label."""

@@ -57,9 +57,7 @@ class LstmParams:
 
 def _row_lengths(lengths, batch: int, length: int) -> np.ndarray:
     """`lengths` as a (batch,) integer vector with every entry in
-    [1, length]; None means every row is full."""
-    if lengths is None:
-        return np.full(batch, length)
+    [1, length]."""
     lengths = np.asarray(lengths)
     if (lengths.shape != (batch,) or lengths.dtype.kind not in "iu"
             or np.any(lengths < 1) or np.any(lengths > length)):
@@ -70,9 +68,9 @@ def _row_lengths(lengths, batch: int, length: int) -> np.ndarray:
 
 
 def bilstm_encode_batch(seq: Value, fwd: LstmParams, bwd: LstmParams,
-                        lengths=None) -> Value:
-    """(B, L, d_in) padded batch with per-row `lengths` (None: all L) ->
-    (B, L, 2d) features, as a single fused node.
+                        lengths) -> Value:
+    """(B, L, d_in) padded batch with per-row `lengths` -> (B, L, 2d)
+    features, as a single fused node.
 
     Row b is valid on its first `lengths[b]` positions, each an integer in
     [1, L] (else `ShapeError`).  The forward direction reads them left to

@@ -30,10 +30,12 @@ from .encoder import LstmParams, bilstm_encode_batch
 from .objective import alignment_loss, cross_entropy, total_loss
 
 VARIANTS = ("fine", "coarse")
-# `Model.score` sorts by length within windows of this many chunks.  The
-# encoder outputs (B, L, 2d) that 4 buffered chunks keep alive are about
-# the size of one chunk's own gate buffer (2, L, B, 4d), so scoring memory
-# stays bounded by the window, not by the input.
+# `Model.score` runs this many documents per pass, sorted by length within
+# windows of `SCORE_WINDOW_CHUNKS` chunks.  The encoder outputs (B, L, 2d)
+# that 4 buffered chunks keep alive are about the size of one chunk's own
+# gate buffer (2, L, B, 4d), so scoring memory stays bounded by the window,
+# not by the input.
+SCORE_CHUNK = 64
 SCORE_WINDOW_CHUNKS = 4
 
 
@@ -204,7 +206,7 @@ class Model:
             self.coarse_params = CoarseAttentionParams(hidden, rngs[4])
         # per-position classifier input: [H_t ; 4d summary] either way
         self.cnn = TextCnnParams(hidden + 2 * hidden, config.n_filters,
-                                 rngs[5], widths=config.widths)
+                                 rngs[5], config.widths)
 
     def parameters(self) -> dict[str, Value]:
         params: dict[str, Value] = {}
@@ -222,18 +224,22 @@ class Model:
     def state(self) -> dict[str, np.ndarray]:
         return {k: p.data.copy() for k, p in self.parameters().items()}
 
-    def forward_docs(self, docs: list[tuple], train: bool = False,
+    def forward_docs(self, docs: list[tuple],
                      dropout_rng: np.random.Generator | None = None
                      ) -> list[DocOutputs]:
-        """Forward a list of (text_ids, emoji_ids) documents.
+        """Forward a list of (text_ids, emoji_ids) documents, with dropout
+        drawn from `dropout_rng` when one is given (training).
 
         Ids are unpadded; this is the one place that pads.  Every layer
         runs once over the list, padded to its longest [text ; emoji]
-        sequence; each document's outputs are slices of the batch.
+        sequence; each document's outputs are slices of the batch.  A
+        document without text ids is a `ValueError` naming its index.
         """
         cfg = self.config
-        drop = cfg.dropout if (train and dropout_rng is not None) else 0.0
+        drop = cfg.dropout if dropout_rng is not None else 0.0
         n = np.array([len(t) for t, _ in docs])
+        if not n.all():
+            raise ValueError(f"document {int(np.argmin(n))} has no text ids")
         m = np.array([len(e) for _, e in docs])
         lengths, rows = n + m, np.arange(len(docs))
         text = np.concatenate([t for t, _ in docs]).astype(np.int64)
@@ -280,8 +286,8 @@ class Model:
             summary = ag.concat([sentence_mean(text_states, n), context],
                                 axis=1)
         summary = ag.dropout(summary, drop, dropout_rng)          # (B, 4d)
-        probs, _ = textcnn_forward_batch(encoded, summary, self.cnn, drop,
-                                         dropout_rng, lengths)
+        probs, _ = textcnn_forward_batch(encoded, summary, self.cnn, lengths,
+                                         drop, dropout_rng)
         probs = ag.reshape(probs, (2 * len(docs),))
 
         outputs = []
@@ -304,25 +310,26 @@ class Model:
                                       beta, explain))
         return outputs
 
-    def score(self, docs: list[tuple], chunk: int = 64):
+    def score(self, docs: list[tuple]):
         """Yield each document's outputs from no-grad `forward_docs` passes,
         in input order.  Every scoring caller (evaluation, prediction,
         ablation) goes through here.
 
-        Each window of `SCORE_WINDOW_CHUNKS * chunk` documents is stably
-        sorted by length [text ; emoji] and cut into consecutive groups of
-        `chunk`, so a group pads only to its own longest document; each
-        group reaches `forward_docs` in input order.  An input of at most
-        `chunk` documents is therefore one pass over the list as given.
+        Each window of `SCORE_WINDOW_CHUNKS * SCORE_CHUNK` documents is
+        stably sorted by length [text ; emoji] and cut into consecutive
+        groups of `SCORE_CHUNK`, so a group pads only to its own longest
+        document; each group reaches `forward_docs` in input order.  An
+        input of at most `SCORE_CHUNK` documents is therefore one pass over
+        the list as given.
         """
-        window = SCORE_WINDOW_CHUNKS * chunk
+        window = SCORE_WINDOW_CHUNKS * SCORE_CHUNK
         for start in range(0, len(docs), window):
             part = docs[start:start + window]
             order = sorted(range(len(part)),
                            key=lambda i: len(part[i][0]) + len(part[i][1]))
             outputs = [None] * len(part)
-            for first in range(0, len(part), chunk):
-                group = sorted(order[first:first + chunk])
+            for first in range(0, len(part), SCORE_CHUNK):
+                group = sorted(order[first:first + SCORE_CHUNK])
                 with ag.no_grad():
                     results = self.forward_docs([part[i] for i in group])
                 for i, out in zip(group, results):
@@ -338,11 +345,11 @@ class Model:
                                   outputs.text_states,
                                   self.fine_params.distance_w)
 
-    def batch_loss(self, batch, train: bool = False,
+    def batch_loss(self, batch,
                    dropout_rng: np.random.Generator | None = None) -> Value:
-        """Mean cross-entropy plus weighted mean alignment over a batch."""
-        outputs = self.forward_docs(batch.rows, train=train,
-                                    dropout_rng=dropout_rng)
+        """Mean cross-entropy plus weighted mean alignment over a batch,
+        with dropout drawn from `dropout_rng` when one is given."""
+        outputs = self.forward_docs(batch.rows, dropout_rng=dropout_rng)
         losses = [self.doc_losses(out, label)
                   for out, label in zip(outputs, batch.labels)]
         ce_terms, align_terms = zip(*losses)

@@ -20,8 +20,7 @@ from . import autograd as ag
 from .autograd import Value
 
 
-def cross_entropy(probs: Value, label: int,
-                  label_smoothing: float = 0.0) -> Value:
+def cross_entropy(probs: Value, label: int, label_smoothing: float) -> Value:
     """-log probs[label], with the log input clamped at 1e-12.
 
     With smoothing s the target distribution becomes

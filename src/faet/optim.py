@@ -12,23 +12,19 @@ from .autograd import Value
 # stay in cache across the update's passes instead of streaming every
 # full array through memory once per pass.
 BLOCK = 2 ** 15
+# moment decay rates and denominator offset (Kingma & Ba 2015)
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 class Adam:
-    """Bias-corrected Adam over a named parameter dict.
+    """Bias-corrected Adam over a named parameter dict at learning rate
+    `lr`, with `BETA1`, `BETA2` and `EPSILON`."""
 
-    Defaults: beta1=0.9, beta2=0.999, epsilon=1e-8; the learning rate is the
-    caller's (training uses 5e-4 unless configured otherwise).
-    """
-
-    def __init__(self, params: dict[str, Value], lr: float = 5e-4,
-                 beta1: float = 0.9, beta2: float = 0.999,
-                 epsilon: float = 1e-8):
+    def __init__(self, params: dict[str, Value], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
         self.m = {k: np.zeros(p.data.shape) for k, p in params.items()}
         self.v = {k: np.zeros(p.data.shape) for k, p in params.items()}
@@ -43,8 +39,8 @@ class Adam:
         result is bitwise that of one whole-array pass."""
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for name, p in self.params.items():
             g = p.grad  # exact zeros where no gradient reached `p`
             if g.shape != p.data.shape:
@@ -61,17 +57,17 @@ class Adam:
                 hi = min(lo + BLOCK, flat.size)
                 m, v = m_flat[lo:hi], v_flat[lo:hi]
                 scratch = self._scratch[:hi - lo]
-                np.multiply(g[lo:hi], 1.0 - self.beta1, out=scratch)
-                m *= self.beta1
+                np.multiply(g[lo:hi], 1.0 - BETA1, out=scratch)
+                m *= BETA1
                 m += scratch
-                v *= self.beta2
+                v *= BETA2
                 np.multiply(g[lo:hi], g[lo:hi], out=scratch)
-                scratch *= 1.0 - self.beta2
+                scratch *= 1.0 - BETA2
                 v += scratch
                 # bias-corrected update folded into the scratch buffer
                 np.sqrt(v, out=scratch)
                 scratch /= np.sqrt(bc2)
-                scratch += self.epsilon
+                scratch += EPSILON
                 np.divide(m, scratch, out=scratch)
                 scratch *= self.lr / bc1
                 flat[lo:hi] -= scratch

@@ -12,8 +12,8 @@ import numpy as np
 from . import autograd as ag
 from .autograd import finite_difference_check
 from .classifier import predict_label
-from .corpus import (CorpusError, TokenizedDoc, Vocab, build_vocab,
-                     encode_doc, make_batches)
+from .corpus import (CorpusError, TokenizedDoc, build_vocab, encode_doc,
+                     make_batches)
 from .model import Model, TrainConfig
 from .optim import Adam
 
@@ -27,6 +27,10 @@ PUBLISHED_REFERENCE = {
              "pretrained transformer text encoder; reference only, not a "
              "reproduction target"),
 }
+
+
+# `ablate` lists this many test documents' predictions per variant.
+ABLATE_EXAMPLES = 12
 
 
 class NanLossError(ArithmeticError):
@@ -157,9 +161,8 @@ def _epoch_seed(base_seed: int, epoch: int) -> int:
 
 
 def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
-          config: TrainConfig, vocab: Vocab | None = None,
-          model: Model | None = None, log_path: str | None = None
-          ) -> TrainResult:
+          config: TrainConfig, model: Model | None = None,
+          log_path: str | None = None) -> TrainResult:
     """Epochs of forward / total loss / backward / Adam, logging one JSONL
     line per epoch; fully deterministic for a fixed seed.
 
@@ -170,10 +173,8 @@ def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
     _require_labels(train_docs, "train")
     _require_labels(val_docs, "validation")
     if model is None:
-        vocab = vocab or build_vocab(train_docs, min_count=config.min_count)
-        model = Model(config, vocab)
-    else:
-        vocab = model.vocab
+        model = Model(config, build_vocab(train_docs,
+                                          min_count=config.min_count))
     optimizer = Adam(model.parameters(), lr=config.lr)
     dropout_rng = np.random.default_rng(
         np.random.SeedSequence([config.seed, 1]))
@@ -189,14 +190,13 @@ def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
     gc.disable()
     try:
         for epoch in range(1, config.epochs + 1):
-            batches = make_batches(train_docs, vocab, config.batch_size,
+            batches = make_batches(train_docs, model.vocab, config.batch_size,
                                    max_len=config.max_len,
                                    seed=_epoch_seed(config.seed, epoch))
             loss_sum = 0.0
             for batch_index, batch in enumerate(batches):
                 optimizer.zero_grad()
-                loss = model.batch_loss(batch, train=True,
-                                        dropout_rng=dropout_rng)
+                loss = model.batch_loss(batch, dropout_rng=dropout_rng)
                 loss_value = float(loss.data)
                 if not np.isfinite(loss_value):
                     raise NanLossError(
@@ -228,11 +228,11 @@ def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
 
 
 def ablate(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
-           test_docs: list[TokenizedDoc], config: TrainConfig,
-           n_examples: int = 12) -> dict:
+           test_docs: list[TokenizedDoc], config: TrainConfig) -> dict:
     """Train both variants with identical seeds and data order, score the
     best-validation snapshots on the test split, and report side by side
-    with per-example predictions and an agreement matrix."""
+    with an agreement matrix and the first `ABLATE_EXAMPLES` test
+    documents' predictions."""
     variants = {}
     predictions = {}
     for variant in ("fine", "coarse"):
@@ -262,7 +262,7 @@ def ablate(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
             agreement["both_wrong"] += 1
 
     examples = []
-    for i, doc in enumerate(test_docs[:n_examples]):
+    for i, doc in enumerate(test_docs[:ABLATE_EXAMPLES]):
         examples.append({
             "text": doc.text_tokens, "emojis": doc.emoji_tokens,
             "fine": predictions["fine"][i], "coarse": predictions["coarse"][i],
@@ -279,8 +279,7 @@ def gradcheck_config() -> TrainConfig:
                        lambda_align=0.25, seed=0, variant="fine")
 
 
-def gradient_check_report(config: TrainConfig | None = None,
-                          samples_per_group: int = 8,
+def gradient_check_report(samples_per_group: int = 8,
                           tolerance: float = 1e-4) -> dict:
     """Finite-difference check of the full loss, one entry per parameter
     group, on a seeded batch of two documents of different lengths (4 text
@@ -293,7 +292,7 @@ def gradient_check_report(config: TrainConfig | None = None,
     finite differences without testing anything, so it fails the report
     and is named under "zero_gradient".
     """
-    config = config or gradcheck_config()
+    config = gradcheck_config()
     docs = [TokenizedDoc(["t0", "t1", "t2", "t3"], ["e0", "e1"], 1),
             TokenizedDoc(["t3", "t2", "t1", "t0", "t2", "t1"],
                          ["e1", "e0", "e1"], 0)]

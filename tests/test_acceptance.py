@@ -125,7 +125,7 @@ class TestNormalizationFuzz:
                                        widths=(2, 3))
                 probs, _ = textcnn_forward_batch(
                     ag.constant(rng.uniform(-3, 3, (1, n + m, 6))),
-                    ag.constant(rng.uniform(-3, 3, (1, 4))), params)
+                    ag.constant(rng.uniform(-3, 3, (1, 4))), params, [n + m])
                 check(probs)
 
         assert failures == 0
@@ -202,12 +202,13 @@ class TestAnalyticLayerValues:
         assert abs(out.c[0] - 1.0) <= 1e-12
         assert abs(out.h[0] - 0.5 * np.tanh(1.0)) <= 1e-12
 
-        cnn = TextCnnParams(8, 4, np.random.default_rng(1))
+        cnn = TextCnnParams(8, 4, np.random.default_rng(1), (2, 3, 4))
         for param in cnn.parameters().values():
             param.data[...] = 0.0
         probs, _ = textcnn_forward_batch(
             ag.constant(np.random.default_rng(2).uniform(-1, 1, (1, 5, 4))),
-            ag.constant(np.random.default_rng(3).uniform(-1, 1, (1, 4))), cnn)
+            ag.constant(np.random.default_rng(3).uniform(-1, 1, (1, 4))), cnn,
+            [5])
         assert np.all(np.abs(probs.data - 0.5) <= 1e-12)
         report_pass("analytic layer values (LSTM cells, classifier 0.5/0.5)")
 

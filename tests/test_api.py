@@ -1,0 +1,83 @@
+"""Census of the package's parameter defaults.
+
+Every parameter with a default in `src/faet` is listed below, as
+`module.qualified.function(parameter)`.  A default is a mode or a value
+that callers may leave out, so adding one (or removing one) means editing
+this list.  Backward-rule closures (`_bw(out=...)`) bind their node through
+a default and are not counted.
+"""
+
+import ast
+from pathlib import Path
+
+import faet
+
+EXPECTED = [
+    "autograd.Value.__init__(requires_grad)",
+    "autograd.Value.__init__(_prev)",
+    "autograd.Value.__init__(_op)",
+    "autograd.concat(axis)",
+    "autograd.softmax(axis)",
+    "autograd.sum_along(axis)",
+    "autograd.finite_difference_check(h)",
+    "autograd.finite_difference_check(samples_per_group)",
+    "autograd.finite_difference_check(seed)",
+    "classifier.textcnn_forward_batch(dropout_rate)",
+    "classifier.textcnn_forward_batch(dropout_rng)",
+    "cli._emit(pretty)",
+    "cli.main(argv)",
+    "corpus.CorpusError.__init__(line_number)",
+    "corpus.parse_jsonl_record(line_number)",
+    "corpus.parse_jsonl_record(mode)",
+    "corpus.read_jsonl(mode)",
+    "corpus.split_sizes(ratios)",
+    "corpus.split_report(ratios)",
+    "corpus.split_corpus(spec)",
+    "corpus.build_vocab(min_count)",
+    "corpus.make_batches(seed)",
+    "corpus.make_batches(shuffle)",
+    "model.DocOutputs.prediction(explain)",
+    "model.Model.forward_docs(dropout_rng)",
+    "model.Model.batch_loss(dropout_rng)",
+    "model.Model.predict_doc(explain)",
+    "synthetic.gen_overfit(size)",
+    "synthetic.gen_overfit(seed)",
+    "synthetic.gen_xor(train_size)",
+    "synthetic.gen_xor(test_size)",
+    "synthetic.gen_xor(seed)",
+    "trainer.train(model)",
+    "trainer.train(log_path)",
+    "trainer.gradient_check_report(samples_per_group)",
+    "trainer.gradient_check_report(tolerance)",
+]
+
+
+def _defaults(node, prefix):
+    """`prefix.function(parameter)` for each defaulted parameter of every
+    function under `node`, in source order."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _defaults(child, f"{prefix}.{child.name}")
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{prefix}.{child.name}"
+            if child.name != "_bw":
+                args = child.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a for a, d in zip(args.kwonlyargs,
+                                                args.kw_defaults)
+                              if d is not None]
+                for arg in defaulted:
+                    yield f"{name}({arg.arg})"
+            yield from _defaults(child, name)
+        else:
+            yield from _defaults(child, prefix)
+
+
+def test_parameter_defaults_are_exactly_the_listed_ones():
+    package = Path(faet.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found.extend(_defaults(tree, path.stem))
+    assert found == EXPECTED

@@ -160,9 +160,10 @@ class TestFineAttentionEndToEnd:
     def test_emoji_permutation_equivariance(self):
         params = FineAttentionParams(hidden=4, rng=np.random.default_rng(14))
         text, emoji = rand_states(4, 3, 4, 15)
-        out = fine_attention(text, emoji, params)
+        out = fine_attention(text, emoji, params, [4], [3])
         perm = [2, 0, 1]
-        out_p = fine_attention(text, ag.constant(emoji.data[:, perm]), params)
+        out_p = fine_attention(text, ag.constant(emoji.data[:, perm]), params,
+                               [4], [3])
         np.testing.assert_allclose(out_p.emoji_weights.data,
                                    out.emoji_weights.data[:, perm], atol=1e-12)
         np.testing.assert_allclose(out_p.word_emoji_weights.data,
@@ -174,7 +175,7 @@ class TestFineAttentionEndToEnd:
     def test_single_emoji_summary_is_that_state_exactly(self):
         params = FineAttentionParams(hidden=3, rng=np.random.default_rng(16))
         text, emoji = rand_states(5, 1, 3, 17)
-        out = fine_attention(text, emoji, params)
+        out = fine_attention(text, emoji, params, [5], [1])
         np.testing.assert_array_equal(out.fused.data[0, 3:], emoji.data[0, 0])
 
     def test_no_emoji_fallback(self):
@@ -182,7 +183,7 @@ class TestFineAttentionEndToEnd:
         text = ag.constant(np.random.default_rng(19).uniform(-1, 1, (1, 4, 3)))
         # an emoji-free row: one padded emoji column, emoji length 0
         out = fine_attention(text, ag.constant(np.ones((1, 1, 3))), params,
-                             emoji_lengths=[0])
+                             [4], [0])
         np.testing.assert_array_equal(out.emoji_summary.data[0], np.zeros(3))
         assert out.emoji_weights.data[0, :0].shape == (0,)
         np.testing.assert_array_equal(out.emoji_weights.data, [[0.0]])
@@ -199,7 +200,8 @@ class TestFineAttentionEndToEnd:
 
         def f():
             out = fine_attention(ag.reshape(text, (1, 3, 3)),
-                                 ag.reshape(emoji, (1, 2, 3)), params)
+                                 ag.reshape(emoji, (1, 2, 3)), params,
+                                 [3], [2])
             return ag.sum_along(ag.tanh(out.fused))
 
         report = ag.finite_difference_check(f, groups, samples_per_group=6)
@@ -210,7 +212,7 @@ class TestCoarseAttention:
     def test_single_emoji_returns_it(self):
         params = CoarseAttentionParams(hidden=4, rng=np.random.default_rng(21))
         text, emoji = rand_states(3, 1, 4, 22)
-        context, weights = coarse_attention(text, emoji, params)
+        context, weights = coarse_attention(text, emoji, params, [3], [1])
         np.testing.assert_array_equal(weights.data[0], [1.0])
         np.testing.assert_array_equal(context.data[0], emoji.data[0, 0])
 
@@ -219,7 +221,7 @@ class TestCoarseAttention:
         params.w.data[...] = 0.0
         params.v.data[...] = 0.0
         text, emoji = rand_states(3, 4, 4, 24)
-        context, weights = coarse_attention(text, emoji, params)
+        context, weights = coarse_attention(text, emoji, params, [3], [4])
         np.testing.assert_allclose(weights.data, 0.25, atol=1e-12)
         np.testing.assert_allclose(context.data[0], emoji.data[0].mean(axis=0),
                                    atol=1e-12)
@@ -227,7 +229,7 @@ class TestCoarseAttention:
     def test_context_is_convex_combination(self):
         params = CoarseAttentionParams(hidden=3, rng=np.random.default_rng(25))
         text, emoji = rand_states(2, 5, 3, 26)
-        context, _ = coarse_attention(text, emoji, params)
+        context, _ = coarse_attention(text, emoji, params, [2], [5])
         lo, hi = emoji.data[0].min(axis=0), emoji.data[0].max(axis=0)
         assert np.all(context.data >= lo - 1e-12)
         assert np.all(context.data <= hi + 1e-12)
@@ -289,7 +291,7 @@ class TestBatchedAgainstOracle:
         # gradient comes from row 1 alone
         alone = FineAttentionParams(hidden=3, rng=np.random.default_rng(29))
         row = fine_attention(ag.constant(text.data[1:]),
-                             ag.constant(emoji.data[1:]), alone)
+                             ag.constant(emoji.data[1:]), alone, [4], [2])
         ag.sum_along(ag.tanh(row.fused)).backward()
         np.testing.assert_allclose(params.interaction_w.grad,
                                    alone.interaction_w.grad, rtol=0,

@@ -474,7 +474,7 @@ class TestAdam:
     def test_step_counter_strictly_increments(self):
         p = ag.param(0.0)
         p.grad[...] = 0.5
-        opt = Adam({"p": p})
+        opt = Adam({"p": p}, lr=5e-4)
         counts = []
         for _ in range(3):
             opt.step()
@@ -529,5 +529,5 @@ class TestAdam:
     def test_zero_grad_resets(self):
         p = ag.param([1.0])
         p.grad[...] = 9.0
-        Adam({"p": p}).zero_grad()
+        Adam({"p": p}, lr=5e-4).zero_grad()
         np.testing.assert_array_equal(p.grad, [0.0])

@@ -26,7 +26,8 @@ def textcnn_forward(hidden, fused, params, **kwargs):
     fused vector -> ((2,) probs, (2,) logits)."""
     probs, logits = textcnn_forward_batch(
         ag.reshape(hidden, (1,) + hidden.shape),
-        ag.reshape(fused, (1, fused.shape[0])), params, **kwargs)
+        ag.reshape(fused, (1, fused.shape[0])), params, [hidden.shape[0]],
+        **kwargs)
     return ag.reshape(probs, (2,)), ag.reshape(logits, (2,))
 
 

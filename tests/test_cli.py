@@ -373,6 +373,19 @@ class TestMalformedInput:
         assert "validation: empty document list" in capsys.readouterr().err
         assert not list(checkpoint.glob("m.faet*"))
 
+    def test_float_label_is_data_error(self, checkpoint, capsys):
+        data = checkpoint / "data.jsonl"
+        lines = data.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record["label"] = float(record["label"])
+        lines[1] = json.dumps(record) + "\n"
+        data.write_text("".join(lines), encoding="utf-8")
+        assert cli.main(["train", "--train", str(data), "--val", str(data),
+                         "--out", str(checkpoint / "m.faet"),
+                         *TRAIN_FLAGS]) == 2
+        assert "line 2: label must be 0 or 1" in capsys.readouterr().err
+        assert not list(checkpoint.glob("m.faet*"))
+
 
 class TestEmojiVectors:
     def test_train_reports_loaded_and_ignored_counts(self, tmp_path):

@@ -41,9 +41,12 @@ class TestParseJsonl:
         assert doc.emoji_tokens == []
 
     def test_bad_label(self):
-        with pytest.raises(CorpusError, match="label"):
-            parse_jsonl_record(
-                '{"text_tokens":["x"],"emoji_tokens":["e"],"label":2}')
+        # 1.0 and true compare equal to 1, and 0.0 to 0, but are no labels
+        for label in ("2", "1.0", "0.0", "true", '"1"'):
+            with pytest.raises(CorpusError, match="label"):
+                parse_jsonl_record(
+                    '{"text_tokens":["x"],"emoji_tokens":["e"],"label":%s}'
+                    % label)
 
     def test_malformed_json_carries_line(self):
         with pytest.raises(CorpusError, match="line 7"):
@@ -176,7 +179,7 @@ class TestBatches:
     def test_batch_sizes_with_partial_tail(self):
         docs = self._corpus(130)
         v = build_vocab(docs)
-        batches = make_batches(docs, v, batch_size=64, seed=1)
+        batches = make_batches(docs, v, batch_size=64, max_len=100, seed=1)
         assert [len(b) for b in batches] == [64, 64, 2]
 
     def test_truncation_to_max_len(self):
@@ -188,8 +191,8 @@ class TestBatches:
     def test_same_seed_identical_order(self):
         docs = self._corpus(40)
         v = build_vocab(docs)
-        a = make_batches(docs, v, 8, seed=3)
-        b = make_batches(docs, v, 8, seed=3)
+        a = make_batches(docs, v, 8, 100, seed=3)
+        b = make_batches(docs, v, 8, 100, seed=3)
         for ba, bb in zip(a, b):
             assert ba.rows == bb.rows
             assert ba.labels == bb.labels
@@ -197,7 +200,7 @@ class TestBatches:
     def test_epoch_preserves_every_pair_once(self):
         docs = self._corpus(53)
         v = build_vocab(docs)
-        batches = make_batches(docs, v, 10, seed=9)
+        batches = make_batches(docs, v, 10, 100, seed=9)
         seen = []
         for b in batches:
             for (text_ids, _), label in zip(b.rows, b.labels):
@@ -210,21 +213,21 @@ class TestBatches:
     def test_all_oov_doc_still_valid(self):
         v = build_vocab(self._corpus(4))
         doc = TokenizedDoc(["zzz", "qqq"], ["😊"], 0)
-        (batch,) = make_batches([doc], v, 2, shuffle=False)
+        (batch,) = make_batches([doc], v, 2, 100, shuffle=False)
         assert batch.rows[0][0] == [UNK_ID, UNK_ID]
 
     def test_zero_emoji_allowed_only_in_predict(self):
         v = build_vocab(self._corpus(4))
         doc = TokenizedDoc(["w0"], [], 1)
         with pytest.raises(CorpusError, match="emoji"):
-            make_batches([doc], v, 1)
+            make_batches([doc], v, 1, 100)
         # prediction encodes documents one by one, without batches
-        assert encode_doc(doc, v) == (v.encode_text(["w0"]), [])
+        assert encode_doc(doc, v, 100) == (v.encode_text(["w0"]), [])
 
     def test_padding_uses_pad_id(self):
         docs = [TokenizedDoc(["a"], ["😊"], 1), TokenizedDoc(["a", "b", "c"], ["😊"], 0)]
         v = build_vocab(docs)
-        (batch,) = make_batches(docs, v, 2, shuffle=False)
+        (batch,) = make_batches(docs, v, 2, 100, shuffle=False)
         # rows stay unpadded: only the model pads, from a constant zero row
         assert [len(t) for t, _ in batch.rows] == [1, 3]
         assert all(PAD_ID not in t for t, _ in batch.rows)
@@ -235,4 +238,4 @@ class TestBatches:
         v = build_vocab(docs)
         docs[2] = TokenizedDoc(["w0"], ["😊"], None)
         with pytest.raises(CorpusError, match="label"):
-            make_batches(docs, v, 2)
+            make_batches(docs, v, 2, 100)

@@ -32,7 +32,8 @@ class TestTextEncoder:
                 TokenizedDoc(["b", "c", "a"], ["e"], 0)]
         vocab = build_vocab(docs)
         model = Model(TrainConfig(d=3, d_w=3, n_filters=2, dropout=0.0), vocab)
-        (batch,) = make_batches(docs, vocab, batch_size=2, shuffle=False)
+        (batch,) = make_batches(docs, vocab, batch_size=2, max_len=100,
+                                shuffle=False)
         assert [len(t) for t, _ in batch.rows] == [1, 3]
         model.batch_loss(batch).backward()
         grad = model.text_encoder.table.grad

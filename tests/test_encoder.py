@@ -25,7 +25,8 @@ def step(x, prev, p):
 
 def encode(x, fwd, bwd):
     """One (L, d_in) sequence through the batched BiLSTM -> (L, 2d)."""
-    return bilstm_encode_batch(ag.constant(x[None]), fwd, bwd).data[0]
+    return bilstm_encode_batch(ag.constant(x[None]), fwd, bwd,
+                               [len(x)]).data[0]
 
 
 class TestLstmStepAnalytic:
@@ -34,7 +35,8 @@ class TestLstmStepAnalytic:
         out = step(np.ones(2), initial_state(3), p)
         np.testing.assert_allclose(out.c, 0.0, atol=1e-15)
         np.testing.assert_allclose(out.h, 0.0, atol=1e-15)
-        fused = bilstm_encode_batch(ag.constant(np.ones((1, 1, 2))), p, p).data
+        fused = bilstm_encode_batch(ag.constant(np.ones((1, 1, 2))), p, p,
+                                    [1]).data
         np.testing.assert_allclose(fused, 0.0, atol=1e-15)
 
     def test_carry_cell_two(self):
@@ -50,7 +52,7 @@ class TestLstmStepAnalytic:
         rng = np.random.default_rng(1)
         p = LstmParams(4, 3, rng)
         hidden = bilstm_encode_batch(
-            ag.constant(rng.uniform(-3, 3, (1, 6, 3))), p, p).data
+            ag.constant(rng.uniform(-3, 3, (1, 6, 3))), p, p, [6]).data
         assert np.all(np.abs(hidden) < 1.0)
 
     def test_forget_bias_initialized_to_one(self):
@@ -66,7 +68,7 @@ class TestLstmStepAnalytic:
         x = np.array([[[0.4, -0.7]]])  # one sequence of one step
 
         def f():
-            enc = bilstm_encode_batch(ag.constant(x), p, other)
+            enc = bilstm_encode_batch(ag.constant(x), p, other, [1])
             return ag.sum_along(ag.tanh(ag.narrow(enc, 2, 0, 3)))
 
         report = ag.finite_difference_check(f, p.parameters("cell"))
@@ -79,7 +81,7 @@ class TestBilstmEncode:
         rng = np.random.default_rng(3)
         fwd, bwd = LstmParams(d, 3, rng), LstmParams(d, 3, rng)
         out = bilstm_encode_batch(
-            ag.constant(rng.normal(size=(2, 4, 3))), fwd, bwd)
+            ag.constant(rng.normal(size=(2, 4, 3))), fwd, bwd, [4, 4])
         assert out.shape == (2, 4, 2 * d)
 
     def test_single_step_equals_lstm_step_halves(self):
@@ -123,7 +125,7 @@ class TestBilstmEncode:
         rng = np.random.default_rng(50)
         fwd, bwd = LstmParams(3, 2, rng), LstmParams(3, 2, rng)
         x = rng.normal(size=(5, 4, 2))
-        batched = bilstm_encode_batch(ag.constant(x), fwd, bwd).data
+        batched = bilstm_encode_batch(ag.constant(x), fwd, bwd, [4] * 5).data
         for b in range(5):
             single = encode(x[b], fwd, bwd)
             np.testing.assert_allclose(batched[b], single, atol=1e-14)
@@ -137,7 +139,8 @@ class TestBilstmEncode:
         params.update(bwd.parameters("bwd"))
 
         def f():
-            return ag.sum_along(ag.tanh(bilstm_encode_batch(seq, fwd, bwd)))
+            return ag.sum_along(ag.tanh(bilstm_encode_batch(seq, fwd, bwd,
+                                                            [4] * 3)))
 
         report = ag.finite_difference_check(f, params, samples_per_group=6)
         assert max(report.values()) < 1e-4
@@ -151,7 +154,7 @@ class TestBilstmEncode:
         params.update(bwd.parameters("bwd"))
 
         def f():
-            enc = bilstm_encode_batch(seq, fwd, bwd)
+            enc = bilstm_encode_batch(seq, fwd, bwd, [4])
             return ag.sum_along(ag.tanh(enc))
 
         report = ag.finite_difference_check(f, params, samples_per_group=4)

@@ -136,7 +136,7 @@ class TestForward:
         ids = (m.vocab.encode_text(docs[0].text_tokens),
                m.vocab.encode_emojis(docs[0].emoji_tokens))
         base = forward_one(m, *ids).probs.data
-        dropped = forward_one(m, *ids, train=True,
+        dropped = forward_one(m, *ids,
                               dropout_rng=np.random.default_rng(0)).probs.data
         assert np.any(base != dropped)
 
@@ -145,6 +145,17 @@ class TestForward:
         result = m.predict_doc(m.vocab.encode_text(["good", "day"]), [])
         assert result["label"] in (0, 1)
         np.testing.assert_allclose(sum(result["probs"]), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("emoji_ids", [[0], []])
+    def test_document_without_text_ids_is_named(self, model, emoji_ids):
+        m, _ = model
+        with pytest.raises(ValueError, match="document 0 has no text ids"
+                           ) as caught:
+            m.predict_doc([], emoji_ids)
+        assert not isinstance(caught.value, ag.ShapeError)
+        with pytest.raises(ValueError, match="document 1 has no text ids"):
+            m.forward_docs([(m.vocab.encode_text(["good"]), [0]),
+                            ([], emoji_ids)])
 
     def test_explain_payload_fine(self, model):
         m, docs = model
@@ -168,7 +179,8 @@ class TestForward:
         layer = getattr(model_mod, name)
         monkeypatch.setattr(model_mod, name,
                             lambda *args: calls.append(1) or layer(*args))
-        (batch,) = make_batches(docs, m.vocab, batch_size=4, shuffle=False)
+        (batch,) = make_batches(docs, m.vocab, batch_size=4, max_len=100,
+                                shuffle=False)
         m.batch_loss(batch)
         assert len(calls) == 1
 
@@ -212,7 +224,8 @@ class TestBatchLoss:
     def test_equals_mean_of_document_losses(self, model):
         m, docs = model
         vocab = m.vocab
-        (batch,) = make_batches(docs, vocab, batch_size=4, shuffle=False)
+        (batch,) = make_batches(docs, vocab, batch_size=4, max_len=100,
+                                shuffle=False)
         total = m.batch_loss(batch).item()
         lam = m.config.lambda_align
         manual = 0.0
@@ -225,9 +238,9 @@ class TestBatchLoss:
 
     def test_backward_reaches_every_parameter_group(self, model):
         m, docs = model
-        (batch,) = make_batches(docs, m.vocab, batch_size=4, shuffle=False)
-        loss = m.batch_loss(batch, train=True,
-                            dropout_rng=np.random.default_rng(3))
+        (batch,) = make_batches(docs, m.vocab, batch_size=4, max_len=100,
+                                shuffle=False)
+        loss = m.batch_loss(batch, dropout_rng=np.random.default_rng(3))
         loss.backward()
         silent = [name for name, p in m.parameters().items()
                   if not np.any(p.grad != 0)]
@@ -250,7 +263,7 @@ class TestBatchLoss:
             for p in params.values():
                 p.zero_grad()
             (batch,) = make_batches(batch_docs, m.vocab, shuffle=False,
-                                    batch_size=len(batch_docs))
+                                    batch_size=len(batch_docs), max_len=100)
             m.batch_loss(batch).backward()
             return {name: p.grad.copy() for name, p in params.items()}
 
@@ -265,11 +278,11 @@ class TestBatchLoss:
     def test_step_graph_freed_without_cyclic_gc(self, variant):
         docs = tiny_corpus()
         m = Model(tiny_config(variant=variant), build_vocab(docs))
-        (batch,) = make_batches(docs, m.vocab, batch_size=4, shuffle=False)
+        (batch,) = make_batches(docs, m.vocab, batch_size=4, max_len=100,
+                                shuffle=False)
         gc.disable()
         try:
-            loss = m.batch_loss(batch, train=True,
-                                dropout_rng=np.random.default_rng(3))
+            loss = m.batch_loss(batch, dropout_rng=np.random.default_rng(3))
             loss.backward()
             graph = [v for v in ag.topo_order(loss) if v._prev]
             ops = [v._op for v in graph]

@@ -14,15 +14,15 @@ from faet.objective import alignment_loss, cross_entropy, total_loss
 class TestCrossEntropy:
     def test_uniform_probs_give_ln2(self):
         for label in (0, 1):
-            loss = cross_entropy(ag.constant([0.5, 0.5]), label)
+            loss = cross_entropy(ag.constant([0.5, 0.5]), label, 0.0)
             np.testing.assert_allclose(loss.item(), np.log(2.0), atol=1e-12)
 
     def test_confident_correct_is_zero(self):
-        loss = cross_entropy(ag.constant([0.0, 1.0]), 1)
+        loss = cross_entropy(ag.constant([0.0, 1.0]), 1, 0.0)
         np.testing.assert_allclose(loss.item(), 0.0, atol=1e-12)
 
     def test_confident_wrong_hits_clamp(self):
-        loss = cross_entropy(ag.constant([1.0, 0.0]), 1)
+        loss = cross_entropy(ag.constant([1.0, 0.0]), 1, 0.0)
         np.testing.assert_allclose(loss.item(), -np.log(1e-12), atol=1e-9)
 
     def test_label_smoothing(self):
@@ -145,9 +145,9 @@ class TestTotalLoss:
 
         def f():
             out = fine_attention(ag.reshape(text, (1, 3, 3)),
-                                 ag.reshape(emoji, (1, 2, 3)), attn)
+                                 ag.reshape(emoji, (1, 2, 3)), attn, [3], [2])
             fused = ag.reshape(out.fused, (6,))
-            ce = cross_entropy(ag.softmax(ag.narrow(fused, 0, 0, 2)), 1)
+            ce = cross_entropy(ag.softmax(ag.narrow(fused, 0, 0, 2)), 1, 0.0)
             align = alignment_loss(ag.reshape(out.word_emoji_weights, (3, 2)),
                                    text, attn.distance_w)
             return total_loss(ce, align, 0.5)
@@ -166,7 +166,7 @@ class TestTotalLoss:
 
         def align_value():
             out = fine_attention(ag.reshape(text, (1, 4, 3)),
-                                 ag.reshape(emoji, (1, 3, 3)), attn)
+                                 ag.reshape(emoji, (1, 3, 3)), attn, [4], [3])
             return alignment_loss(ag.reshape(out.word_emoji_weights, (4, 3)),
                                   text, attn.distance_w)
 

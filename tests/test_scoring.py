@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from faet import model as model_module
 from faet.classifier import predict_label
 from faet.corpus import TokenizedDoc, build_vocab, encode_doc
-from faet.model import SCORE_WINDOW_CHUNKS, Model, TrainConfig
+from faet.model import SCORE_CHUNK, SCORE_WINDOW_CHUNKS, Model, TrainConfig
 
 WORDS = [f"w{i}" for i in range(8)]
 EMOJIS = [f"E{i}" for i in range(3)]
@@ -49,7 +50,9 @@ def test_batched_scores_match_predict_doc(extra, variant, data):
     docs = data.draw(st.permutations(EDGE_DOCS + extra))
     encoded = [encode_doc(doc, model.vocab, MAX_LEN) for doc in docs]
     # a chunk smaller than the list puts chunk boundaries between docs
-    outputs = list(model.score(encoded, chunk=4))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_module, "SCORE_CHUNK", 4)
+        outputs = list(model.score(encoded))
     assert len(outputs) == len(docs)
     for out, (text_ids, emoji_ids) in zip(outputs, encoded):
         single = model.predict_doc(text_ids, emoji_ids, explain=True)
@@ -108,7 +111,8 @@ class TestScoringGroups:
     def _groups(self, monkeypatch, docs, chunk=CHUNK):
         model = MODELS["fine"]
         groups = _record_groups(model, monkeypatch)
-        outputs = list(model.score(docs, chunk=chunk))
+        monkeypatch.setattr(model_module, "SCORE_CHUNK", chunk)
+        outputs = list(model.score(docs))
         assert len(outputs) == len(docs)
         return groups
 
@@ -173,7 +177,7 @@ class TestScoringGroups:
                        itertools.zip_longest(groups[0], docs[:count]))
         # the default chunk: one pass over the list as given
         many = _mixed_docs(MODELS["fine"], 40, seed=5)
-        groups = self._groups(monkeypatch, many, chunk=64)
+        groups = self._groups(monkeypatch, many, chunk=SCORE_CHUNK)
         assert len(groups) == 1
         assert all(a is b for a, b in itertools.zip_longest(groups[0], many))
 
@@ -181,16 +185,18 @@ class TestScoringGroups:
         model = MODELS["fine"]
         docs = _mixed_docs(model, 3 * self.WINDOW, seed=6)
         groups = _record_groups(model, monkeypatch)
-        scored = model.score(docs, chunk=self.CHUNK)
+        monkeypatch.setattr(model_module, "SCORE_CHUNK", self.CHUNK)
+        scored = model.score(docs)
         next(scored)
         assert 1 <= len(groups) <= self.WINDOW // self.CHUNK
         assert len(list(scored)) == len(docs) - 1
 
     @pytest.mark.parametrize("variant", sorted(MODELS))
-    def test_windowed_outputs_match_predict_doc(self, variant):
+    def test_windowed_outputs_match_predict_doc(self, variant, monkeypatch):
         model = MODELS[variant]
         docs = _mixed_docs(model, 3 * self.WINDOW + 5, seed=7)
-        outputs = list(model.score(docs, chunk=self.CHUNK))
+        monkeypatch.setattr(model_module, "SCORE_CHUNK", self.CHUNK)
+        outputs = list(model.score(docs))
         assert len(outputs) == len(docs)
         for out, (text_ids, emoji_ids) in zip(outputs, docs):
             single = model.predict_doc(text_ids, emoji_ids)

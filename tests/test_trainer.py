@@ -384,11 +384,11 @@ class TestCheckpoint:
 
 
 class TestAblate:
-    def test_report_shape_and_isolation(self):
+    def test_report_shape_and_isolation(self, monkeypatch):
         train_docs, test_docs = gen_xor(32, 16, seed=12)
         config = tiny_config(epochs=2, seed=21, batch_size=16)
-        report = ablate(train_docs, test_docs, test_docs, config,
-                        n_examples=5)
+        monkeypatch.setattr(faet.trainer, "ABLATE_EXAMPLES", 5)
+        report = ablate(train_docs, test_docs, test_docs, config)
         assert set(report["variants"]) == {"fine", "coarse"}
         for variant in report["variants"].values():
             assert 0.0 <= variant["metrics"]["accuracy"] <= 1.0
@@ -412,7 +412,7 @@ class TestGradientCheckReport:
         seen = []
         encode = faet.model.bilstm_encode_batch
 
-        def spy(seq, fwd, bwd, lengths=None):
+        def spy(seq, fwd, bwd, lengths):
             seen.append(np.array(lengths))
             return encode(seq, fwd, bwd, lengths)
 
@@ -429,12 +429,13 @@ class TestGradientCheckReport:
         assert report["pass"] is True
         assert max(report["groups"].values()) <= 1e-4
 
-    def test_group_with_all_zero_gradient_fails_and_is_named(self):
+    def test_group_with_all_zero_gradient_fails_and_is_named(
+            self, monkeypatch):
         # no window of width 12 fits a row of at most 9 positions, so that
         # width's filters and bias get no gradient at all
         config = dataclasses.replace(gradcheck_config(), widths=(2, 12))
-        report = gradient_check_report(config, samples_per_group=2,
-                                       tolerance=1.0)
+        monkeypatch.setattr(faet.trainer, "gradcheck_config", lambda: config)
+        report = gradient_check_report(samples_per_group=2, tolerance=1.0)
         assert report["zero_gradient"] == ["cnn.filters_w12", "cnn.bias_w12"]
         assert report["max_relative_error"] <= report["tolerance"]
         assert report["pass"] is False
