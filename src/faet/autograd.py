@@ -427,16 +427,18 @@ def sum_along(x, axis: int | None = None) -> Value:
     return out
 
 
-def dropout(x, rate: float, rng: np.random.Generator) -> Value:
+def dropout(x, rate: float, rng: np.random.Generator | None) -> Value:
     """Inverted dropout with a caller-owned seeded mask stream.
 
-    rate == 0 returns the input unchanged without consuming the stream;
-    callers disable dropout entirely during evaluation and gradient checks.
+    Dropout runs exactly when a generator is passed: `rng=None` (scoring,
+    gradient checks) or rate == 0 returns the input unchanged without
+    consuming a stream.  A rate outside [0, 1) raises `ValueError` either
+    way.
     """
     x = _coerce(x)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate {rate} outside [0, 1)")
-    if rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
     out = make_node(x.data * mask, (x,), "dropout")
@@ -523,8 +525,12 @@ def finite_difference_check(
     scalar Value per call (dropout disabled).  At least `samples_per_group`
     coordinates of every group are probed; the report maps group name to
     max relative error |analytic - numeric| / max(1, |analytic|, |numeric|).
-    The analytic gradients stay in each parameter's `grad`.
+    The analytic gradients stay in each parameter's `grad`.  Fewer than
+    one sample per group is a `ValueError`.
     """
+    if samples_per_group < 1:
+        raise ValueError(
+            f"samples_per_group must be at least 1, got {samples_per_group}")
     for p in params.values():
         p.zero_grad()
     loss = f()
@@ -536,7 +542,7 @@ def finite_difference_check(
     for name, p in params.items():
         flat = p.data.reshape(-1)
         n = flat.size
-        k = min(max(samples_per_group, 1), n)
+        k = min(samples_per_group, n)
         coords = rng.choice(n, size=k, replace=False) if n > k else np.arange(n)
         worst = 0.0
         for i in coords:

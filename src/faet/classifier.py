@@ -58,7 +58,7 @@ def textcnn_forward_batch(states: Value, summaries: Value,
 
     Convolution, ReLU and max-over-time pooling are one fused node (see
     `_conv_pool`); dropout at `dropout_rate` applies to the pooled
-    features (rate 0: none).
+    features when `dropout_rng` is given (see `ag.dropout`).
     """
     feats = ag.dropout(_conv_pool(states, summaries, params, lengths),
                        dropout_rate, dropout_rng)

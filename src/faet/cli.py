@@ -152,7 +152,7 @@ def build_parser() -> _Parser:
 def _cmd_split(args) -> int:
     ratios = tuple(float(r) for r in args.ratios.split(":"))
     if len(ratios) != 3:
-        raise CorpusError(f"ratios must be train:test:val, got {args.ratios!r}")
+        raise ValueError(f"ratios must be train:test:val, got {args.ratios!r}")
     seed = args.seed if args.seed is not None else _env_seed()
     docs = read_jsonl(args.input, mode="train")
     train_docs, test_docs, val_docs = split_corpus(

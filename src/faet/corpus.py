@@ -123,9 +123,12 @@ def split_sizes(n: int, ratios=(7.0, 2.0, 1.0)) -> tuple[int, int, int]:
     """Deterministic floor rule: test and val floor their share, train gets
     the remainder."""
     r_train, r_test, r_val = ratios
-    if min(ratios) <= 0:
-        raise ValueError(f"ratios must be positive, got {ratios}")
     total = r_train + r_test + r_val
+    # written as a negation so that NaN fails too; a non-finite ratio makes
+    # the sum non-finite
+    if not (min(ratios) > 0 and np.isfinite(total)):
+        raise ValueError(f"ratios must be finite and positive with a finite "
+                         f"sum, got {ratios}")
     n_test = int(np.floor(n * r_test / total))
     n_val = int(np.floor(n * r_val / total))
     return n - n_test - n_val, n_test, n_val

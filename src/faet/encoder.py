@@ -80,9 +80,9 @@ def bilstm_encode_batch(seq: Value, fwd: LstmParams, bwd: LstmParams,
     candidate, c' = f*c + i*g, h' = o*tanh(c').  The backward rule is
     hand-rolled BPTT, checked against a per-step reference and central
     differences by the test suite.  Gate activations overwrite the input
-    projection in place; without a gradient to compute, no per-step cell,
-    tanh(c) or hidden history is kept: the hidden state of a step goes
-    into that step's spent input-gate columns.
+    projection in place; without a gradient to compute, no per-step
+    history is kept: each step's c, tanh(c) and h go into its own spent
+    forget, candidate and input gate columns.
     """
     d = fwd.d
     batch, length, d_in = seq.shape
@@ -103,11 +103,10 @@ def bilstm_encode_batch(seq: Value, fwd: LstmParams, bwd: LstmParams,
     row_of = order[rank_of]
     # the position each direction reads at packed index p
     positions = (step_of, ranked[rank_of] - 1 - step_of)
-    ragged = total < batch * length
     halves = (slice(0, d), slice(d, 2 * d))
 
     out = ag.make_node(
-        (np.zeros if ragged else np.empty)((batch, length, 2 * d)),
+        np.zeros((batch, length, 2 * d)),
         (seq,) + tuple(v for p in params for v in (p.w_in, p.w_rec, p.bias)),
         "bilstm")
     keep = out.requires_grad
@@ -115,14 +114,18 @@ def bilstm_encode_batch(seq: Value, fwd: LstmParams, bwd: LstmParams,
     if keep:
         xs = []
         cells, tanh_c, hidden = (np.empty((2, total, d)) for _ in range(3))
-    else:
-        c = np.empty((batch, d))
     for k, p in enumerate(params):
         x = seq.data[row_of, positions[k]]                   # (N, d_in)
         np.matmul(x, p.w_in.data, out=gates[k])
         gates[k] += p.bias.data
+        # each step's c, tanh(c) and h: the histories when training, else
+        # that step's spent forget, candidate and input gate columns
         if keep:
             xs.append(x)
+            c_of, tc_of, h_of = cells[k], tanh_c[k], hidden[k]
+        else:
+            c_of, tc_of, h_of = (gates[k, :, d:2 * d], gates[k, :, 3 * d:],
+                                 gates[k, :, :d])
         w_rec = p.w_rec.data
         for t in range(length):
             a, lo = active[t], starts[t]
@@ -130,7 +133,7 @@ def bilstm_encode_batch(seq: Value, fwd: LstmParams, bwd: LstmParams,
             z = gates[k, rows]                               # (a_t, 4d)
             if t:
                 prev = slice(starts[t - 1], starts[t - 1] + a)
-                z += (hidden[k, prev] if keep else gates[k, prev, :d]) @ w_rec
+                z += h_of[prev] @ w_rec
             # sigmoid(x) = 0.5 * tanh(0.5 * x) + 0.5 on the first three
             # blocks, so one tanh covers all four
             s = z[:, :3 * d]
@@ -140,24 +143,17 @@ def bilstm_encode_batch(seq: Value, fwd: LstmParams, bwd: LstmParams,
             s += 0.5
             i, f, o = z[:, :d], z[:, d:2 * d], z[:, 2 * d:3 * d]
             g = z[:, 3 * d:]
-            if keep:
-                c_t = cells[k, rows]
-                np.multiply(i, g, out=c_t)
-                if t:
-                    c_t += f * cells[k, prev]
-                np.multiply(o, np.tanh(c_t, out=tanh_c[k, rows]),
-                            out=hidden[k, rows])
+            # when scoring, c_t is f itself: unused at t = 0, and later an
+            # elementwise multiply into one of its own inputs reads each
+            # element before writing it
+            c_t = c_of[rows]
+            if t:
+                np.multiply(f, c_of[prev], out=c_t)
+                c_t += i * g
             else:
-                c_t = c[:a]
-                if t:
-                    c_t *= f
-                    g *= i
-                    c_t += g
-                else:
-                    np.multiply(i, g, out=c_t)
-                np.multiply(o, np.tanh(c_t, out=g), out=i)
-        out.data[row_of, positions[k], halves[k]] = (
-            hidden[k] if keep else gates[k, :, :d])
+                np.multiply(i, g, out=c_t)
+            np.multiply(o, np.tanh(c_t, out=tc_of[rows]), out=h_of[rows])
+        out.data[row_of, positions[k], halves[k]] = h_of
 
     if keep:
         def _bw(out=weakref.proxy(out)):
@@ -190,8 +186,7 @@ def bilstm_encode_batch(seq: Value, fwd: LstmParams, bwd: LstmParams,
                 else:
                     blk[..., d:2 * d] = 0.0
             # h_{t-1} of each packed index of a step t >= 1, in order
-            h_prev = (np.arange(batch, total) - active[step_of[batch:] - 1]
-                      if ragged else slice(0, total - batch))
+            h_prev = np.arange(batch, total) - active[step_of[batch:] - 1]
             for k, p in enumerate(params):
                 if p.w_in.requires_grad:
                     ag.accumulate(p.w_in, xs[k].T @ d_pre[k])
@@ -201,7 +196,7 @@ def bilstm_encode_batch(seq: Value, fwd: LstmParams, bwd: LstmParams,
                 if p.bias.requires_grad:
                     ag.accumulate(p.bias, d_pre[k].sum(axis=0))
                 if seq.requires_grad:
-                    dx = (np.zeros if ragged else np.empty)(seq.shape)
+                    dx = np.zeros(seq.shape)
                     dx[row_of, positions[k]] = d_pre[k] @ p.w_in.data.T
                     ag.accumulate(seq, dx)
         out._backward = _bw

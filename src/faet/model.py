@@ -32,9 +32,10 @@ from .objective import alignment_loss, cross_entropy, total_loss
 VARIANTS = ("fine", "coarse")
 # `Model.score` runs this many documents per pass, sorted by length within
 # windows of `SCORE_WINDOW_CHUNKS` chunks.  The encoder outputs (B, L, 2d)
-# that 4 buffered chunks keep alive are about the size of one chunk's own
-# gate buffer (2, L, B, 4d), so scoring memory stays bounded by the window,
-# not by the input.
+# that 4 buffered chunks keep alive hold 8·B·L·d floats, the size of one
+# chunk's packed gate buffer (2, total, 4d) at its largest (total <= B·L,
+# equal when every row is full length), so scoring memory stays bounded by
+# the window, not by the input.
 SCORE_CHUNK = 64
 SCORE_WINDOW_CHUNKS = 4
 
@@ -236,7 +237,6 @@ class Model:
         document without text ids is a `ValueError` naming its index.
         """
         cfg = self.config
-        drop = cfg.dropout if dropout_rng is not None else 0.0
         n = np.array([len(t) for t, _ in docs])
         if not n.all():
             raise ValueError(f"document {int(np.argmin(n))} has no text ids")
@@ -263,7 +263,7 @@ class Model:
                      len(text) + len(emoji)))
         seq = ag.take_rows(ag.concat(
             [embedded, mixed, ag.constant(np.zeros((1, cfg.d_w)))]), index)
-        seq = ag.dropout(seq, drop, dropout_rng)   # rate 0: seq itself
+        seq = ag.dropout(seq, cfg.dropout, dropout_rng)  # no rng: seq itself
         encoded = bilstm_encode_batch(seq, self.lstm_fwd, self.lstm_bwd,
                                       lengths)                    # (B, L, 2d)
         states = ag.reshape(encoded, (len(docs) * length, -1))
@@ -285,9 +285,9 @@ class Model:
                 text_states, emoji_states, self.coarse_params, n, m)
             summary = ag.concat([sentence_mean(text_states, n), context],
                                 axis=1)
-        summary = ag.dropout(summary, drop, dropout_rng)          # (B, 4d)
+        summary = ag.dropout(summary, cfg.dropout, dropout_rng)   # (B, 4d)
         probs, _ = textcnn_forward_batch(encoded, summary, self.cnn, lengths,
-                                         drop, dropout_rng)
+                                         cfg.dropout, dropout_rng)
         probs = ag.reshape(probs, (2 * len(docs),))
 
         outputs = []

@@ -290,8 +290,13 @@ def gradient_check_report(samples_per_group: int = 8,
     gets a nonzero analytic gradient.  A group whose analytic gradient is
     entirely zero (say, a filter width no window fits) would match its
     finite differences without testing anything, so it fails the report
-    and is named under "zero_gradient".
+    and is named under "zero_gradient".  A `tolerance` that is not finite
+    and positive is a `ValueError`, not a failed check.
     """
+    # written as a negation so that NaN fails too
+    if not 0 < tolerance < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got "
+                         f"{tolerance}")
     config = gradcheck_config()
     docs = [TokenizedDoc(["t0", "t1", "t2", "t3"], ["e0", "e1"], 1),
             TokenizedDoc(["t3", "t2", "t1", "t0", "t2", "t1"],

@@ -88,6 +88,15 @@ class TestForwardValues:
         x = Value(np.arange(4.0))
         assert ag.dropout(x, 0.0, np.random.default_rng(0)) is x
 
+    def test_dropout_without_generator_is_identity(self):
+        x = Value(np.arange(4.0))
+        assert ag.dropout(x, 0.5, None) is x
+
+    @pytest.mark.parametrize("rng", [None, np.random.default_rng(0)])
+    def test_dropout_rate_outside_unit_interval_raises(self, rng):
+        with pytest.raises(ValueError, match="rate 1.5"):
+            ag.dropout(Value(np.arange(4.0)), 1.5, rng)
+
 
 class TestShapeErrors:
     def test_matmul_mismatch_names_op_and_shapes(self):

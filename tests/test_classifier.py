@@ -97,6 +97,16 @@ class TestForward:
                                      dropout_rng=np.random.default_rng(0))
         assert np.any(base.data != dropped.data)
 
+    def test_positive_rate_without_generator_is_rate_zero(self):
+        params = make_params(channels=8, seed=13)
+        rng = np.random.default_rng(14)
+        states = ag.constant(rng.uniform(-1, 1, (3, 5, 4)))
+        summaries = ag.constant(rng.uniform(-1, 1, (3, 4)))
+        base, _ = textcnn_forward_batch(states, summaries, params, [5, 2, 4])
+        rated, _ = textcnn_forward_batch(states, summaries, params, [5, 2, 4],
+                                         0.5)
+        np.testing.assert_array_equal(rated.data, base.data)
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(15)
         params = make_params(channels=6, n_filters=2, seed=16)

@@ -75,6 +75,18 @@ class TestExitCodes:
         report = json.loads(capsys.readouterr().out)
         assert report["zero_gradient"] == ["cnn.filters_w12", "cnn.bias_w12"]
 
+    @pytest.mark.parametrize("flags, value", [
+        (["--samples", "0"], "0"),
+        (["--samples", "-3"], "-3"),
+        (["--tolerance", "nan"], "nan"),
+        (["--tolerance", "-1"], "-1"),
+    ])
+    def test_gradcheck_bad_option_value_exits_one(self, capsys, flags, value):
+        assert cli.main(["gradcheck", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert value in captured.err
+
     def test_internal_shape_error_is_not_a_usage_error(self, monkeypatch):
         def broken(args):
             raise ShapeError("matmul: shapes (2,) and (3,)")
@@ -179,6 +191,15 @@ class TestSplit:
         for name, expected in (("train", 23), ("test", 6), ("val", 3)):
             lines = (out / f"{name}.jsonl").read_text().splitlines()
             assert len(lines) == expected
+
+    @pytest.mark.parametrize("ratios", ["inf:1:1", "nan:1:1", "7:2:inf",
+                                        "1e308:1e308:1", "7:2"])
+    def test_bad_ratios_exit_one(self, workspace, tmp_path, ratios):
+        result = run_cli("split", "--in", str(workspace / "corpus.jsonl"),
+                         "--out-dir", str(tmp_path / "s"), "--ratios", ratios)
+        assert result.returncode == 1
+        assert "ratios" in result.stderr
+        assert not (tmp_path / "s").exists()
 
     def test_byte_reproducible_under_fixed_seed(self, workspace, tmp_path):
         args = ("split", "--in", str(workspace / "corpus.jsonl"), "--seed", "5")

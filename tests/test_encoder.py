@@ -1,5 +1,7 @@
 """LSTM cell analytics and BiLSTM sequence encoding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -306,3 +308,27 @@ class TestPerRowLengths:
         seq = ag.constant(rng.normal(size=(2, 4, 2)))
         with pytest.raises(ShapeError, match="lengths"):
             bilstm_encode_batch(seq, fwd, bwd, np.array(lengths))
+
+
+class TestScoringMemory:
+    def test_no_grad_call_keeps_no_history(self):
+        # scoring writes each step's c, tanh(c) and h into that step's spent
+        # gate columns; the training histories would take 3 * (2, total, d)
+        batch, length, d_in, d = 32, 40, 32, 64
+        rng = np.random.default_rng(70)
+        lengths = rng.integers(1, length + 1, batch)
+        lengths[0] = length
+        fwd, bwd = LstmParams(d, d_in, rng), LstmParams(d, d_in, rng)
+        seq = ag.constant(rng.normal(size=(batch, length, d_in)))
+        total = int(lengths.sum())
+        assert total < batch * length
+        tracemalloc.start()
+        try:
+            with ag.no_grad():
+                out = bilstm_encode_batch(seq, fwd, bwd, lengths)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        gates = 2 * total * 4 * d * 8
+        histories = 3 * 2 * total * d * 8
+        assert peak < gates + out.data.nbytes + histories / 2
