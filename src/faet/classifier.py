@@ -83,14 +83,15 @@ def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
 
     Filter columns [i*C, i*C + 2d) act on the state at shift i of a
     window and [i*C + 2d, (i+1)*C) on the row's summary, so a window is a
-    sum of per-shift state products plus one per-row summary term.  Per
-    width the state products take one of two forms (`_shift_products`):
-    one GEMM of all positions against every (filter, shift) state block
-    with the shifts summed on its output, or one GEMM per shift of the
-    time-major `(L·B, 2d)` states that window at that shift against that
+    sum of per-shift state products plus one per-row summary term.  Both
+    forms of the state products read one time-major `(L·B, 2d)` copy of
+    the states and yield `(n_out, B, F)` window sums; per width one form
+    is taken (`_shift_products`): one GEMM of all positions against every
+    (filter, shift) state block with the shifts summed on its output, or
+    one GEMM per shift of the rows that window at that shift against that
     shift's block.  The summary terms of all widths are one GEMM against
     the shift-summed summary blocks.  Neither windows nor the broadcast
-    summary are built.
+    summary are built; the states' gradient is one time-major buffer.
     Max-over-time pools each row's valid windows: ReLU outputs are >= 0,
     so zeroing invalid windows leaves every valid maximum in place and
     pools a window-less row (or a width longer than L) to 0.  Ties route
@@ -102,7 +103,6 @@ def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
     filters = [params.filters[w] for w in widths]
     biases = [params.filter_bias[w] for w in widths]
     banks = [p.data.reshape(f, w, -1) for p, w in zip(filters, widths)]
-    per_shift = [length >= w and _shift_products(length, w) for w in widths]
     # (widths * F, 4d): each filter's summary block summed over its shifts,
     # one shift at a time (a strided sum over the shift axis is slower)
     summary_bank = np.empty((len(widths) * f, summaries.shape[1]))
@@ -116,36 +116,34 @@ def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
     feats = np.zeros((batch, len(widths) * f))
     out = ag.make_node(feats, (states, summaries, *filters, *biases),
                        "textcnn")
-    flat = states.data.reshape(batch * length, hidden)
     # time-major rows: position t of every row is rows [t*B, (t+1)*B)
-    steps = (np.ascontiguousarray(states.data.transpose(1, 0, 2)).reshape(
-        length * batch, hidden) if any(per_shift) else None)
-    valid = np.reshape(lengths, (-1, 1))
+    steps = np.ascontiguousarray(states.data.transpose(1, 0, 2)).reshape(
+        length * batch, hidden)
+    valid = np.reshape(lengths, (1, -1))
     args = []  # per width: each (row, filter)'s winning window, or None
     for k, (w, bank) in enumerate(zip(widths, banks)):
         n_out = length - w + 1
         if n_out < 1:
             args.append(None)
             continue
-        if per_shift[k]:
+        if _shift_products(length, w):
             conv = steps[:n_out * batch] @ bank[:, 0, :hidden].T
             for i in range(1, w):
                 conv += steps[i * batch:(i + n_out) * batch] @ \
                     bank[:, i, :hidden].T
-            # (B, n_out, F) view of the time-major (n_out, B, F) sums
-            conv = conv.reshape(n_out, batch, f).transpose(1, 0, 2)
+            conv = conv.reshape(n_out, batch, f)
         else:
-            # (B, L, F, w): filter f's shift-i state block at every position
-            shifted = (flat @ bank[:, :, :hidden].reshape(f * w, hidden).T
-                       ).reshape(batch, length, f, w)
-            conv = shifted[:, :n_out, :, 0].copy()
+            # (L, B, F, w): filter f's shift-i state block at every position
+            shifted = (steps @ bank[:, :, :hidden].reshape(f * w, hidden).T
+                       ).reshape(length, batch, f, w)
+            conv = shifted[:n_out, :, :, 0].copy()
             for i in range(1, w):
-                conv += shifted[:, i:i + n_out, :, i]
-        conv += per_row[:, None, k * f:(k + 1) * f]
+                conv += shifted[i:i + n_out, :, :, i]
+        conv += per_row[:, k * f:(k + 1) * f]
         np.maximum(conv, 0.0, out=conv)
-        conv *= (np.arange(n_out) < valid - w + 1)[..., None]
-        args.append(conv.argmax(axis=1))                          # (B, F)
-        feats[:, k * f:(k + 1) * f] = conv.max(axis=1)
+        conv *= (np.arange(n_out)[:, None] < valid - w + 1)[..., None]
+        args.append(conv.argmax(axis=0))                          # (B, F)
+        feats[:, k * f:(k + 1) * f] = conv.max(axis=0)
 
     if out.requires_grad:
         # the gradient reaches a window only where it won a positive maximum
@@ -158,11 +156,7 @@ def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
             if summaries.requires_grad:
                 ag.accumulate(summaries, g @ summary_bank)
             d_summary_bank = g.T @ summaries.data
-            d_flat = d_steps = None
-            if states.requires_grad:
-                d_flat = np.zeros_like(flat)
-                if steps is not None:
-                    d_steps = np.zeros_like(steps)
+            d_steps = np.zeros_like(steps) if states.requires_grad else None
             for k, (w, bank, arg) in enumerate(zip(widths, banks, args)):
                 block = slice(k * f, (k + 1) * f)
                 if biases[k].requires_grad:
@@ -176,7 +170,7 @@ def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
                 if arg is None:
                     if grad is not None:
                         grad[:, :, :hidden] = 0.0
-                elif per_shift[k]:
+                elif _shift_products(length, w):
                     n_out = length - w + 1
                     d_conv = np.zeros((n_out, batch, f))
                     d_conv[arg, rows, cols] = g[:, block]
@@ -189,24 +183,21 @@ def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
                             grad[:, i, :hidden] = d_conv.T @ steps[window]
                 else:
                     shifts = np.arange(w)
-                    d_shifted = np.zeros((batch, length, f, w))
-                    d_shifted[rows[..., None], arg[..., None] + shifts,
+                    d_shifted = np.zeros((length, batch, f, w))
+                    d_shifted[arg[..., None] + shifts, rows[..., None],
                               cols[:, None], shifts] = g[:, block, None]
-                    d_shifted = d_shifted.reshape(batch * length, f * w)
-                    if d_flat is not None:
-                        d_flat += d_shifted @ bank[:, :, :hidden].reshape(
+                    d_shifted = d_shifted.reshape(length * batch, f * w)
+                    if d_steps is not None:
+                        d_steps += d_shifted @ bank[:, :, :hidden].reshape(
                             f * w, hidden)
                     if grad is not None:
                         grad.reshape(f * w, -1)[:, :hidden] = \
-                            d_shifted.T @ flat
+                            d_shifted.T @ steps
                 if grad is not None:
                     ag.accumulate(filters[k], grad.reshape(f, -1))
-            if d_flat is not None:
-                d_states = d_flat.reshape(states.shape)
-                if d_steps is not None:
-                    d_states += d_steps.reshape(length, batch,
-                                                hidden).transpose(1, 0, 2)
-                ag.accumulate(states, d_states)
+            if d_steps is not None:
+                ag.accumulate(states, d_steps.reshape(
+                    length, batch, hidden).transpose(1, 0, 2))
         out._backward = _bw
     return out
 

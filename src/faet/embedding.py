@@ -95,7 +95,8 @@ def load_pretrained_emoji_vectors(path: str, table: BisenseEmojiEmbedding,
     Format: header "count dim", then "token v1 ... v_dim" per line.  Tokens
     suffixed "_pos"/"_neg" initialize one sense; bare tokens set both senses
     to the same vector.  Entries not in the emoji vocabulary are counted and
-    skipped.
+    skipped.  A `nan` or `inf` value on any line is a `CorpusError` naming
+    the line.
     """
     with open(path, "rb") as fh:
         lines = utf8_lines(fh)
@@ -123,6 +124,8 @@ def load_pretrained_emoji_vectors(path: str, table: BisenseEmojiEmbedding,
                 vec = np.array([float(x) for x in parts[1:]])
             except ValueError as exc:
                 raise CorpusError(f"bad number: {exc}", i) from exc
+            if not np.isfinite(vec).all():
+                raise CorpusError("non-finite vector value", i)
             sense = "both"
             base = token
             if token.endswith("_pos"):

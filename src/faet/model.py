@@ -30,6 +30,8 @@ from .encoder import LstmParams, bilstm_encode_batch
 from .objective import alignment_loss, cross_entropy, total_loss
 
 VARIANTS = ("fine", "coarse")
+# config keys that checkpoints of earlier releases carry and loading drops
+RETIRED_CONFIG_FIELDS = ("encoder_mode",)
 # `Model.score` runs this many documents per pass, sorted by length within
 # windows of `SCORE_WINDOW_CHUNKS` chunks.  The encoder outputs (B, L, 2d)
 # that 4 buffered chunks keep alive hold 8·B·L·d floats, the size of one
@@ -104,6 +106,8 @@ class TrainConfig:
         for name in ("d", "d_w", "n_filters", "batch_size", "epochs", "max_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.widths or any(w < 1 for w in self.widths):
             raise ValueError(f"widths must be positive, got {self.widths}")
         # written as negations so that NaN fails too; lr = 0 is a frozen run
@@ -120,10 +124,15 @@ class TrainConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TrainConfig":
-        """Build from a JSON object, dropping keys that are not fields
-        (checkpoints may carry fields since retired)."""
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in obj.items() if k in known})
+        """Build from a JSON object.  Keys of fields since retired, which
+        older checkpoints carry, are dropped; any other key that is not a
+        field is a `ValueError` naming it."""
+        unknown = sorted(set(obj) - set(cls.__dataclass_fields__)
+                         - set(RETIRED_CONFIG_FIELDS))
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        return cls(**{k: v for k, v in obj.items()
+                      if k not in RETIRED_CONFIG_FIELDS})
 
 
 @dataclass

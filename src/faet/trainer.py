@@ -181,8 +181,9 @@ def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
 
     log: list[dict] = []
     best_epoch = 0
+    # any accuracy beats this, so epoch 1 (there is always one) takes the
+    # first `best_state` snapshot
     best_val_acc = -1.0
-    best_state = model.state()
     log_file = open(log_path, "w", encoding="utf-8") if log_path else None
     # step graphs are acyclic and die by reference counting, but their
     # many short-lived nodes would keep triggering cyclic collections

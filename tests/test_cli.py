@@ -116,6 +116,7 @@ class TestConfigValidation:
         ({"lr": "0.1"}, [], "lr"),
         ({"label_smoothing": "0"}, [], "label_smoothing"),
         ({"dropout": None}, [], "dropout"),
+        (None, ["--seed", "-1"], "seed"),
     ])
     def test_bad_value_exits_one_without_checkpoint(self, workspace, tmp_path,
                                                     config, flags, name):
@@ -335,6 +336,16 @@ class TestMalformedInput:
                          "--data", str(checkpoint / "data.jsonl")]) == 2
         assert message in capsys.readouterr().err
 
+    def test_unknown_config_key_is_data_error(self, checkpoint, capsys):
+        # one flipped byte turns a config field into an unknown key
+        blob = (checkpoint / "good.faet").read_bytes()
+        assert blob.count(b'"batch_size"') == 1
+        bad = checkpoint / "bad.faet"
+        bad.write_bytes(blob.replace(b'"batch_size"', b'"babch_size"'))
+        assert cli.main(["eval", "--model", str(bad),
+                         "--data", str(checkpoint / "data.jsonl")]) == 2
+        assert "unknown config key(s): babch_size" in capsys.readouterr().err
+
     def test_missing_parameter_is_data_error(self, checkpoint, capsys):
         docs = gen_overfit(16, seed=1)
         model = Model(TrainConfig(d=3, d_w=3, n_filters=2), build_vocab(docs))
@@ -364,6 +375,18 @@ class TestMalformedInput:
                          "--out", str(checkpoint / "m.faet"),
                          "--emoji-vectors", str(vec), *TRAIN_FLAGS]) == 2
         assert "line 2: not valid UTF-8" in capsys.readouterr().err
+        assert not list(checkpoint.glob("m.faet*"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_emoji_vector_is_data_error(self, checkpoint, capsys,
+                                                   value):
+        data = str(checkpoint / "data.jsonl")
+        vec = checkpoint / "vec.txt"
+        vec.write_text(f"2 5\nE_SMILE 1 1 1 1 1\nE_SAD 1 {value} 1 1 1\n")
+        assert cli.main(["train", "--train", data, "--val", data,
+                         "--out", str(checkpoint / "m.faet"),
+                         "--emoji-vectors", str(vec), *TRAIN_FLAGS]) == 2
+        assert "line 3: non-finite vector value" in capsys.readouterr().err
         assert not list(checkpoint.glob("m.faet*"))
 
     def test_empty_eval_data_is_data_error(self, checkpoint, capsys):

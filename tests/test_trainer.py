@@ -213,6 +213,21 @@ class TestTrainLoop:
         result = train(docs, docs, config)
         assert result.best_epoch == 1
 
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_one_parameter_copy_per_best_epoch(self, epochs, monkeypatch):
+        docs = gen_overfit(16, seed=5)
+        copies = []
+        state = Model.state
+
+        def counting_state(self):
+            copies.append(self)
+            return state(self)
+        monkeypatch.setattr(Model, "state", counting_state)
+        # lr 0 keeps validation accuracy constant: epoch 1 is the only best
+        result = train(docs, docs, tiny_config(lr=0.0, epochs=epochs))
+        assert result.best_epoch == 1
+        assert len(copies) == 1
+
     def test_loss_non_increasing_after_epoch_three_across_seeds(self):
         # statistical smoke: >= 9 of 10 seeded runs are monotone past epoch 3
         good = 0
