@@ -14,11 +14,16 @@ gradient (`narrow`, `take_rows`) first take a buffer the node owns
 through `scatter_target`.  So a model that only scores never allocates a
 gradient, and `zero_grad` drops a buffer instead of clearing it.
 `narrow` and `transpose` return views of their input rather than copies.
+
+Every op here except `narrow` and `take_rows` is a forward pass plus one
+gradient function per input, wired into the graph by `_node`; the fused
+nodes defined elsewhere attach a weak rule of their own.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import weakref
 from typing import Callable, Iterable, Sequence
 
@@ -199,8 +204,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def make_node(data, inputs: Sequence[Value], op: str) -> Value:
-    """Graph-node constructor for ops (including fused ops defined outside
-    this module): callers attach the backward rule via `out._backward`.
+    """Graph-node constructor for every op: `_node` attaches most rules here;
+    `narrow`, `take_rows` and fused ops attach theirs via `out._backward`.
 
     The rule must hold `out` weakly (a `weakref.proxy` default argument):
     a strong reference would put every node in a cycle with its rule, so a
@@ -250,21 +255,32 @@ def scatter_target(node: Value) -> np.ndarray:
     return node._grad
 
 
+def _node(data, inputs: Sequence[Value], op: str, rules: Callable) -> Value:
+    """An op's node.  Only when it needs a gradient does `rules()` run,
+    returning one gradient function per input; the node's rule then passes
+    `grads[i](g)`, for its gradient `g`, to each grad-requiring input through
+    `accumulate`.  A gradient function reads only what it captured (arrays,
+    shapes, the inputs), never the node, which the rule holds weakly."""
+    out = make_node(data, inputs, op)
+    if out.requires_grad:
+        def _bw(out=weakref.proxy(out), grads=rules()):
+            g = out._grad
+            for v, grad in zip(inputs, grads):
+                if v.requires_grad:
+                    accumulate(v, grad(g))
+        out._backward = _bw
+    return out
+
+
 def add(a, b) -> Value:
     a, b = _coerce(a), _coerce(b)
     try:
         data = a.data + b.data
     except ValueError as exc:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape}: {exc}") from exc
-    out = make_node(data, (a, b), "add")
-    if out.requires_grad:
-        def _bw(out=weakref.proxy(out)):
-            if a.requires_grad:
-                accumulate(a, _unbroadcast(out._grad, a.shape))
-            if b.requires_grad:
-                accumulate(b, _unbroadcast(out._grad, b.shape))
-        out._backward = _bw
-    return out
+    return _node(data, (a, b), "add", lambda: (
+        lambda g: _unbroadcast(g, a.shape),
+        lambda g: _unbroadcast(g, b.shape)))
 
 
 def mul(a, b) -> Value:
@@ -273,15 +289,9 @@ def mul(a, b) -> Value:
         data = a.data * b.data
     except ValueError as exc:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape}: {exc}") from exc
-    out = make_node(data, (a, b), "mul")
-    if out.requires_grad:
-        def _bw(out=weakref.proxy(out)):
-            if a.requires_grad:
-                accumulate(a, _unbroadcast(out._grad * b.data, a.shape))
-            if b.requires_grad:
-                accumulate(b, _unbroadcast(out._grad * a.data, b.shape))
-        out._backward = _bw
-    return out
+    return _node(data, (a, b), "mul", lambda: (
+        lambda g: _unbroadcast(g * b.data, a.shape),
+        lambda g: _unbroadcast(g * a.data, b.shape)))
 
 
 def matmul(a, b) -> Value:
@@ -292,23 +302,20 @@ def matmul(a, b) -> Value:
         data = a.data @ b.data
     except ValueError as exc:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape}: {exc}") from exc
-    out = make_node(data, (a, b), "matmul")
-    if out.requires_grad:
+
+    def rules():
         # a vector acts as a one-row (left) or one-column (right) matrix
         a2 = a.data[None] if a.ndim == 1 else a.data
         b2 = b.data[:, None] if b.ndim == 1 else b.data
 
-        def _bw(out=weakref.proxy(out)):
-            g = out._grad[..., None] if b.ndim == 1 else out._grad
-            g = g[..., None, :] if a.ndim == 1 else g
-            if a.requires_grad:
-                accumulate(a, _unbroadcast(g @ np.swapaxes(b2, -1, -2),
-                                           a2.shape).reshape(a.shape))
-            if b.requires_grad:
-                accumulate(b, _unbroadcast(np.swapaxes(a2, -1, -2) @ g,
-                                           b2.shape).reshape(b.shape))
-        out._backward = _bw
-    return out
+        def lift(g):
+            g = g[..., None] if b.ndim == 1 else g
+            return g[..., None, :] if a.ndim == 1 else g
+        return (lambda g: _unbroadcast(lift(g) @ np.swapaxes(b2, -1, -2),
+                                       a2.shape).reshape(a.shape),
+                lambda g: _unbroadcast(np.swapaxes(a2, -1, -2) @ lift(g),
+                                       b2.shape).reshape(b.shape))
+    return _node(data, (a, b), "matmul", rules)
 
 
 def concat(parts: Iterable[Value], axis: int = 0) -> Value:
@@ -320,19 +327,13 @@ def concat(parts: Iterable[Value], axis: int = 0) -> Value:
     except ValueError as exc:
         shapes = [p.shape for p in parts]
         raise ShapeError(f"concat(axis={axis}): shapes {shapes}: {exc}") from exc
-    out = make_node(data, parts, "concat")
-    if out.requires_grad:
-        sizes = [p.shape[axis] for p in parts]
-        def _bw(out=weakref.proxy(out)):
-            start = 0
-            for p, length in zip(parts, sizes):
-                if p.requires_grad:
-                    sl = [slice(None)] * out._grad.ndim
-                    sl[axis] = slice(start, start + length)
-                    accumulate(p, out._grad[tuple(sl)])
-                start += length
-        out._backward = _bw
-    return out
+
+    def rules():
+        lead = (slice(None),) * (axis % data.ndim)
+        ends = itertools.accumulate(p.shape[axis] for p in parts)
+        return [lambda g, sl=lead + (slice(end - p.shape[axis], end),): g[sl]
+                for p, end in zip(parts, ends)]
+    return _node(data, parts, "concat", rules)
 
 
 def sigmoid(x) -> Value:
@@ -342,38 +343,21 @@ def sigmoid(x) -> Value:
     s = np.tanh(0.5 * x.data)
     s *= 0.5
     s += 0.5
-    out = make_node(s, (x,), "sigmoid")
-    if out.requires_grad:
-        def _bw(out=weakref.proxy(out)):
-            if x.requires_grad:
-                s = out.data
-                accumulate(x, out._grad * s * (1.0 - s))
-        out._backward = _bw
-    return out
+    return _node(s, (x,), "sigmoid", lambda: (lambda g: g * s * (1.0 - s),))
 
 
 def tanh(x) -> Value:
     x = _coerce(x)
-    out = make_node(np.tanh(x.data), (x,), "tanh")
-    if out.requires_grad:
-        def _bw(out=weakref.proxy(out)):
-            if x.requires_grad:
-                accumulate(x, out._grad * (1.0 - out.data * out.data))
-        out._backward = _bw
-    return out
+    t = np.tanh(x.data)
+    return _node(t, (x,), "tanh", lambda: (lambda g: g * (1.0 - t * t),))
 
 
 def log(x) -> Value:
     """Natural log with the input clamped at LOG_CLAMP (keeps -inf out)."""
     x = _coerce(x)
     clamped = np.maximum(x.data, LOG_CLAMP)
-    out = make_node(np.log(clamped), (x,), "log")
-    if out.requires_grad:
-        def _bw(out=weakref.proxy(out)):
-            if x.requires_grad:
-                accumulate(x, out._grad / clamped)
-        out._backward = _bw
-    return out
+    return _node(np.log(clamped), (x,), "log",
+                 lambda: (lambda g: g / clamped,))
 
 
 def softmax(x, axis: int = -1) -> Value:
@@ -384,15 +368,8 @@ def softmax(x, axis: int = -1) -> Value:
     shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
     p = e / np.sum(e, axis=axis, keepdims=True)
-    out = make_node(p, (x,), "softmax")
-    if out.requires_grad:
-        def _bw(out=weakref.proxy(out)):
-            if x.requires_grad:
-                g = out._grad
-                dot = np.sum(g * p, axis=axis, keepdims=True)
-                accumulate(x, p * (g - dot))
-        out._backward = _bw
-    return out
+    return _node(p, (x,), "softmax", lambda: (
+        lambda g: p * (g - np.sum(g * p, axis=axis, keepdims=True)),))
 
 
 def max_along(x, axis: int) -> Value:
@@ -400,31 +377,20 @@ def max_along(x, axis: int) -> Value:
     x = _coerce(x)
     if x.data.shape[axis] == 0:
         raise ShapeError(f"max_along: empty axis {axis} in shape {x.shape}")
-    idx = np.argmax(x.data, axis=axis)
-    data = np.max(x.data, axis=axis)
-    out = make_node(data, (x,), "max")
-    if out.requires_grad:
+
+    def rules():
         sel = np.zeros(x.shape, dtype=bool)
-        np.put_along_axis(sel, np.expand_dims(idx, axis), True, axis=axis)
-        def _bw(out=weakref.proxy(out)):
-            if x.requires_grad:
-                accumulate(x, np.where(sel, np.expand_dims(out._grad, axis),
-                                       0.0))
-        out._backward = _bw
-    return out
+        np.put_along_axis(sel, np.expand_dims(np.argmax(x.data, axis=axis),
+                                              axis), True, axis=axis)
+        return (lambda g: np.where(sel, np.expand_dims(g, axis), 0.0),)
+    return _node(np.max(x.data, axis=axis), (x,), "max", rules)
 
 
 def sum_along(x, axis: int | None = None) -> Value:
     x = _coerce(x)
-    out = make_node(np.sum(x.data, axis=axis), (x,), "sum")
-    if out.requires_grad:
-        def _bw(out=weakref.proxy(out)):
-            if x.requires_grad:
-                g = (out._grad if axis is None
-                     else np.expand_dims(out._grad, axis))
-                accumulate(x, np.broadcast_to(g, x.shape))
-        out._backward = _bw
-    return out
+    return _node(np.sum(x.data, axis=axis), (x,), "sum", lambda: (
+        lambda g: np.broadcast_to(
+            g if axis is None else np.expand_dims(g, axis), x.shape),))
 
 
 def dropout(x, rate: float, rng: np.random.Generator | None) -> Value:
@@ -441,13 +407,8 @@ def dropout(x, rate: float, rng: np.random.Generator | None) -> Value:
     if rng is None or rate == 0.0:
         return x
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    out = make_node(x.data * mask, (x,), "dropout")
-    if out.requires_grad:
-        def _bw(out=weakref.proxy(out)):
-            if x.requires_grad:
-                accumulate(x, out._grad * mask)
-        out._backward = _bw
-    return out
+    return _node(x.data * mask, (x,), "dropout",
+                 lambda: (lambda g: g * mask,))
 
 
 def take_rows(table, ids) -> Value:
@@ -461,8 +422,7 @@ def take_rows(table, ids) -> Value:
     out = make_node(table.data[ids], (table,), "take_rows")
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
-            if table.requires_grad:
-                np.add.at(scatter_target(table), ids, out._grad)
+            np.add.at(scatter_target(table), ids, out._grad)
         out._backward = _bw
     return out
 
@@ -480,8 +440,7 @@ def narrow(x, axis: int, start: int, length: int) -> Value:
     out = make_node(x.data[sl], (x,), "narrow")
     if out.requires_grad:
         def _bw(out=weakref.proxy(out)):
-            if x.requires_grad:
-                scatter_target(x)[sl] += out._grad
+            scatter_target(x)[sl] += out._grad
         out._backward = _bw
     return out
 
@@ -492,24 +451,14 @@ def transpose(x) -> Value:
     x = _coerce(x)
     if x.ndim not in (2, 3):
         raise ShapeError(f"transpose: need 2-D or 3-D, got {x.shape}")
-    out = make_node(np.swapaxes(x.data, -1, -2), (x,), "transpose")
-    if out.requires_grad:
-        def _bw(out=weakref.proxy(out)):
-            if x.requires_grad:
-                accumulate(x, np.swapaxes(out._grad, -1, -2))
-        out._backward = _bw
-    return out
+    return _node(np.swapaxes(x.data, -1, -2), (x,), "transpose",
+                 lambda: (lambda g: np.swapaxes(g, -1, -2),))
 
 
 def reshape(x, shape) -> Value:
     x = _coerce(x)
-    out = make_node(x.data.reshape(shape), (x,), "reshape")
-    if out.requires_grad:
-        def _bw(out=weakref.proxy(out)):
-            if x.requires_grad:
-                accumulate(x, out._grad.reshape(x.shape))
-        out._backward = _bw
-    return out
+    return _node(x.data.reshape(shape), (x,), "reshape",
+                 lambda: (lambda g: g.reshape(x.shape),))
 
 
 def finite_difference_check(

@@ -36,8 +36,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _env_seed() -> int:
-    return int(os.environ.get("FAET_SEED", "0"))
+def _seed(flag: int | None) -> int:
+    """`--seed` if given, else FAET_SEED, else 0; anything but a
+    non-negative integer is refused, naming the flag or the variable."""
+    name, raw = (("--seed", flag) if flag is not None
+                 else ("FAET_SEED", os.environ.get("FAET_SEED", "0")))
+    try:
+        seed = int(raw)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def _emit(obj, pretty: bool = False) -> None:
@@ -90,7 +100,8 @@ def _resolve_config(args) -> TrainConfig:
             values[name] = flag_value
     if args.variant is not None:
         values["variant"] = args.variant
-    values.setdefault("seed", _env_seed())
+    if "seed" not in values:  # a flag or a file value wins over FAET_SEED
+        values["seed"] = _seed(None)
     return TrainConfig.from_json_dict(values)
 
 
@@ -150,10 +161,10 @@ def build_parser() -> _Parser:
 
 
 def _cmd_split(args) -> int:
+    seed = _seed(args.seed)
     ratios = tuple(float(r) for r in args.ratios.split(":"))
     if len(ratios) != 3:
         raise ValueError(f"ratios must be train:test:val, got {args.ratios!r}")
-    seed = args.seed if args.seed is not None else _env_seed()
     docs = read_jsonl(args.input, mode="train")
     train_docs, test_docs, val_docs = split_corpus(
         docs, SplitSpec(ratios=ratios, seed=seed))
@@ -167,6 +178,13 @@ def _cmd_split(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _resolve_config(args)
+    # refused before training, not when the first checkpoint is written
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        raise FileNotFoundError(
+            f"--out {args.out}: no directory {out_dir!r}")
+    if os.path.isdir(args.out):
+        raise IsADirectoryError(f"--out {args.out} is a directory")
     train_docs = read_jsonl(args.train_file, mode="train")
     val_docs = read_jsonl(args.val_file, mode="train")
     model = None
@@ -230,7 +248,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_gen_synthetic(args) -> int:
-    seed = args.seed if args.seed is not None else _env_seed()
+    seed = _seed(args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     if args.kind == "overfit":
         size = args.size if args.size is not None else 64
@@ -270,6 +288,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (CorpusError, CheckpointError, FileNotFoundError,
+            IsADirectoryError, NotADirectoryError,
             json.JSONDecodeError) as exc:
         print(f"faet: data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -4,6 +4,9 @@ Every differentiable primitive is fuzzed against central finite
 differences, which stay the independent reference throughout the suite.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from oracles import _sigmoid, adam_step
@@ -299,6 +302,44 @@ class TestLeafGradientsOnDemand:
             np.testing.assert_array_equal(x.grad, calls * c)
             np.testing.assert_array_equal(y.grad, calls * c)
             np.testing.assert_array_equal(first, c)
+
+
+# every op in the module, applied to a (2, 3) param
+EVERY_OP = {
+    "add": lambda x: ag.add(x, 1.0),
+    "mul": lambda x: ag.mul(x, x),
+    "matmul": lambda x: ag.matmul(x, np.ones((3, 2))),
+    "concat": lambda x: ag.concat([x, x], axis=1),
+    "sigmoid": ag.sigmoid,
+    "tanh": ag.tanh,
+    "log": ag.log,
+    "softmax": ag.softmax,
+    "max_along": lambda x: ag.max_along(x, 1),
+    "sum_along": lambda x: ag.sum_along(x, 0),
+    "dropout": lambda x: ag.dropout(x, 0.5, np.random.default_rng(0)),
+    "take_rows": lambda x: ag.take_rows(x, [1, 0, 1]),
+    "narrow": lambda x: ag.narrow(x, 1, 1, 2),
+    "transpose": ag.transpose,
+    "reshape": lambda x: ag.reshape(x, (3, 2)),
+}
+
+
+@pytest.mark.parametrize("op", list(EVERY_OP))
+def test_graph_freed_without_cyclic_gc(op):
+    # a rule that held its node strongly would keep the graph alive until
+    # a cyclic collection
+    x = ag.param(np.arange(1.0, 7.0).reshape(2, 3))
+    gc.disable()
+    try:
+        loss = ag.sum_along(EVERY_OP[op](x))
+        loss.backward()
+        nodes = [weakref.ref(v) for v in ag.topo_order(loss) if v._prev]
+        assert len(nodes) == 2
+        del loss
+        assert [r() for r in nodes if r() is not None] == []
+    finally:
+        gc.enable()
+    assert x.grad.any()
 
 
 def _fd_fuzz(make_inputs, forward, n_trials, seed, tol=1e-4, h=1e-6):

@@ -50,6 +50,47 @@ class TestExitCodes:
         assert result.returncode == 2
         assert "data error" in result.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--model", "{model}", "--data", "{dir}"],
+        ["eval", "--model", "{dir}", "--data", "{corpus}"],
+        ["predict", "--model", "{model}", "--data", "{dir}"],
+        ["train", "--train", "{dir}", "--val", "{corpus}", "--out", "{out}"],
+        ["train", "--train", "{corpus}", "--val", "{dir}", "--out", "{out}"],
+        ["train", "--train", "{corpus}", "--val", "{corpus}", "--out", "{out}",
+         "--config", "{dir}"],
+        ["split", "--in", "{dir}", "--out-dir", "{out}"],
+    ], ids=["eval_data", "eval_model", "predict_data", "train_train",
+            "train_val", "train_config", "split_in"])
+    def test_directory_input_path_is_data_error(self, workspace, tmp_path,
+                                                capsys, argv):
+        paths = {"dir": str(tmp_path), "corpus": str(workspace / "corpus.jsonl"),
+                 "model": str(tmp_path / "m.faet"),
+                 "out": str(tmp_path / "out")}
+        save_checkpoint(Model(TrainConfig(d=3, d_w=3, n_filters=2),
+                              build_vocab(gen_overfit(16, seed=1))),
+                        paths["model"])
+        assert cli.main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("faet: data error:") and f"'{tmp_path}'" in err
+
+    def test_path_under_a_file_is_data_error(self, workspace, capsys):
+        path = str(workspace / "corpus.jsonl" / "m.faet")
+        assert cli.main(["eval", "--model", path, "--data", path]) == 2
+        assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["nodir/m.faet", "."],
+                             ids=["missing_directory", "a_directory"])
+    def test_train_out_exits_two_before_training(self, workspace, tmp_path,
+                                                 capsys, out):
+        corpus = str(workspace / "corpus.jsonl")
+        out = str(tmp_path / out)
+        assert cli.main(["train", "--train", corpus, "--val", corpus,
+                         "--out", out, "--log", str(tmp_path / "log.jsonl"),
+                         *TRAIN_FLAGS]) == 2
+        err = capsys.readouterr().err
+        assert f"--out {out}" in err and ".tmp" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_corpus_is_data_error(self, workspace):
         bad = workspace / "bad.jsonl"
         bad.write_text('{"text_tokens": []}\n')
@@ -468,6 +509,32 @@ class TestSeedHandling:
         assert a.returncode == b.returncode == 0
         assert (tmp_path / "a" / "train.jsonl").read_bytes() == \
                (tmp_path / "b" / "train.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("command", [
+        ["split", "--in", "absent.jsonl"],
+        ["gen-synthetic", "--kind", "overfit"]])
+    @pytest.mark.parametrize("seed_flag, env_seed, name", [
+        (["--seed", "-1"], None, "--seed"),
+        ([], "abc", "FAET_SEED"),
+        ([], "-1", "FAET_SEED"),
+        ([], "2.5", "FAET_SEED")])
+    def test_bad_seed_exits_one_naming_its_source(
+            self, tmp_path, capsys, monkeypatch, command, seed_flag,
+            env_seed, name):
+        if env_seed is not None:
+            monkeypatch.setenv("FAET_SEED", env_seed)
+        out = tmp_path / "out"
+        assert cli.main([*command, "--out-dir", str(out), *seed_flag]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("faet: error:") and name in err
+        assert not out.exists()
+
+    def test_env_seed_is_not_read_when_the_flag_is_given(self, monkeypatch):
+        monkeypatch.setenv("FAET_SEED", "abc")
+        args = cli.build_parser().parse_args(
+            ["train", "--train", "t", "--val", "v", "--out", "o",
+             "--seed", "2"])
+        assert cli._resolve_config(args).seed == 2
 
 
 class TestGenSynthetic:
