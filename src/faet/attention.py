@@ -30,7 +30,6 @@ class FineAttentionParams:
     weights used by the alignment loss."""
 
     def __init__(self, hidden: int, rng: np.random.Generator):
-        self.hidden = hidden  # feature size per position (2d)
         self.interaction_w = ag.param(
             rng.uniform(-1, 1, 3 * hidden) / np.sqrt(3 * hidden))
         self.distance_w = ag.param(
@@ -45,7 +44,6 @@ class CoarseAttentionParams:
     """Sentence-conditioned attention over emoji states (ablation variant)."""
 
     def __init__(self, hidden: int, rng: np.random.Generator):
-        self.hidden = hidden
         scale = 1.0 / np.sqrt(2 * hidden)
         self.w = ag.param(rng.uniform(-scale, scale, (2 * hidden, hidden)))
         self.v = ag.param(rng.uniform(-scale, scale, hidden))
@@ -60,9 +58,7 @@ class AttentionOutputs:
     emoji_weights: Value        # (B, m) distributions over emojis
     text_weights: Value         # (B, n) distributions over text words
     word_emoji_weights: Value   # (B, n, m) per-word distributions over emojis
-    emoji_summary: Value        # (B, 2d)
-    text_summary: Value         # (B, 2d)
-    fused: Value                # (B, 4d) == [text_summary ; emoji_summary]
+    fused: Value                # (B, 4d) [text summary ; emoji summary]
 
 
 def valid_mask(lengths, size: int) -> np.ndarray:
@@ -132,15 +128,6 @@ def word_emoji_attention(interaction: Value, emoji_valid: np.ndarray) -> Value:
     return ag.softmax(_masked(interaction, emoji_valid[:, None]), axis=2)
 
 
-def fuse(text_summary: Value, emoji_summary: Value) -> Value:
-    """[text_summary ; emoji_summary] along the last axis (4d)."""
-    if text_summary.shape != emoji_summary.shape:
-        raise ShapeError(
-            f"fuse: summary lengths differ: {text_summary.shape} vs "
-            f"{emoji_summary.shape}")
-    return ag.concat([text_summary, emoji_summary], axis=-1)
-
-
 def fine_attention(text: Value, emoji: Value, params: FineAttentionParams,
                    text_lengths, emoji_lengths) -> AttentionOutputs:
     """Full bidirectional pass over a batch of (B, n, 2d) text and
@@ -158,9 +145,7 @@ def fine_attention(text: Value, emoji: Value, params: FineAttentionParams,
         emoji_weights=emoji_weights,
         text_weights=text_weights,
         word_emoji_weights=word_emoji_attention(interaction, emoji_valid),
-        emoji_summary=emoji_summary,
-        text_summary=text_summary,
-        fused=fuse(text_summary, emoji_summary))
+        fused=ag.concat([text_summary, emoji_summary], axis=-1))
 
 
 def sentence_mean(text: Value, text_lengths) -> Value:

@@ -23,6 +23,8 @@ from .model import Model, TrainConfig
 
 MAGIC = b"FAET"
 VERSION = 1
+# config keys that checkpoints of earlier releases carry and loading drops
+RETIRED_CONFIG_FIELDS = ("encoder_mode",)
 
 
 class CheckpointError(ValueError):
@@ -87,7 +89,9 @@ def _read_header(fh, path: str) -> tuple[TrainConfig, Vocab]:
             f"(expected {VERSION})")
     try:
         (n,) = struct.unpack("<Q", _read(fh, 8, "config length"))
-        config = TrainConfig.from_json_dict(json.loads(_read(fh, n, "config")))
+        config = TrainConfig.from_json_dict(
+            {k: v for k, v in json.loads(_read(fh, n, "config")).items()
+             if k not in RETIRED_CONFIG_FIELDS})
         (n,) = struct.unpack("<Q", _read(fh, 8, "vocab length"))
         vocab = Vocab.from_json_dict(json.loads(_read(fh, n, "vocab")))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

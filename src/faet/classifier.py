@@ -23,7 +23,6 @@ from .autograd import Value
 class TextCnnParams:
     def __init__(self, channels: int, n_filters: int,
                  rng: np.random.Generator, widths):
-        self.channels = channels  # per-position features (2d + 4d)
         self.n_filters = n_filters
         self.widths = tuple(widths)
         self.filters = {}

@@ -9,18 +9,20 @@ fallback seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+import typing
 
 from .autograd import ShapeError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .corpus import (
-    CorpusError, SplitSpec, build_vocab, encode_doc, read_jsonl, split_corpus,
+    CorpusError, build_vocab, encode_doc, read_jsonl, split_corpus,
     split_report, write_jsonl,
 )
 from .embedding import load_pretrained_emoji_vectors
-from .model import Model, TrainConfig
+from .model import VARIANTS, Model, TrainConfig
 from .synthetic import gen_overfit, gen_xor
 from .trainer import NanLossError, ablate, evaluate, gradient_check_report, train
 
@@ -57,21 +59,14 @@ def _emit(obj, pretty: bool = False) -> None:
         print(json.dumps(obj, sort_keys=True, ensure_ascii=False))
 
 
-_CONFIG_FLAGS = [
-    ("--d", int, "d"), ("--d-w", int, "d_w"),
-    ("--n-filters", int, "n_filters"), ("--dropout", float, "dropout"),
-    ("--batch-size", int, "batch_size"), ("--epochs", int, "epochs"),
-    ("--max-len", int, "max_len"), ("--lr", float, "lr"),
-    ("--lambda-align", float, "lambda_align"),
-    ("--label-smoothing", float, "label_smoothing"),
-    ("--seed", int, "seed"), ("--min-count", int, "min_count"),
-]
-
-
 def _add_config_flags(sub) -> None:
-    for flag, typ, _ in _CONFIG_FLAGS:
-        sub.add_argument(flag, type=typ, default=None)
-    sub.add_argument("--variant", choices=("fine", "coarse"), default=None)
+    # one flag per config field but `widths`, which only --config sets
+    types = typing.get_type_hints(TrainConfig)
+    for field in dataclasses.fields(TrainConfig):
+        if field.name != "widths":
+            sub.add_argument(
+                "--" + field.name.replace("_", "-"), type=types[field.name],
+                choices=VARIANTS if field.name == "variant" else None)
     sub.add_argument("--config", default=None,
                      help="JSON config file; flags override file values; "
                           "unknown keys are an error")
@@ -90,16 +85,9 @@ def _resolve_config(args) -> TrainConfig:
             raise ValueError(f"{args.config}: config must be a JSON object, "
                              f"got {type(loaded).__name__}")
         values.update(loaded)
-        unknown = sorted(set(values) - set(TrainConfig.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"{args.config}: unknown config key(s): "
-                             f"{', '.join(unknown)}")
-    for _, _, name in _CONFIG_FLAGS:
-        flag_value = getattr(args, name)
-        if flag_value is not None:
-            values[name] = flag_value
-    if args.variant is not None:
-        values["variant"] = args.variant
+    for name, value in vars(args).items():
+        if name in TrainConfig.__dataclass_fields__ and value is not None:
+            values[name] = value
     if "seed" not in values:  # a flag or a file value wins over FAET_SEED
         values["seed"] = _seed(None)
     return TrainConfig.from_json_dict(values)
@@ -139,7 +127,7 @@ def build_parser() -> _Parser:
                    help="attach attention dumps per document")
 
     p = subs.add_parser("ablate",
-                        help="train fine and coarse variants side by side")
+                        help="train every variant side by side")
     p.add_argument("--train", dest="train_file", required=True)
     p.add_argument("--val", dest="val_file", required=True)
     p.add_argument("--test", dest="test_file", required=True)
@@ -155,7 +143,7 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", choices=("overfit", "xor"), required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--size", type=int, default=None)
-    p.add_argument("--test-size", type=int, default=128)
+    p.add_argument("--test-size", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     return parser
 
@@ -163,11 +151,8 @@ def build_parser() -> _Parser:
 def _cmd_split(args) -> int:
     seed = _seed(args.seed)
     ratios = tuple(float(r) for r in args.ratios.split(":"))
-    if len(ratios) != 3:
-        raise ValueError(f"ratios must be train:test:val, got {args.ratios!r}")
     docs = read_jsonl(args.input, mode="train")
-    train_docs, test_docs, val_docs = split_corpus(
-        docs, SplitSpec(ratios=ratios, seed=seed))
+    train_docs, test_docs, val_docs = split_corpus(docs, ratios, seed)
     os.makedirs(args.out_dir, exist_ok=True)
     for name, part in (("train", train_docs), ("test", test_docs),
                        ("val", val_docs)):
@@ -241,29 +226,30 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    report = gradient_check_report(samples_per_group=args.samples,
-                                   tolerance=args.tolerance)
+    report = gradient_check_report(args.samples, args.tolerance)
     _emit(report)
     return EXIT_OK if report["pass"] else EXIT_NUMERIC
 
 
 def _cmd_gen_synthetic(args) -> int:
     seed = _seed(args.seed)
+    if args.kind == "overfit" and args.test_size is not None:
+        raise ValueError("--test-size applies only to --kind xor")
     os.makedirs(args.out_dir, exist_ok=True)
     if args.kind == "overfit":
         size = args.size if args.size is not None else 64
         path = os.path.join(args.out_dir, "overfit.jsonl")
-        write_jsonl(gen_overfit(size=size, seed=seed), path)
+        write_jsonl(gen_overfit(size, seed), path)
         _emit({"kind": "overfit", "size": size, "seed": seed, "path": path})
     else:
         size = args.size if args.size is not None else 512
-        train_docs, test_docs = gen_xor(train_size=size,
-                                        test_size=args.test_size, seed=seed)
+        test_size = args.test_size if args.test_size is not None else 128
+        train_docs, test_docs = gen_xor(size, test_size, seed)
         train_path = os.path.join(args.out_dir, "xor_train.jsonl")
         test_path = os.path.join(args.out_dir, "xor_test.jsonl")
         write_jsonl(train_docs, train_path)
         write_jsonl(test_docs, test_path)
-        _emit({"kind": "xor", "train_size": size, "test_size": args.test_size,
+        _emit({"kind": "xor", "train_size": size, "test_size": test_size,
                "seed": seed, "train_path": train_path, "test_path": test_path})
     return EXIT_OK
 
@@ -287,7 +273,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (CorpusError, CheckpointError, FileNotFoundError,
+    except (CorpusError, CheckpointError, FileExistsError, FileNotFoundError,
             IsADirectoryError, NotADirectoryError,
             json.JSONDecodeError) as exc:
         print(f"faet: data error: {exc}", file=sys.stderr)

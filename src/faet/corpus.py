@@ -7,6 +7,7 @@ disputes stay out of the model's test surface.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,13 +19,12 @@ UNK_TOKEN = "<unk>"
 
 
 class CorpusError(ValueError):
-    """Malformed corpus input; carries the offending line number if known."""
+    """Malformed corpus input; the message names the line if known."""
 
     def __init__(self, message: str, line_number: int | None = None):
         if line_number is not None:
             message = f"line {line_number}: {message}"
         super().__init__(message)
-        self.line_number = line_number
 
 
 @dataclass
@@ -111,17 +111,11 @@ def write_jsonl(docs: list[TokenizedDoc], path: str) -> None:
             fh.write(doc.to_json() + "\n")
 
 
-@dataclass
-class SplitSpec:
-    """train:test:val ratios plus the shuffle seed; same seed, same partition."""
-
-    ratios: tuple[float, float, float] = (7.0, 2.0, 1.0)
-    seed: int = 0
-
-
-def split_sizes(n: int, ratios=(7.0, 2.0, 1.0)) -> tuple[int, int, int]:
-    """Deterministic floor rule: test and val floor their share, train gets
-    the remainder."""
+def split_sizes(n: int, ratios) -> tuple[int, int, int]:
+    """Deterministic floor rule over train:test:val `ratios`: test and val
+    floor their share, train gets the remainder."""
+    if len(ratios) != 3:
+        raise ValueError(f"ratios must be train:test:val, got {ratios}")
     r_train, r_test, r_val = ratios
     total = r_train + r_test + r_val
     # written as a negation so that NaN fails too; a non-finite ratio makes
@@ -140,7 +134,7 @@ def split_sizes(n: int, ratios=(7.0, 2.0, 1.0)) -> tuple[int, int, int]:
 REFERENCE_SPLIT = {"total": 8930, "train": 6250, "test": 1786, "val": 894}
 
 
-def split_report(n: int, ratios=(7.0, 2.0, 1.0)) -> dict:
+def split_report(n: int, ratios) -> dict:
     n_train, n_test, n_val = split_sizes(n, ratios)
     report = {
         "total": n,
@@ -160,15 +154,14 @@ def split_report(n: int, ratios=(7.0, 2.0, 1.0)) -> dict:
     return report
 
 
-def split_corpus(docs: list[TokenizedDoc], spec: SplitSpec | None = None
+def split_corpus(docs: list[TokenizedDoc], ratios, seed: int
                  ) -> tuple[list[TokenizedDoc], list[TokenizedDoc], list[TokenizedDoc]]:
     """Seeded shuffle, then cut into (train, test, val) by the floor rule."""
-    spec = spec or SplitSpec()
     n = len(docs)
+    n_train, n_test, n_val = split_sizes(n, ratios)
     if n < 10:
         raise CorpusError(f"need at least 10 documents to split, got {n}")
-    n_train, n_test, n_val = split_sizes(n, spec.ratios)
-    perm = np.random.default_rng(spec.seed).permutation(n)
+    perm = np.random.default_rng(seed).permutation(n)
     shuffled = [docs[i] for i in perm]
     return (shuffled[:n_train],
             shuffled[n_train:n_train + n_test],
@@ -213,7 +206,26 @@ class Vocab:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Vocab":
-        return cls(id_to_text=list(obj["text"]), id_to_emoji=list(obj["emoji"]))
+        """Build from a saved vocab, refusing tokens `build_vocab` cannot
+        have written; a later PAD or UNK entry, as early releases appended,
+        is legal."""
+        text, emoji = list(obj["text"]), list(obj["emoji"])
+        # no Python loop per token here: this runs on every checkpoint load
+        if not set(map(type, text + emoji)) <= {str}:
+            bad = next(t for t in text + emoji if type(t) is not str)
+            raise ValueError(f"vocab token {bad!r} is not a string")
+        if text[:2] != [PAD_TOKEN, UNK_TOKEN]:
+            raise ValueError(f"vocab ids 0 and 1 must be {PAD_TOKEN!r} and "
+                             f"{UNK_TOKEN!r}, got {text[:2]}")
+        vocab = cls(id_to_text=text, id_to_emoji=emoji)
+        reserved = text.count(PAD_TOKEN) + text.count(UNK_TOKEN)
+        if (len(vocab.text_to_id) < len(text) - reserved + 2
+                or len(vocab.emoji_to_id) < len(emoji)):
+            words = [t for t in text if t not in (PAD_TOKEN, UNK_TOKEN)]
+            twice = [t for tokens in (words, emoji)
+                     for t, c in Counter(tokens).items() if c > 1]
+            raise ValueError(f"vocab tokens listed twice: {twice}")
+        return vocab
 
 
 def build_vocab(train_docs: list[TokenizedDoc], min_count: int = 1) -> Vocab:

@@ -23,7 +23,6 @@ class TextEncoder:
     """
 
     def __init__(self, dim: int, vocab_size: int, rng: np.random.Generator):
-        self.dim = dim
         init = rng.uniform(-0.1, 0.1, size=(vocab_size, dim))
         init[PAD_ID] = 0.0
         self.table = ag.param(init)

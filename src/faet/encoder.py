@@ -41,7 +41,6 @@ class LstmParams:
 
     def __init__(self, d: int, d_in: int, rng: np.random.Generator):
         self.d = d
-        self.d_in = d_in
         scale = 1.0 / np.sqrt(d)
         self.w_in = ag.param(rng.uniform(-scale, scale, (d_in, 4 * d)))
         self.w_rec = ag.param(rng.uniform(-scale, scale, (d, 4 * d)))

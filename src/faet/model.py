@@ -30,8 +30,6 @@ from .encoder import LstmParams, bilstm_encode_batch
 from .objective import alignment_loss, cross_entropy, total_loss
 
 VARIANTS = ("fine", "coarse")
-# config keys that checkpoints of earlier releases carry and loading drops
-RETIRED_CONFIG_FIELDS = ("encoder_mode",)
 # `Model.score` runs this many documents per pass, sorted by length within
 # windows of `SCORE_WINDOW_CHUNKS` chunks.  The encoder outputs (B, L, 2d)
 # that 4 buffered chunks keep alive hold 8·B·L·d floats, the size of one
@@ -93,9 +91,11 @@ class TrainConfig:
             raise ValueError(f"variant must be one of {VARIANTS}")
         for name in ("d", "d_w", "n_filters", "batch_size", "epochs", "max_len",
                      "min_count", "seed"):
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}")
+            value, low = getattr(self, name), 0 if name == "seed" else 1
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}, got {value}")
         for name in ("lr", "lambda_align", "dropout", "label_smoothing"):
             if not _is_real(getattr(self, name)):
                 raise ValueError(
@@ -103,11 +103,6 @@ class TrainConfig:
                     f"{getattr(self, name)!r}")
         if not all(_is_integer(w) for w in self.widths):
             raise ValueError(f"widths must be integers, got {self.widths}")
-        for name in ("d", "d_w", "n_filters", "batch_size", "epochs", "max_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.widths or any(w < 1 for w in self.widths):
             raise ValueError(f"widths must be positive, got {self.widths}")
         # written as negations so that NaN fails too; lr = 0 is a frozen run
@@ -124,15 +119,12 @@ class TrainConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TrainConfig":
-        """Build from a JSON object.  Keys of fields since retired, which
-        older checkpoints carry, are dropped; any other key that is not a
-        field is a `ValueError` naming it."""
-        unknown = sorted(set(obj) - set(cls.__dataclass_fields__)
-                         - set(RETIRED_CONFIG_FIELDS))
+        """Build from a JSON object; a key that is not a field is a
+        `ValueError` naming it."""
+        unknown = sorted(set(obj) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        return cls(**{k: v for k, v in obj.items()
-                      if k not in RETIRED_CONFIG_FIELDS})
+        return cls(**obj)
 
 
 @dataclass
@@ -144,7 +136,7 @@ class DocOutputs:
     word_emoji_weights: Value | None         # (n, m), fine variant only
     explain: dict                            # name -> per-document array
 
-    def prediction(self, explain: bool = False) -> dict:
+    def prediction(self, explain: bool) -> dict:
         """Probabilities and label; with `explain`, the attention dumps."""
         result = {"probs": self.probs.data.tolist(),
                   "label": predict_label(self.probs)}

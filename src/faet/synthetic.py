@@ -22,7 +22,7 @@ TRAIN_FILLERS = tuple(f"F_TR_{i}" for i in range(8))
 TEST_FILLERS = tuple(f"F_TE_{i}" for i in range(8))
 
 
-def gen_overfit(size: int = 64, seed: int = 0) -> list[TokenizedDoc]:
+def gen_overfit(size: int, seed: int) -> list[TokenizedDoc]:
     """Consistent token->label mapping: positive docs carry a positive
     marker token and E_SMILE, negative docs a negative marker and E_CRY.
     Classes are balanced and a correct training loop must memorize it."""
@@ -42,7 +42,7 @@ def gen_overfit(size: int = 64, seed: int = 0) -> list[TokenizedDoc]:
     return docs
 
 
-def gen_xor(train_size: int = 512, test_size: int = 128, seed: int = 0
+def gen_xor(train_size: int, test_size: int, seed: int
             ) -> tuple[list[TokenizedDoc], list[TokenizedDoc]]:
     """Label = 1 iff the keyword polarity matches the emoji sense.
 

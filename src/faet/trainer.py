@@ -14,7 +14,7 @@ from .autograd import finite_difference_check
 from .classifier import predict_label
 from .corpus import (CorpusError, TokenizedDoc, build_vocab, encode_doc,
                      make_batches)
-from .model import Model, TrainConfig
+from .model import VARIANTS, Model, TrainConfig
 from .optim import Adam
 
 # Published aggregate metrics for both variants on the private reference
@@ -236,7 +236,7 @@ def ablate(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
     documents' predictions."""
     variants = {}
     predictions = {}
-    for variant in ("fine", "coarse"):
+    for variant in VARIANTS:
         cfg = dataclasses.replace(config, variant=variant)
         result = train(train_docs, val_docs, cfg)
         best = Model.from_state(cfg, result.model.vocab, result.best_state)
@@ -280,8 +280,7 @@ def gradcheck_config() -> TrainConfig:
                        lambda_align=0.25, seed=0, variant="fine")
 
 
-def gradient_check_report(samples_per_group: int = 8,
-                          tolerance: float = 1e-4) -> dict:
+def gradient_check_report(samples_per_group: int, tolerance: float) -> dict:
     """Finite-difference check of the full loss, one entry per parameter
     group, on a seeded batch of two documents of different lengths (4 text
     tokens + 2 emojis, then 6 + 3): the shorter row comes first, so the

@@ -238,7 +238,7 @@ class TestDeterminism:
 
 class TestSplitConformance:
     def test_floor_rule_and_reference_discrepancy_note(self, tmp_path):
-        assert split_sizes(8930) == (6251, 1786, 893)
+        assert split_sizes(8930, (7.0, 2.0, 1.0)) == (6251, 1786, 893)
         corpus = tmp_path / "corpus.jsonl"
         write_jsonl(gen_overfit(8930, seed=5), str(corpus))
         result = run_cli("split", "--in", str(corpus),

@@ -30,25 +30,14 @@ EXPECTED = [
     "corpus.parse_jsonl_record(line_number)",
     "corpus.parse_jsonl_record(mode)",
     "corpus.read_jsonl(mode)",
-    "corpus.split_sizes(ratios)",
-    "corpus.split_report(ratios)",
-    "corpus.split_corpus(spec)",
     "corpus.build_vocab(min_count)",
     "corpus.make_batches(seed)",
     "corpus.make_batches(shuffle)",
-    "model.DocOutputs.prediction(explain)",
     "model.Model.forward_docs(dropout_rng)",
     "model.Model.batch_loss(dropout_rng)",
     "model.Model.predict_doc(explain)",
-    "synthetic.gen_overfit(size)",
-    "synthetic.gen_overfit(seed)",
-    "synthetic.gen_xor(train_size)",
-    "synthetic.gen_xor(test_size)",
-    "synthetic.gen_xor(seed)",
     "trainer.train(model)",
     "trainer.train(log_path)",
-    "trainer.gradient_check_report(samples_per_group)",
-    "trainer.gradient_check_report(tolerance)",
 ]
 
 

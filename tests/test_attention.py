@@ -11,7 +11,7 @@ from faet import autograd as ag
 from faet.autograd import ShapeError
 from faet.attention import (
     CoarseAttentionParams, FineAttentionParams, coarse_attention,
-    emoji_to_text, fine_attention, fuse, interaction_matrix, text_to_emoji,
+    emoji_to_text, fine_attention, interaction_matrix, text_to_emoji,
     word_emoji_attention,
 )
 from oracles import coarse_attention_doc, fine_attention_doc
@@ -136,26 +136,6 @@ class TestWordEmojiAttention:
         np.testing.assert_allclose(beta.data[0, 0], SOFTMAX_2_0, atol=1e-9)
 
 
-class TestFuse:
-    def test_order_and_length(self):
-        fused = fuse(ag.constant([1.0, 2.0]), ag.constant([3.0, 4.0]))
-        np.testing.assert_array_equal(fused.data, [1.0, 2.0, 3.0, 4.0])
-
-    def test_zero_inputs(self):
-        fused = fuse(ag.constant(np.zeros(3)), ag.constant(np.zeros(3)))
-        np.testing.assert_array_equal(fused.data, np.zeros(6))
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ShapeError, match="fuse"):
-            fuse(ag.constant(np.zeros(3)), ag.constant(np.zeros(4)))
-
-    def test_first_half_is_text_summary(self):
-        rng = np.random.default_rng(13)
-        t, e = rng.normal(size=4), rng.normal(size=4)
-        fused = fuse(ag.constant(t), ag.constant(e))
-        np.testing.assert_array_equal(fused.data[:4], t)
-
-
 class TestFineAttentionEndToEnd:
     def test_emoji_permutation_equivariance(self):
         params = FineAttentionParams(hidden=4, rng=np.random.default_rng(14))
@@ -169,8 +149,8 @@ class TestFineAttentionEndToEnd:
         np.testing.assert_allclose(out_p.word_emoji_weights.data,
                                    out.word_emoji_weights.data[:, :, perm],
                                    atol=1e-12)
-        np.testing.assert_allclose(out_p.emoji_summary.data,
-                                   out.emoji_summary.data, atol=1e-12)
+        np.testing.assert_allclose(out_p.fused.data, out.fused.data,
+                                   atol=1e-12)
 
     def test_single_emoji_summary_is_that_state_exactly(self):
         params = FineAttentionParams(hidden=3, rng=np.random.default_rng(16))
@@ -184,10 +164,10 @@ class TestFineAttentionEndToEnd:
         # an emoji-free row: one padded emoji column, emoji length 0
         out = fine_attention(text, ag.constant(np.ones((1, 1, 3))), params,
                              [4], [0])
-        np.testing.assert_array_equal(out.emoji_summary.data[0], np.zeros(3))
+        np.testing.assert_array_equal(out.fused.data[0, 3:], np.zeros(3))
         assert out.emoji_weights.data[0, :0].shape == (0,)
         np.testing.assert_array_equal(out.emoji_weights.data, [[0.0]])
-        np.testing.assert_allclose(out.text_summary.data[0],
+        np.testing.assert_allclose(out.fused.data[0, :3],
                                    text.data[0].mean(axis=0), atol=1e-12)
 
     def test_chain_gradients_match_finite_differences(self):

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and byte-level reproducibility."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -13,7 +14,7 @@ from faet import cli, trainer
 from faet.autograd import ShapeError
 from faet.checkpoint import load_checkpoint, save_checkpoint
 from faet.corpus import TokenizedDoc, build_vocab, encode_doc, write_jsonl
-from faet.model import Model, TrainConfig
+from faet.model import VARIANTS, Model, TrainConfig
 from faet.synthetic import gen_overfit
 
 
@@ -33,6 +34,44 @@ def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     write_jsonl(gen_overfit(32, seed=1), str(root / "corpus.jsonl"))
     return root
+
+
+CONFIG_OPTIONS = {"--d", "--d-w", "--n-filters", "--dropout", "--batch-size",
+                  "--epochs", "--max-len", "--lr", "--lambda-align",
+                  "--label-smoothing", "--seed", "--variant", "--min-count",
+                  "--config"}
+OPTIONS = {
+    "split": {"--in", "--out-dir", "--ratios", "--seed"},
+    "train": {"--train", "--val", "--out", "--log", "--emoji-vectors",
+              *CONFIG_OPTIONS},
+    "eval": {"--model", "--data", "--pretty"},
+    "predict": {"--model", "--data", "--explain"},
+    "ablate": {"--train", "--val", "--test", "--pretty", *CONFIG_OPTIONS},
+    "gradcheck": {"--samples", "--tolerance"},
+    "gen-synthetic": {"--kind", "--out-dir", "--size", "--test-size",
+                      "--seed"},
+}
+
+
+def test_each_subcommand_has_exactly_its_options():
+    (subs,) = [action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction)]
+    assert set(subs.choices) == set(OPTIONS)
+    for name, sub in subs.choices.items():
+        found = {flag for action in sub._actions
+                 for flag in action.option_strings}
+        assert found == OPTIONS[name] | {"-h", "--help"}, name
+
+
+def test_variant_choices_are_the_model_variants(capsys):
+    parser = cli.build_parser()
+    for variant in VARIANTS:
+        args = parser.parse_args(["train", "--train", "t", "--val", "v",
+                                  "--out", "o", "--variant", variant])
+        assert cli._resolve_config(args).variant == variant
+    assert cli.main(["ablate", "--train", "t", "--val", "v", "--test", "x",
+                     "--variant", "medium"]) == 1
+    assert "--variant" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -72,6 +111,19 @@ class TestExitCodes:
         assert cli.main([arg.format(**paths) for arg in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("faet: data error:") and f"'{tmp_path}'" in err
+
+    @pytest.mark.parametrize("command", [["split", "--in", "{corpus}"],
+                                         ["gen-synthetic", "--kind", "xor"]],
+                             ids=["split", "gen_synthetic"])
+    def test_out_dir_onto_a_file_is_data_error(self, workspace, capsys,
+                                               command):
+        corpus = workspace / "corpus.jsonl"
+        before = corpus.read_bytes()
+        argv = [arg.format(corpus=corpus) for arg in command]
+        assert cli.main([*argv, "--out-dir", str(corpus)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("faet: data error:") and str(corpus) in err
+        assert corpus.read_bytes() == before
 
     def test_path_under_a_file_is_data_error(self, workspace, capsys):
         path = str(workspace / "corpus.jsonl" / "m.faet")
@@ -158,6 +210,9 @@ class TestConfigValidation:
         ({"label_smoothing": "0"}, [], "label_smoothing"),
         ({"dropout": None}, [], "dropout"),
         (None, ["--seed", "-1"], "seed"),
+        (None, ["--min-count", "0"], "min_count"),
+        ({"min_count": -5}, [], "min_count"),
+        ({"encoder_mode": "trainable_table"}, [], "encoder_mode"),
     ])
     def test_bad_value_exits_one_without_checkpoint(self, workspace, tmp_path,
                                                     config, flags, name):
@@ -377,6 +432,24 @@ class TestMalformedInput:
                          "--data", str(checkpoint / "data.jsonl")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("part, index, token", [
+        ("text", 3, "MARK_NEG_A"),  # the token of id 2 again
+        ("emoji", 1, "E_CRY"),      # the emoji of id 0 again
+        ("text", 0, "<unk>"),       # in place of <pad>
+        ("text", 2, 1234),          # not a string
+    ], ids=["duplicate_text", "duplicate_emoji", "pad_overwritten", "number"])
+    def test_corrupt_vocab_is_data_error(self, checkpoint, capsys, part,
+                                         index, token):
+        saved = load_checkpoint(str(checkpoint / "good.faet")).vocab \
+            .to_json_dict()
+        saved[part][index] = token
+        bad = checkpoint / "bad.faet"
+        _rewrite_checkpoint(checkpoint / "good.faet", bad, vocab=saved)
+        assert cli.main(["eval", "--model", str(bad),
+                         "--data", str(checkpoint / "data.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("faet: data error:") and repr(token) in err
+
     def test_unknown_config_key_is_data_error(self, checkpoint, capsys):
         # one flipped byte turns a config field into an unknown key
         blob = (checkpoint / "good.faet").read_bytes()
@@ -547,6 +620,19 @@ class TestGenSynthetic:
         assert json.loads(a.stdout)["size"] == 24
         assert (tmp_path / "a" / "overfit.jsonl").read_bytes() == \
                (tmp_path / "b" / "overfit.jsonl").read_bytes()
+
+    def test_xor_default_sizes(self, tmp_path, capsys):
+        assert cli.main(["gen-synthetic", "--kind", "xor",
+                         "--out-dir", str(tmp_path)]) == 0
+        manifest = json.loads(capsys.readouterr().out)
+        assert (manifest["train_size"], manifest["test_size"]) == (512, 128)
+
+    def test_test_size_with_overfit_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        assert cli.main(["gen-synthetic", "--kind", "overfit", "--test-size",
+                         "3", "--out-dir", str(out)]) == 1
+        assert "--test-size" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_xor_files(self, tmp_path):
         result = run_cli("gen-synthetic", "--kind", "xor", "--size", "32",

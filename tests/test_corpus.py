@@ -9,7 +9,7 @@ from oracles import decode_text
 
 from faet import corpus
 from faet.corpus import (
-    Batch, CorpusError, PAD_ID, SplitSpec, TokenizedDoc, UNK_ID, build_vocab,
+    Batch, CorpusError, PAD_ID, TokenizedDoc, UNK_ID, build_vocab,
     encode_doc, make_batches, parse_jsonl_record, split_corpus,
     split_report, split_sizes,
 )
@@ -76,16 +76,24 @@ def _docs(n):
     return [TokenizedDoc([f"t{i}"], [f"e{i % 3}"], i % 2) for i in range(n)]
 
 
+RATIOS = (7.0, 2.0, 1.0)
+
+
 class TestSplit:
     def test_reference_size_8930(self):
-        assert split_sizes(8930) == (6251, 1786, 893)
+        assert split_sizes(8930, RATIOS) == (6251, 1786, 893)
 
     def test_ten_docs(self):
-        assert split_sizes(10) == (7, 2, 1)
+        assert split_sizes(10, RATIOS) == (7, 2, 1)
+
+    @pytest.mark.parametrize("ratios", [(7.0, 2.0), (7.0, 2.0, 1.0, 1.0)])
+    def test_ratios_other_than_three_rejected(self, ratios):
+        with pytest.raises(ValueError, match="train:test:val"):
+            split_sizes(10, ratios)
 
     def test_sizes_rule_over_range(self):
         for n in range(10, 10001):
-            n_train, n_test, n_val = split_sizes(n)
+            n_train, n_test, n_val = split_sizes(n, RATIOS)
             assert n_test == n * 2 // 10
             assert n_val == n // 10
             assert n_train == n - n_test - n_val
@@ -95,28 +103,29 @@ class TestSplit:
         rng = np.random.default_rng(0)
         for n in rng.integers(10, 2000, size=25):
             docs = _docs(int(n))
-            train, test, val = split_corpus(docs, SplitSpec(seed=int(n)))
-            assert (len(train), len(test), len(val)) == split_sizes(int(n))
+            train, test, val = split_corpus(docs, RATIOS, int(n))
+            assert (len(train), len(test), len(val)) == split_sizes(int(n),
+                                                                    RATIOS)
             ids = sorted(d.text_tokens[0] for part in (train, test, val)
                          for d in part)
             assert ids == sorted(d.text_tokens[0] for d in docs)
 
     def test_same_seed_same_partition(self):
         docs = _docs(97)
-        a = split_corpus(docs, SplitSpec(seed=5))
-        b = split_corpus(docs, SplitSpec(seed=5))
+        a = split_corpus(docs, RATIOS, 5)
+        b = split_corpus(docs, RATIOS, 5)
         for part_a, part_b in zip(a, b):
             assert [d.text_tokens for d in part_a] == [d.text_tokens for d in part_b]
 
     def test_too_few_docs(self):
         with pytest.raises(CorpusError, match="at least 10"):
-            split_corpus(_docs(9))
+            split_corpus(_docs(9), RATIOS, 0)
 
     def test_report_mentions_reference_mismatch(self):
-        report = split_report(8930)
+        report = split_report(8930, RATIOS)
         assert report["train"] == 6251
         assert "6250/1786/894" in report["reference_note"]
-        assert "reference_note" not in split_report(1000)
+        assert "reference_note" not in split_report(1000, RATIOS)
 
 
 class TestVocab:
@@ -147,6 +156,21 @@ class TestVocab:
             {"text": ["<pad>", "<unk>", "a", "<pad>", "<unk>"],
              "emoji": ["x"]})
         assert v.encode_text(["<pad>", "<unk>", "a", "b"]) == [3, 4, 2, UNK_ID]
+
+    @pytest.mark.parametrize("saved, message", [
+        ({"text": ["<pad>", "<unk>", 7], "emoji": ["x"]}, "7 is not a string"),
+        ({"text": ["<pad>", "<unk>"], "emoji": [None]}, "None is not"),
+        ({"text": ["<unk>", "<unk>", "a"], "emoji": ["x"]}, "ids 0 and 1"),
+        ({"text": ["<pad>"], "emoji": ["x"]}, "ids 0 and 1"),
+        ({"text": ["<pad>", "<unk>", "a", "a"], "emoji": ["x"]},
+         r"listed twice: \['a'\]"),
+        ({"text": ["<pad>", "<unk>"], "emoji": ["x", "<pad>", "x"]},
+         r"listed twice: \['x'\]"),
+    ])
+    def test_saved_vocab_build_vocab_cannot_write_is_rejected(self, saved,
+                                                              message):
+        with pytest.raises(ValueError, match=message):
+            corpus.Vocab.from_json_dict(saved)
 
     def test_emoji_dedup(self):
         docs = [TokenizedDoc(["a"], ["😊", "😭", "😊"], 1)]
