@@ -210,21 +210,21 @@ class Vocab:
         have written; a later PAD or UNK entry, as early releases appended,
         is legal."""
         text, emoji = list(obj["text"]), list(obj["emoji"])
-        # no Python loop per token here: this runs on every checkpoint load
-        if not set(map(type, text + emoji)) <= {str}:
+        try:  # no Python loop per token: this runs on every checkpoint load
+            "".join(text + emoji)  # refuses a token that is not a str
+        except TypeError:
             bad = next(t for t in text + emoji if type(t) is not str)
-            raise ValueError(f"vocab token {bad!r} is not a string")
+            raise ValueError(f"vocab token {bad!r} is not a string") from None
         if text[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise ValueError(f"vocab ids 0 and 1 must be {PAD_TOKEN!r} and "
                              f"{UNK_TOKEN!r}, got {text[:2]}")
         vocab = cls(id_to_text=text, id_to_emoji=emoji)
-        reserved = text.count(PAD_TOKEN) + text.count(UNK_TOKEN)
-        if (len(vocab.text_to_id) < len(text) - reserved + 2
-                or len(vocab.emoji_to_id) < len(emoji)):
+        if len(vocab.text_to_id) + len(vocab.emoji_to_id) < len(text + emoji):
             words = [t for t in text if t not in (PAD_TOKEN, UNK_TOKEN)]
             twice = [t for tokens in (words, emoji)
                      for t, c in Counter(tokens).items() if c > 1]
-            raise ValueError(f"vocab tokens listed twice: {twice}")
+            if twice:  # a later PAD or UNK entry is no duplicate
+                raise ValueError(f"vocab tokens listed twice: {twice}")
         return vocab
 
 
