@@ -13,7 +13,7 @@ from faet import Adam, autograd as ag
 # --- a scalar graph: loss = sigmoid(x * y) + tanh(x) --------------------
 x = ag.param(0.7)
 y = ag.param(-1.3)
-loss = ag.sigmoid(x * y) + ag.tanh(x)
+loss = ag.add(ag.sigmoid(ag.mul(x, y)), ag.tanh(x))
 loss.backward()
 print("loss                :", loss.item())
 print("d loss / d x        :", float(x.grad))
@@ -22,9 +22,9 @@ print("d loss / d y        :", float(y.grad))
 # the same derivative, measured numerically
 h = 1e-6
 x.data += h
-up = ag.sigmoid(x * y).item() + ag.tanh(x).item()
+up = ag.sigmoid(ag.mul(x, y)).item() + ag.tanh(x).item()
 x.data -= 2 * h
-down = ag.sigmoid(x * y).item() + ag.tanh(x).item()
+down = ag.sigmoid(ag.mul(x, y)).item() + ag.tanh(x).item()
 x.data += h
 print("central difference  :", (up - down) / (2 * h))
 
@@ -46,7 +46,7 @@ p = ag.param(np.zeros(4))
 opt = Adam({"p": p}, lr=0.2)
 for step in range(120):
     opt.zero_grad()
-    diff = p - ag.constant(np.full(4, 3.0))
-    ag.sum_along(diff * diff).backward()
+    diff = ag.add(p, ag.constant(np.full(4, -3.0)))
+    ag.sum_along(ag.mul(diff, diff)).backward()
     opt.step()
 print("\nAdam pulled p to    :", np.round(p.data, 4), "(target 3.0)")

@@ -1,10 +1,12 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 A `Value` wraps a numpy array together with an accumulated gradient and a
-backward rule.  Operations build an implicit computation graph through the
-`_prev` links; `Value.backward()` topologically sorts the graph and applies
-the chain rule in reverse.  Everything is float64 and single-threaded, so a
-seeded forward/backward replay is bitwise reproducible.
+backward rule.  Ops take `Value` operands (an array enters as a `constant`;
+only `mul` also takes a Python number, as a scale) and build a graph
+through the `_prev` links; `Value.backward()` topologically sorts the
+graph and applies the chain rule in reverse.  Everything is float64 and
+single-threaded, so a seeded forward/backward replay is bitwise
+reproducible.
 
 Backward allocates only where a gradient lands (Paszke et al. 2017,
 "Automatic differentiation in PyTorch"): a node, leaf or intermediate,
@@ -128,29 +130,6 @@ class Value:
     def __repr__(self) -> str:
         return f"Value(shape={self.shape}, op={self._op!r})"
 
-    # operator sugar; everything routes through the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(_coerce(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(_coerce(other), mul(self, -1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def param(data) -> Value:
     """Create a trainable leaf."""
@@ -159,10 +138,6 @@ def param(data) -> Value:
 
 def constant(data) -> Value:
     return Value(data, requires_grad=False)
-
-
-def _coerce(x) -> Value:
-    return x if isinstance(x, Value) else Value(x)
 
 
 def topo_order(root: Value) -> list[Value]:
@@ -216,13 +191,13 @@ def make_node(data, inputs: Sequence[Value], op: str) -> Value:
     `data` may be a view of an input's data, and a rule may read its
     inputs' data during backward.  That is safe because nothing writes
     into a non-leaf `Value.data`, and the optimizer writes leaves only
-    after backward."""
+    after backward.  An input that is not a `Value` is a `TypeError`."""
     needs = False
-    if _grad_enabled:
-        for v in inputs:
-            if v.requires_grad:
-                needs = True
-                break
+    for v in inputs:
+        if not isinstance(v, Value):
+            raise TypeError(f"{op}: a {type(v).__name__} is not a Value")
+        needs = needs or v.requires_grad
+    needs = needs and _grad_enabled
     return Value(data, requires_grad=needs,
                  _prev=tuple(inputs) if needs else (), _op=op)
 
@@ -272,8 +247,7 @@ def _node(data, inputs: Sequence[Value], op: str, rules: Callable) -> Value:
     return out
 
 
-def add(a, b) -> Value:
-    a, b = _coerce(a), _coerce(b)
+def add(a: Value, b: Value) -> Value:
     try:
         data = a.data + b.data
     except ValueError as exc:
@@ -283,8 +257,10 @@ def add(a, b) -> Value:
         lambda g: _unbroadcast(g, b.shape)))
 
 
-def mul(a, b) -> Value:
-    a, b = _coerce(a), _coerce(b)
+def mul(a: Value, b: Value | float) -> Value:
+    """Elementwise product; a Python number `b` is a constant scale."""
+    if isinstance(b, (int, float)):
+        b = constant(b)
     try:
         data = a.data * b.data
     except ValueError as exc:
@@ -294,10 +270,9 @@ def mul(a, b) -> Value:
         lambda g: _unbroadcast(g * a.data, b.shape)))
 
 
-def matmul(a, b) -> Value:
+def matmul(a: Value, b: Value) -> Value:
     """numpy `@`: vectors, matrices, and (B, n, k) stacks, whose gradient
     with respect to a shared operand sums over the stack."""
-    a, b = _coerce(a), _coerce(b)
     try:
         data = a.data @ b.data
     except ValueError as exc:
@@ -319,7 +294,7 @@ def matmul(a, b) -> Value:
 
 
 def concat(parts: Iterable[Value], axis: int = 0) -> Value:
-    parts = [_coerce(p) for p in parts]
+    parts = list(parts)
     if not parts:
         raise ShapeError("concat: no operands")
     try:
@@ -336,33 +311,29 @@ def concat(parts: Iterable[Value], axis: int = 0) -> Value:
     return _node(data, parts, "concat", rules)
 
 
-def sigmoid(x) -> Value:
+def sigmoid(x: Value) -> Value:
     """Logistic sigmoid as 0.5 * tanh(0.5 * x) + 0.5: no exp() to overflow
     for any input, and within 2.2e-16 of the two-branch exp() form."""
-    x = _coerce(x)
     s = np.tanh(0.5 * x.data)
     s *= 0.5
     s += 0.5
     return _node(s, (x,), "sigmoid", lambda: (lambda g: g * s * (1.0 - s),))
 
 
-def tanh(x) -> Value:
-    x = _coerce(x)
+def tanh(x: Value) -> Value:
     t = np.tanh(x.data)
     return _node(t, (x,), "tanh", lambda: (lambda g: g * (1.0 - t * t),))
 
 
-def log(x) -> Value:
+def log(x: Value) -> Value:
     """Natural log with the input clamped at LOG_CLAMP (keeps -inf out)."""
-    x = _coerce(x)
     clamped = np.maximum(x.data, LOG_CLAMP)
     return _node(np.log(clamped), (x,), "log",
                  lambda: (lambda g: g / clamped,))
 
 
-def softmax(x, axis: int = -1) -> Value:
+def softmax(x: Value, axis: int = -1) -> Value:
     """Shift-stabilized softmax along `axis`; rows sum to 1."""
-    x = _coerce(x)
     if x.data.shape[axis] == 0:
         raise ShapeError(f"softmax: empty axis {axis} in shape {x.shape}")
     shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
@@ -372,9 +343,8 @@ def softmax(x, axis: int = -1) -> Value:
         lambda g: p * (g - np.sum(g * p, axis=axis, keepdims=True)),))
 
 
-def max_along(x, axis: int) -> Value:
+def max_along(x: Value, axis: int) -> Value:
     """Max along `axis`; ties route the gradient to the first maximal index."""
-    x = _coerce(x)
     if x.data.shape[axis] == 0:
         raise ShapeError(f"max_along: empty axis {axis} in shape {x.shape}")
 
@@ -386,14 +356,13 @@ def max_along(x, axis: int) -> Value:
     return _node(np.max(x.data, axis=axis), (x,), "max", rules)
 
 
-def sum_along(x, axis: int | None = None) -> Value:
-    x = _coerce(x)
+def sum_along(x: Value, axis: int | None = None) -> Value:
     return _node(np.sum(x.data, axis=axis), (x,), "sum", lambda: (
         lambda g: np.broadcast_to(
             g if axis is None else np.expand_dims(g, axis), x.shape),))
 
 
-def dropout(x, rate: float, rng: np.random.Generator | None) -> Value:
+def dropout(x: Value, rate: float, rng: np.random.Generator | None) -> Value:
     """Inverted dropout with a caller-owned seeded mask stream.
 
     Dropout runs exactly when a generator is passed: `rng=None` (scoring,
@@ -401,7 +370,6 @@ def dropout(x, rate: float, rng: np.random.Generator | None) -> Value:
     consuming a stream.  A rate outside [0, 1) raises `ValueError` either
     way.
     """
-    x = _coerce(x)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate {rate} outside [0, 1)")
     if rng is None or rate == 0.0:
@@ -411,9 +379,8 @@ def dropout(x, rate: float, rng: np.random.Generator | None) -> Value:
                  lambda: (lambda g: g * mask,))
 
 
-def take_rows(table, ids) -> Value:
+def take_rows(table: Value, ids) -> Value:
     """Row lookup `table[ids]`; the gradient scatter-adds into the table."""
-    table = _coerce(table)
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexError(
@@ -427,9 +394,8 @@ def take_rows(table, ids) -> Value:
     return out
 
 
-def narrow(x, axis: int, start: int, length: int) -> Value:
+def narrow(x: Value, axis: int, start: int, length: int) -> Value:
     """Contiguous slice [start, start+length) along `axis`, as a view."""
-    x = _coerce(x)
     if start < 0 or start + length > x.shape[axis]:
         raise ShapeError(
             f"narrow: [{start}, {start + length}) outside axis {axis} "
@@ -445,18 +411,16 @@ def narrow(x, axis: int, start: int, length: int) -> Value:
     return out
 
 
-def transpose(x) -> Value:
+def transpose(x: Value) -> Value:
     """Swap the last two axes of a matrix or of a (B, n, m) stack, as a
     view."""
-    x = _coerce(x)
     if x.ndim not in (2, 3):
         raise ShapeError(f"transpose: need 2-D or 3-D, got {x.shape}")
     return _node(np.swapaxes(x.data, -1, -2), (x,), "transpose",
                  lambda: (lambda g: np.swapaxes(g, -1, -2),))
 
 
-def reshape(x, shape) -> Value:
-    x = _coerce(x)
+def reshape(x: Value, shape) -> Value:
     return _node(x.data.reshape(shape), (x,), "reshape",
                  lambda: (lambda g: g.reshape(x.shape),))
 

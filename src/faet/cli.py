@@ -1,9 +1,10 @@
 """Command-line entry point: faet <subcommand>.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure
-(non-finite loss or failed gradient check).  Every subcommand is
-reproducible byte for byte under a fixed --seed; FAET_SEED serves as a
-fallback seed.
+(non-finite loss or failed gradient check), 141 output pipe closed by its
+reader (128 + SIGPIPE, as a shell reports a tool that SIGPIPE ended).
+Every subcommand is reproducible byte for byte under a fixed --seed;
+FAET_SEED serves as a fallback seed.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,7 +152,11 @@ def build_parser() -> _Parser:
 
 def _cmd_split(args) -> int:
     seed = _seed(args.seed)
-    ratios = tuple(float(r) for r in args.ratios.split(":"))
+    try:
+        ratios = tuple(float(r) for r in args.ratios.split(":"))
+    except ValueError:
+        raise ValueError(f"--ratios must be train:test:val numbers, got "
+                         f"{args.ratios!r}") from None
     docs = read_jsonl(args.input, mode="train")
     train_docs, test_docs, val_docs = split_corpus(docs, ratios, seed)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -235,16 +241,19 @@ def _cmd_gen_synthetic(args) -> int:
     seed = _seed(args.seed)
     if args.kind == "overfit" and args.test_size is not None:
         raise ValueError("--test-size applies only to --kind xor")
-    os.makedirs(args.out_dir, exist_ok=True)
+    # generated before the directory is made, so bad sizes leave none
     if args.kind == "overfit":
         size = args.size if args.size is not None else 64
+        docs = gen_overfit(size, seed)
+        os.makedirs(args.out_dir, exist_ok=True)
         path = os.path.join(args.out_dir, "overfit.jsonl")
-        write_jsonl(gen_overfit(size, seed), path)
+        write_jsonl(docs, path)
         _emit({"kind": "overfit", "size": size, "seed": seed, "path": path})
     else:
         size = args.size if args.size is not None else 512
         test_size = args.test_size if args.test_size is not None else 128
         train_docs, test_docs = gen_xor(size, test_size, seed)
+        os.makedirs(args.out_dir, exist_ok=True)
         train_path = os.path.join(args.out_dir, "xor_train.jsonl")
         test_path = os.path.join(args.out_dir, "xor_test.jsonl")
         write_jsonl(train_docs, train_path)
@@ -272,10 +281,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        if sys.stdout is not None:  # None when started without an fd 1
+            sys.stdout.flush()  # here, so a closed pipe cannot fail at exit
+        return code
+    except BrokenPipeError:
+        # the reader left (`faet predict ... | head`); what is still
+        # buffered goes to devnull, and nothing goes to stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (CorpusError, CheckpointError, FileExistsError, FileNotFoundError,
-            IsADirectoryError, NotADirectoryError,
-            json.JSONDecodeError) as exc:
+            IsADirectoryError, NotADirectoryError) as exc:
         print(f"faet: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NanLossError as exc:

@@ -91,11 +91,13 @@ def load_pretrained_emoji_vectors(path: str, table: BisenseEmojiEmbedding,
                                   vocab: Vocab) -> dict[str, int]:
     """Initialize sense vectors from a word2vec-style text file.
 
-    Format: header "count dim", then "token v1 ... v_dim" per line.  Tokens
-    suffixed "_pos"/"_neg" initialize one sense; bare tokens set both senses
-    to the same vector.  Entries not in the emoji vocabulary are counted and
-    skipped.  A `nan` or `inf` value on any line is a `CorpusError` naming
-    the line.
+    Format: header "count dim", then "token v1 ... v_dim" per line, where
+    `count` is the number of non-blank vector lines.  Tokens suffixed
+    "_pos"/"_neg" initialize one sense; bare tokens set both senses to the
+    same vector.  Entries not in the emoji vocabulary are counted and
+    skipped.  A wrong count, a sense given twice, or a `nan` or `inf`
+    value is a `CorpusError` naming the line; the table changes only when
+    the whole file is valid.
     """
     with open(path, "rb") as fh:
         lines = utf8_lines(fh)
@@ -103,14 +105,14 @@ def load_pretrained_emoji_vectors(path: str, table: BisenseEmojiEmbedding,
         if len(header) != 2:
             raise CorpusError("header must be 'count dim'", 1)
         try:
-            _, dim = int(header[0]), int(header[1])
+            count, dim = int(header[0]), int(header[1])
         except ValueError as exc:
             raise CorpusError(f"bad header: {exc}", 1) from exc
         if dim != table.dim:
             raise CorpusError(
                 f"file dimension {dim} != configured dimension {table.dim}", 1)
-        loaded = 0
-        ignored = 0
+        vectors: dict[tuple[str, str], tuple[int, np.ndarray]] = {}
+        loaded = ignored = 0
         for i, line in lines:
             if not line.strip():
                 continue
@@ -125,19 +127,24 @@ def load_pretrained_emoji_vectors(path: str, table: BisenseEmojiEmbedding,
                 raise CorpusError(f"bad number: {exc}", i) from exc
             if not np.isfinite(vec).all():
                 raise CorpusError("non-finite vector value", i)
-            sense = "both"
-            base = token
-            if token.endswith("_pos"):
-                base, sense = token[:-4], "pos"
-            elif token.endswith("_neg"):
-                base, sense = token[:-4], "neg"
-            if base not in vocab.emoji_to_id:
+            base, senses = token, ("pos", "neg")
+            if token.endswith(("_pos", "_neg")):
+                base, senses = token[:-4], (token[-3:],)
+            for sense in senses:
+                if (base, sense) in vectors:
+                    raise CorpusError(
+                        f"{sense} sense of {base!r} already set on line "
+                        f"{vectors[base, sense][0]}", i)
+                vectors[base, sense] = i, vec
+            if base in vocab.emoji_to_id:
+                loaded += 1
+            else:
                 ignored += 1
-                continue
-            eid = vocab.emoji_to_id[base]
-            if sense in ("pos", "both"):
-                table.sense_pos.data[eid] = vec
-            if sense in ("neg", "both"):
-                table.sense_neg.data[eid] = vec
-            loaded += 1
+    if loaded + ignored != count:
+        raise CorpusError(f"header count {count} != {loaded + ignored} "
+                          "vector lines", 1)
+    for (base, sense), (_, vec) in vectors.items():
+        if base in vocab.emoji_to_id:
+            target = table.sense_pos if sense == "pos" else table.sense_neg
+            target.data[vocab.emoji_to_id[base]] = vec
     return {"loaded": loaded, "ignored": ignored}

@@ -11,6 +11,7 @@ per position) so head capacity stays comparable.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
@@ -355,8 +356,8 @@ class Model:
                   for out, label in zip(outputs, batch.labels)]
         ce_terms, align_terms = zip(*losses)
         inv = 1.0 / len(batch)
-        ce_mean = sum(ce_terms[1:], ce_terms[0]) * inv
-        align_mean = sum(align_terms[1:], align_terms[0]) * inv
+        ce_mean = ag.mul(functools.reduce(ag.add, ce_terms), inv)
+        align_mean = ag.mul(functools.reduce(ag.add, align_terms), inv)
         return total_loss(ce_mean, align_mean, self.config.lambda_align)
 
     def predict_doc(self, text_ids, emoji_ids, explain: bool = False) -> dict:

@@ -78,7 +78,8 @@ class TestEmojiToText:
         u = interaction_matrix(
             text, emoji, ag.constant(np.random.default_rng(7).uniform(-1, 1, 12)))
         w1, _ = emoji_to_text(u, emoji, full(text), full(emoji))
-        w2, _ = emoji_to_text(ag.add(u, 3.7), emoji, full(text), full(emoji))
+        w2, _ = emoji_to_text(ag.add(u, ag.constant(3.7)), emoji, full(text),
+                              full(emoji))
         np.testing.assert_allclose(w1.data, w2.data, atol=1e-12)
 
     def test_column_maxima_two_and_zero(self):

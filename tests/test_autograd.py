@@ -4,6 +4,7 @@ Every differentiable primitive is fuzzed against central finite
 differences, which stay the independent reference throughout the suite.
 """
 
+import contextlib
 import gc
 import weakref
 
@@ -121,13 +122,37 @@ class TestShapeErrors:
     def test_nonscalar_loss(self):
         x = ag.param(np.zeros(3))
         with pytest.raises(ShapeError, match="scalar"):
-            (x * 2.0).backward()
+            ag.mul(x, 2.0).backward()
+
+
+class TestOperands:
+    """Ops take `Value` operands; only `mul` also takes a number."""
+
+    @pytest.mark.parametrize("graph", [True, False])
+    @pytest.mark.parametrize("op", [
+        lambda x, a: ag.add(x, a), lambda x, a: ag.mul(x, a),
+        lambda x, a: ag.matmul(x, a), lambda x, a: ag.concat([x, a]),
+        lambda x, a: ag.tanh(a), lambda x, a: ag.softmax(a)])
+    def test_an_array_operand_is_refused(self, op, graph):
+        x = ag.param(np.ones(3))
+        with contextlib.nullcontext() if graph else ag.no_grad():
+            with pytest.raises(TypeError, match="ndarray is not a Value"):
+                op(x, np.ones(3))
+
+    @pytest.mark.parametrize("scale", [2, 2.0])
+    def test_mul_takes_a_number_as_a_constant_scale(self, scale):
+        x = ag.param([1.0, -3.0])
+        out = ag.mul(x, scale)
+        assert [v.requires_grad for v in out._prev] == [True, False]
+        ag.sum_along(out).backward()
+        np.testing.assert_array_equal(out.data, [2.0, -6.0])
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
 
 class TestBackwardAnalytic:
     def test_square_at_three(self):
         x = ag.param(3.0)
-        (x * x).backward()
+        ag.mul(x, x).backward()
         np.testing.assert_allclose(x.grad, 6.0)
 
     def test_sigmoid_grad_at_zero(self):
@@ -141,7 +166,7 @@ class TestBackwardAnalytic:
         z = ag.param(rng.uniform(-2, 2, size=4))
         y = 2
         p = ag.softmax(z)
-        loss = -ag.log(ag.take_rows(ag.reshape(p, (4, 1)), [y]))
+        loss = ag.mul(ag.log(ag.take_rows(ag.reshape(p, (4, 1)), [y])), -1.0)
         ag.sum_along(loss).backward()
         expected = p.data - np.eye(4)[y]
         np.testing.assert_allclose(z.grad, expected, atol=1e-12)
@@ -156,20 +181,20 @@ class TestBackwardAnalytic:
     def test_unused_leaf_gets_exact_zero(self):
         x = ag.param([1.0, 2.0])
         unused = ag.param([5.0])
-        ag.sum_along(x * x).backward()
+        ag.sum_along(ag.mul(x, x)).backward()
         np.testing.assert_array_equal(unused.grad, [0.0])
 
     def test_backward_twice_accumulates_on_leaves(self):
         x = ag.param(3.0)
-        loss = x * x
+        loss = ag.mul(x, x)
         loss.backward()
         loss.backward()
         np.testing.assert_allclose(x.grad, 12.0)
 
     def test_shared_subexpression_accumulates(self):
         x = ag.param(2.0)
-        y = x * x  # used twice below
-        (y + y).backward()
+        y = ag.mul(x, x)  # used twice below
+        ag.add(y, y).backward()
         np.testing.assert_allclose(x.grad, 8.0)
 
     def test_replay_is_bitwise_identical(self):
@@ -178,7 +203,7 @@ class TestBackwardAnalytic:
             a = ag.param(rng.normal(size=(4, 3)))
             b = ag.param(rng.normal(size=(3, 2)))
             h = ag.tanh(ag.matmul(a, b))
-            loss = ag.sum_along(ag.softmax(h, axis=1) * h)
+            loss = ag.sum_along(ag.mul(ag.softmax(h, axis=1), h))
             loss.backward()
             return loss.item(), a.grad.copy(), b.grad.copy()
         l1, ga1, gb1 = run()
@@ -190,7 +215,7 @@ class TestBackwardAnalytic:
     def test_no_grad_builds_no_graph(self):
         x = ag.param([1.0, 2.0])
         with ag.no_grad():
-            out = ag.sum_along(x * x)
+            out = ag.sum_along(ag.mul(x, x))
         assert not out.requires_grad
         assert out._prev == ()
 
@@ -251,7 +276,7 @@ class TestLazyGradients:
     def test_zero_grad_of_an_intermediate_never_writes_through(self):
         x = ag.param([0.5, -1.0])
         y = ag.tanh(x)
-        z = ag.add(y, 1.0)
+        z = ag.add(y, ag.constant(1.0))
         ag.sum_along(ag.mul(z, ag.constant([2.0, 3.0]))).backward()
         assert y.grad is z.grad  # borrowed by reference
         y.zero_grad()
@@ -306,9 +331,9 @@ class TestLeafGradientsOnDemand:
 
 # every op in the module, applied to a (2, 3) param
 EVERY_OP = {
-    "add": lambda x: ag.add(x, 1.0),
+    "add": lambda x: ag.add(x, ag.constant(1.0)),
     "mul": lambda x: ag.mul(x, x),
-    "matmul": lambda x: ag.matmul(x, np.ones((3, 2))),
+    "matmul": lambda x: ag.matmul(x, ag.constant(np.ones((3, 2)))),
     "concat": lambda x: ag.concat([x, x], axis=1),
     "sigmoid": ag.sigmoid,
     "tanh": ag.tanh,
@@ -371,19 +396,19 @@ class TestPrimitiveGradientFuzz:
 
     def test_add(self):
         _fd_fuzz(lambda r: (r.uniform(-3, 3, (3, 4)), r.uniform(-3, 3, (3, 4))),
-                 lambda a, b: ag.sum_along(ag.tanh(a + b)), 90, seed=100)
+                 lambda a, b: ag.sum_along(ag.tanh(ag.add(a, b))), 90, seed=100)
 
     def test_add_broadcast(self):
         _fd_fuzz(lambda r: (r.uniform(-3, 3, (3, 4)), r.uniform(-3, 3, (4,))),
-                 lambda a, b: ag.sum_along(ag.tanh(a + b)), 80, seed=101)
+                 lambda a, b: ag.sum_along(ag.tanh(ag.add(a, b))), 80, seed=101)
 
     def test_mul(self):
         _fd_fuzz(lambda r: (r.uniform(-3, 3, (2, 5)), r.uniform(-3, 3, (2, 5))),
-                 lambda a, b: ag.sum_along(ag.sigmoid(a * b)), 90, seed=102)
+                 lambda a, b: ag.sum_along(ag.sigmoid(ag.mul(a, b))), 90, seed=102)
 
     def test_mul_broadcast_column(self):
         _fd_fuzz(lambda r: (r.uniform(-3, 3, (4, 1)), r.uniform(-3, 3, (4, 3))),
-                 lambda a, b: ag.sum_along(ag.tanh(a * b)), 80, seed=103)
+                 lambda a, b: ag.sum_along(ag.tanh(ag.mul(a, b))), 80, seed=103)
 
     def test_matmul_2d_2d(self):
         _fd_fuzz(lambda r: (r.uniform(-3, 3, (3, 4)), r.uniform(-3, 3, (4, 2))),
@@ -418,8 +443,9 @@ class TestPrimitiveGradientFuzz:
     def test_transpose_stacked(self):
         weights = np.arange(24.0).reshape(2, 4, 3) / 10.0
         _fd_fuzz(lambda r: (r.uniform(-3, 3, (2, 3, 4)),),
-                 lambda x: ag.sum_along(ag.tanh(ag.transpose(x))
-                                        * ag.constant(weights)), 40, seed=124)
+                 lambda x: ag.sum_along(ag.mul(ag.tanh(ag.transpose(x)),
+                                               ag.constant(weights))),
+                 40, seed=124)
 
     def test_concat(self):
         _fd_fuzz(lambda r: (r.uniform(-3, 3, (2, 3)), r.uniform(-3, 3, (4, 3))),
@@ -440,16 +466,17 @@ class TestPrimitiveGradientFuzz:
 
     def test_softmax(self):
         _fd_fuzz(lambda r: (r.uniform(-3, 3, (3, 5)),),
-                 lambda a: ag.sum_along(ag.softmax(a, axis=1)
-                                        * ag.constant(np.arange(5.0))),
+                 lambda a: ag.sum_along(ag.mul(ag.softmax(a, axis=1),
+                                               ag.constant(np.arange(5.0)))),
                  80, seed=113)
 
     def test_max_along_distinct_entries(self):
         def mk(r):
             a = r.uniform(-3, 3, (4, 5))
             return (a + np.arange(20).reshape(4, 5) * 1e-3,)  # break near-ties
-        _fd_fuzz(mk, lambda a: ag.sum_along(ag.max_along(a, axis=1)
-                                            * ag.constant([1.0, -2.0, 0.5, 1.5])),
+        _fd_fuzz(mk, lambda a: ag.sum_along(
+                     ag.mul(ag.max_along(a, axis=1),
+                            ag.constant([1.0, -2.0, 0.5, 1.5]))),
                  60, seed=114)
 
     def test_take_rows_with_duplicates(self):
@@ -480,14 +507,14 @@ class TestPrimitiveGradientFuzz:
 class TestFiniteDifferenceHarness:
     def test_square_relative_error_tiny(self):
         x = ag.param(3.0)
-        report = ag.finite_difference_check(lambda: x * x, {"x": x})
+        report = ag.finite_difference_check(lambda: ag.mul(x, x), {"x": x})
         assert report["x"] < 1e-8
 
     def test_covers_every_group(self):
         a = ag.param(np.full((5, 5), 0.3))
         b = ag.param(np.full(3, -0.2))
         report = ag.finite_difference_check(
-            lambda: ag.sum_along(ag.tanh(a)) + ag.sum_along(ag.sigmoid(b)),
+            lambda: ag.add(ag.sum_along(ag.tanh(a)), ag.sum_along(ag.sigmoid(b))),
             {"a": a, "b": b}, samples_per_group=8)
         assert set(report) == {"a", "b"}
         assert all(err < 1e-6 for err in report.values())

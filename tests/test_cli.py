@@ -180,6 +180,31 @@ class TestExitCodes:
         assert captured.out == ""
         assert value in captured.err
 
+    def test_closed_output_pipe_exits_141_without_a_traceback(
+            self, tmp_path, capsys):
+        docs = gen_overfit(16, seed=1)
+        model, data = str(tmp_path / "m.faet"), str(tmp_path / "data.jsonl")
+        save_checkpoint(Model(TrainConfig(d=3, d_w=3, n_filters=2),
+                              build_vocab(docs)), model)
+        write_jsonl(docs * 40, data)
+        argv = ["predict", "--model", model, "--data", data, "--explain"]
+        assert cli.main(argv) == 0
+        assert len(capsys.readouterr().out) > 2 ** 16  # fills a pipe buffer
+        proc = subprocess.Popen([sys.executable, "-m", "faet", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()  # the reader leaves, as `| head -c 100` does
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
+        assert err == b""
+
+    def test_no_stdout_at_all_still_succeeds(self, tmp_path, monkeypatch):
+        # Python sets sys.stdout to None when fd 1 is closed (`faet ... >&-`)
+        monkeypatch.setattr(sys, "stdout", None)
+        assert cli.main(["gen-synthetic", "--kind", "overfit",
+                         "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "overfit.jsonl").exists()
+
     def test_internal_shape_error_is_not_a_usage_error(self, monkeypatch):
         def broken(args):
             raise ShapeError("matmul: shapes (2,) and (3,)")
@@ -290,7 +315,7 @@ class TestSplit:
             assert len(lines) == expected
 
     @pytest.mark.parametrize("ratios", ["inf:1:1", "nan:1:1", "7:2:inf",
-                                        "1e308:1e308:1", "7:2"])
+                                        "1e308:1e308:1", "7:2", "7:x:1"])
     def test_bad_ratios_exit_one(self, workspace, tmp_path, ratios):
         result = run_cli("split", "--in", str(workspace / "corpus.jsonl"),
                          "--out-dir", str(tmp_path / "s"), "--ratios", ratios)
@@ -503,6 +528,22 @@ class TestMalformedInput:
         assert "line 3: non-finite vector value" in capsys.readouterr().err
         assert not list(checkpoint.glob("m.faet*"))
 
+    @pytest.mark.parametrize("text, message", [
+        ("5 5\nE_SMILE 1 1 1 1 1\n",
+         "line 1: header count 5 != 1 vector lines"),
+        ("3 5\nE_CRY 1 1 1 1 1\nE_SMILE 1 1 1 1 1\nE_CRY_pos 2 2 2 2 2\n",
+         "line 4: pos sense of 'E_CRY' already set on line 2")])
+    def test_bad_emoji_vectors_count_or_repeat_is_data_error(
+            self, checkpoint, capsys, text, message):
+        data = str(checkpoint / "data.jsonl")
+        vec = checkpoint / "vec.txt"
+        vec.write_text(text)
+        assert cli.main(["train", "--train", data, "--val", data,
+                         "--out", str(checkpoint / "m.faet"),
+                         "--emoji-vectors", str(vec), *TRAIN_FLAGS]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(checkpoint.glob("m.faet*"))
+
     def test_empty_eval_data_is_data_error(self, checkpoint, capsys):
         empty = checkpoint / "empty.jsonl"
         empty.write_bytes(b"")
@@ -632,6 +673,15 @@ class TestGenSynthetic:
         assert cli.main(["gen-synthetic", "--kind", "overfit", "--test-size",
                          "3", "--out-dir", str(out)]) == 1
         assert "--test-size" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--kind", "overfit", "--size", "8"],
+                                       ["--kind", "xor", "--test-size", "8"]])
+    def test_bad_size_exits_one_and_makes_no_directory(self, tmp_path,
+                                                       capsys, flags):
+        out = tmp_path / "g"
+        assert cli.main(["gen-synthetic", *flags, "--out-dir", str(out)]) == 1
+        assert "must be >= 16" in capsys.readouterr().err
         assert not out.exists()
 
     def test_xor_files(self, tmp_path):

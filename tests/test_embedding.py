@@ -169,3 +169,33 @@ class TestPretrainedLoading:
         counts = load_pretrained_emoji_vectors(str(path), make_table(dim=4),
                                                self._vocab())
         assert counts == {"loaded": 1, "ignored": 1}
+
+    @pytest.mark.parametrize("text, counts", [
+        ("5 4\n😊 1 1 1 1\n", "5 != 1"),
+        ("1 4\n😊 1 1 1 1\n\n😭 2 2 2 2\n", "1 != 2")])
+    def test_header_count_must_match_the_vector_lines(self, tmp_path, text,
+                                                      counts):
+        path = tmp_path / "vecs.txt"
+        path.write_text(text)
+        table = make_table(n_emoji=2, dim=4)
+        before = table.sense_pos.data.copy()
+        with pytest.raises(CorpusError,
+                           match=f"line 1: header count {counts} vector lines"):
+            load_pretrained_emoji_vectors(str(path), table, self._vocab())
+        np.testing.assert_array_equal(table.sense_pos.data, before)
+
+    @pytest.mark.parametrize("first, second", [
+        ("😭", "😭"), ("😭_neg", "😭_neg"), ("😭", "😭_pos"), ("😭_neg", "😭"),
+        ("🚀", "🚀_pos")])
+    def test_a_sense_set_twice_names_the_later_line(self, tmp_path, first,
+                                                    second):
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"3 4\n{first} 1 1 1 1\n😊 2 2 2 2\n"
+                        f"{second} 3 3 3 3\n")
+        table = make_table(n_emoji=2, dim=4)
+        before = table.sense_neg.data.copy()
+        with pytest.raises(CorpusError,
+                           match=r"line 4: \w+ sense of '.+' already set "
+                                 r"on line 2"):
+            load_pretrained_emoji_vectors(str(path), table, self._vocab())
+        np.testing.assert_array_equal(table.sense_neg.data, before)
