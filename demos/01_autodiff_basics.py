@@ -15,16 +15,16 @@ x = ag.param(0.7)
 y = ag.param(-1.3)
 loss = ag.add(ag.sigmoid(ag.mul(x, y)), ag.tanh(x))
 loss.backward()
-print("loss                :", loss.item())
+print("loss                :", float(loss.data))
 print("d loss / d x        :", float(x.grad))
 print("d loss / d y        :", float(y.grad))
 
 # the same derivative, measured numerically
 h = 1e-6
 x.data += h
-up = ag.sigmoid(ag.mul(x, y)).item() + ag.tanh(x).item()
+up = float(ag.sigmoid(ag.mul(x, y)).data) + float(ag.tanh(x).data)
 x.data -= 2 * h
-down = ag.sigmoid(ag.mul(x, y)).item() + ag.tanh(x).item()
+down = float(ag.sigmoid(ag.mul(x, y)).data) + float(ag.tanh(x).data)
 x.data += h
 print("central difference  :", (up - down) / (2 * h))
 

@@ -51,7 +51,7 @@ print("fused vector length:", out.fused.shape[1], "(= 4d)")
 # the alignment loss reads one document's unpadded (n, m) and (n, 2d) slices
 loss = alignment_loss(ag.reshape(out.word_emoji_weights, (3, 2)),
                       ag.reshape(text_states, (3, 4)), params.distance_w)
-print("\nalignment loss:", round(loss.item(), 4))
+print("\nalignment loss:", round(float(loss.data), 4))
 print("More negative is better here: distinct words already attend to "
       "different emojis,\nand training with this term pushes them further "
       "apart.")

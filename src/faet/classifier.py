@@ -201,7 +201,6 @@ def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
     return out
 
 
-def predict_label(probs) -> int:
+def predict_label(probs: Value) -> int:
     """Argmax over the 2-vector; an exact tie resolves to 0 (negative)."""
-    p = probs.data if isinstance(probs, Value) else np.asarray(probs)
-    return 1 if p[1] > p[0] else 0
+    return 1 if probs.data[1] > probs.data[0] else 0

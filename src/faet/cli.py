@@ -1,6 +1,7 @@
 """Command-line entry point: faet <subcommand>.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure
+Exit codes: 0 success, 1 usage error (a model too large to allocate
+included: its sizes come from the flags), 2 data error, 3 numeric failure
 (non-finite loss or failed gradient check), 141 output pipe closed by its
 reader (128 + SIGPIPE, as a shell reports a tool that SIGPIPE ended).
 Every subcommand is reproducible byte for byte under a fixed --seed;
@@ -299,6 +300,10 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except ShapeError:
         raise  # an internal bug, not a usage error: keep the traceback
+    except MemoryError as exc:
+        # numpy's message names the size and the shape it could not allocate
+        print(f"faet: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, TypeError) as exc:
         print(f"faet: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

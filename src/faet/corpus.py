@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,8 +172,8 @@ def split_corpus(docs: list[TokenizedDoc], ratios, seed: int
 class Vocab:
     """Token<->id maps: text ids reserve PAD=0 and UNK=1, emoji ids are dense."""
 
-    id_to_text: list[str] = field(default_factory=lambda: [PAD_TOKEN, UNK_TOKEN])
-    id_to_emoji: list[str] = field(default_factory=list)
+    id_to_text: list[str]
+    id_to_emoji: list[str]
 
     def __post_init__(self):
         self.text_to_id = {t: i for i, t in enumerate(self.id_to_text)}

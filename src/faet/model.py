@@ -28,7 +28,7 @@ from .classifier import TextCnnParams, predict_label, textcnn_forward_batch
 from .corpus import Vocab
 from .embedding import BisenseEmojiEmbedding, TextEncoder
 from .encoder import LstmParams, bilstm_encode_batch
-from .objective import alignment_loss, cross_entropy, total_loss
+from .objective import alignment_loss, cross_entropy
 
 VARIANTS = ("fine", "coarse")
 # `Model.score` runs this many documents per pass, sorted by length within
@@ -358,9 +358,9 @@ class Model:
         inv = 1.0 / len(batch)
         ce_mean = ag.mul(functools.reduce(ag.add, ce_terms), inv)
         align_mean = ag.mul(functools.reduce(ag.add, align_terms), inv)
-        return total_loss(ce_mean, align_mean, self.config.lambda_align)
+        return ag.add(ce_mean, ag.mul(align_mean, self.config.lambda_align))
 
-    def predict_doc(self, text_ids, emoji_ids, explain: bool = False) -> dict:
-        """Inference on one document; with `explain`, attach attention dumps."""
+    def predict_doc(self, text_ids, emoji_ids) -> dict:
+        """Inference on one document: probabilities and label."""
         (out,) = self.score([(text_ids, emoji_ids)])
-        return out.prediction(explain)
+        return out.prediction(False)

@@ -55,8 +55,3 @@ def alignment_loss(word_emoji_weights: Value, text: Value,
     sq = ag.sum_along(ag.mul(diff, diff), axis=2)         # (n, n)
     return ag.mul(ag.sum_along(ag.mul(dist, sq)), -0.5)
 
-
-def total_loss(ce_mean: Value, align_mean: Value,
-               lambda_align: float) -> Value:
-    """ce_mean + lambda_align * align_mean, both batch means."""
-    return ag.add(ce_mean, ag.mul(align_mean, lambda_align))

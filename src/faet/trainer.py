@@ -5,15 +5,15 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import finite_difference_check
 from .classifier import predict_label
-from .corpus import (CorpusError, TokenizedDoc, build_vocab, encode_doc,
-                     make_batches)
+from .corpus import (CorpusError, TokenizedDoc, Vocab, build_vocab,
+                     encode_doc, make_batches)
 from .model import VARIANTS, Model, TrainConfig
 from .optim import Adam
 
@@ -51,8 +51,8 @@ class MetricsReport:
     per_class: dict
     macro: dict
     micro: dict
-    zero_division: list = field(default_factory=list)
-    n: int = 0
+    zero_division: list
+    n: int
 
     def to_dict(self) -> dict:
         return {"counts": self.counts, "accuracy": self.accuracy,
@@ -108,12 +108,6 @@ def metrics_from_pairs(pairs: list[tuple[int, int]]) -> MetricsReport:
         zero_division=flags, n=total)
 
 
-def _scored(model: Model, docs: list[TokenizedDoc]):
-    """(outputs, doc) pairs from the model's chunked no-grad scoring."""
-    encoded = [encode_doc(d, model.vocab, model.config.max_len) for d in docs]
-    return zip(model.score(encoded), docs)
-
-
 def _require_labels(docs: list[TokenizedDoc], what: str) -> None:
     if not docs:
         raise CorpusError(f"{what}: empty document list")
@@ -121,25 +115,40 @@ def _require_labels(docs: list[TokenizedDoc], what: str) -> None:
         raise CorpusError(f"{what}: document without label")
 
 
-def _prediction_pairs(model: Model,
+def _encoded(docs: list[TokenizedDoc], vocab: Vocab, max_len: int,
+             what: str) -> list[tuple[list[int], list[int]]]:
+    """Every document's ids; an emoji outside `vocab` is a `CorpusError`
+    naming `what` and the document's 1-based position."""
+    rows = []
+    for position, doc in enumerate(docs, 1):
+        try:
+            rows.append(encode_doc(doc, vocab, max_len))
+        except CorpusError as exc:
+            raise CorpusError(f"{what} document {position}: {exc}") from None
+    return rows
+
+
+def _prediction_pairs(model: Model, rows: list[tuple],
                       docs: list[TokenizedDoc]) -> list[tuple[int, int]]:
-    """(predicted, true) label per labeled document."""
-    _require_labels(docs, "evaluate")
+    """(predicted, true) label per labeled document, scored from `rows`,
+    the documents' ids."""
     return [(predict_label(out.probs), doc.label)
-            for out, doc in _scored(model, docs)]
+            for out, doc in zip(model.score(rows), docs)]
 
 
 def evaluate(model: Model, docs: list[TokenizedDoc]) -> MetricsReport:
     """Score labeled documents; never touches model parameters."""
-    return metrics_from_pairs(_prediction_pairs(model, docs))
+    _require_labels(docs, "evaluate")
+    rows = _encoded(docs, model.vocab, model.config.max_len, "evaluate")
+    return metrics_from_pairs(_prediction_pairs(model, rows, docs))
 
 
-def _mean_loss_and_accuracy(model: Model,
+def _mean_loss_and_accuracy(model: Model, rows: list[tuple],
                             docs: list[TokenizedDoc]) -> tuple[float, float]:
     total = 0.0
     correct = 0
     lam = model.config.lambda_align
-    for out, doc in _scored(model, docs):
+    for out, doc in zip(model.score(rows), docs):
         with ag.no_grad():
             ce, align = model.doc_losses(out, doc.label)
         total += float(ce.data) + lam * float(align.data)
@@ -167,7 +176,10 @@ def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
     line per epoch; fully deterministic for a fixed seed.
 
     The best-validation-accuracy parameter snapshot is returned alongside
-    the final model (ties keep the earlier epoch).  A non-finite loss
+    the final model (ties keep the earlier epoch).  The validation
+    documents are encoded once, before the first epoch and before the log
+    file is opened, so an emoji outside the vocabulary is refused (naming
+    the document) with nothing trained or written.  A non-finite loss
     aborts with the offending batch named.
     """
     _require_labels(train_docs, "train")
@@ -175,6 +187,8 @@ def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
     if model is None:
         model = Model(config, build_vocab(train_docs,
                                           min_count=config.min_count))
+    val_rows = _encoded(val_docs, model.vocab, model.config.max_len,
+                        "validation")
     optimizer = Adam(model.parameters(), lr=config.lr)
     dropout_rng = np.random.default_rng(
         np.random.SeedSequence([config.seed, 1]))
@@ -207,7 +221,8 @@ def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
                 optimizer.step()
                 del loss  # free this step's graph before the next forward
                 loss_sum += loss_value * len(batch)
-            val_loss, val_acc = _mean_loss_and_accuracy(model, val_docs)
+            val_loss, val_acc = _mean_loss_and_accuracy(model, val_rows,
+                                                        val_docs)
             entry = {"epoch": epoch,
                      "train_loss": loss_sum / len(train_docs),
                      "val_loss": val_loss,
@@ -233,14 +248,21 @@ def ablate(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
     """Train both variants with identical seeds and data order, score the
     best-validation snapshots on the test split, and report side by side
     with an agreement matrix and the first `ABLATE_EXAMPLES` test
-    documents' predictions."""
+    documents' predictions.
+
+    The test documents are encoded against the training vocabulary before
+    either variant trains, so an emoji outside it is refused up front."""
+    _require_labels(train_docs, "train")
+    _require_labels(test_docs, "test")
+    vocab = build_vocab(train_docs, min_count=config.min_count)
+    test_rows = _encoded(test_docs, vocab, config.max_len, "test")
     variants = {}
     predictions = {}
     for variant in VARIANTS:
         cfg = dataclasses.replace(config, variant=variant)
-        result = train(train_docs, val_docs, cfg)
-        best = Model.from_state(cfg, result.model.vocab, result.best_state)
-        pairs = _prediction_pairs(best, test_docs)
+        result = train(train_docs, val_docs, cfg, model=Model(cfg, vocab))
+        best = Model.from_state(cfg, vocab, result.best_state)
+        pairs = _prediction_pairs(best, test_rows, test_docs)
         variants[variant] = {
             "metrics": metrics_from_pairs(pairs).to_dict(),
             "best_epoch": result.best_epoch,

@@ -1,10 +1,11 @@
-"""Census of the package's parameter defaults.
+"""Census of the package's defaults.
 
 Every parameter with a default in `src/faet` is listed below, as
-`module.qualified.function(parameter)`.  A default is a mode or a value
-that callers may leave out, so adding one (or removing one) means editing
-this list.  Backward-rule closures (`_bw(out=...)`) bind their node through
-a default and are not counted.
+`module.qualified.function(parameter)`, and every dataclass field with a
+default as `module.Class.field`.  A default is a mode or a value that
+callers may leave out, so adding one (or removing one) means editing
+these lists.  Backward-rule closures (`_bw(out=...)`) bind their node
+through a default and are not counted.
 """
 
 import ast
@@ -19,9 +20,7 @@ EXPECTED = [
     "autograd.concat(axis)",
     "autograd.softmax(axis)",
     "autograd.sum_along(axis)",
-    "autograd.finite_difference_check(h)",
     "autograd.finite_difference_check(samples_per_group)",
-    "autograd.finite_difference_check(seed)",
     "classifier.textcnn_forward_batch(dropout_rate)",
     "classifier.textcnn_forward_batch(dropout_rng)",
     "cli._emit(pretty)",
@@ -35,10 +34,33 @@ EXPECTED = [
     "corpus.make_batches(shuffle)",
     "model.Model.forward_docs(dropout_rng)",
     "model.Model.batch_loss(dropout_rng)",
-    "model.Model.predict_doc(explain)",
     "trainer.train(model)",
     "trainer.train(log_path)",
 ]
+
+FIELD_DEFAULTS = [
+    "corpus.TokenizedDoc.label",
+    "model.TrainConfig.d",
+    "model.TrainConfig.d_w",
+    "model.TrainConfig.n_filters",
+    "model.TrainConfig.widths",
+    "model.TrainConfig.dropout",
+    "model.TrainConfig.batch_size",
+    "model.TrainConfig.epochs",
+    "model.TrainConfig.max_len",
+    "model.TrainConfig.lr",
+    "model.TrainConfig.lambda_align",
+    "model.TrainConfig.label_smoothing",
+    "model.TrainConfig.seed",
+    "model.TrainConfig.variant",
+    "model.TrainConfig.min_count",
+]
+
+
+def _trees():
+    package = Path(faet.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
 
 
 def _defaults(node, prefix):
@@ -64,9 +86,17 @@ def _defaults(node, prefix):
 
 
 def test_parameter_defaults_are_exactly_the_listed_ones():
-    package = Path(faet.__file__).resolve().parent
     found = []
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        found.extend(_defaults(tree, path.stem))
+    for module, tree in _trees():
+        found.extend(_defaults(tree, module))
     assert found == EXPECTED
+
+
+def test_dataclass_field_defaults_are_exactly_the_listed_ones():
+    found = [f"{module}.{cls.name}.{stmt.target.id}"
+             for module, tree in _trees() for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef)
+             and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+             for stmt in cls.body
+             if isinstance(stmt, ast.AnnAssign) and stmt.value is not None]
+    assert found == FIELD_DEFAULTS

@@ -143,6 +143,48 @@ class TestExitCodes:
         assert f"--out {out}" in err and ".tmp" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_unknown_emoji_exits_two_before_training(self, workspace,
+                                                     tmp_path, capsys,
+                                                     command, monkeypatch):
+        corpus = workspace / "corpus.jsonl"
+        changed = tmp_path / "changed.jsonl"
+        changed.write_text(corpus.read_text(encoding="utf-8")
+                           .replace("E_CRY", "E_NEW"), encoding="utf-8")
+        out, log = tmp_path / "out", tmp_path / "log.jsonl"
+        out.mkdir()
+        steps = []
+        batch_loss = Model.batch_loss
+        monkeypatch.setattr(Model, "batch_loss", lambda *args, **kwargs:
+                            steps.append(1) or batch_loss(*args, **kwargs))
+        if command == "train":
+            argv = ["train", "--train", str(corpus), "--val", str(changed),
+                    "--out", str(out / "m.faet"), "--log", str(log)]
+            named = "validation document "
+        else:
+            argv = ["ablate", "--train", str(corpus), "--val", str(corpus),
+                    "--test", str(changed)]
+            named = "test document "
+        assert cli.main([*argv, *TRAIN_FLAGS]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "'E_NEW' not in vocabulary" in err
+        assert steps == []
+        assert list(out.iterdir()) == [] and not log.exists()
+
+    def test_model_too_large_to_allocate_exits_one(self, workspace,
+                                                   tmp_path, capsys):
+        corpus = str(workspace / "corpus.jsonl")
+        # the first array at d = 10**12, about 5.7 PiB, is larger than any
+        # user address space, so no machine setting can grant it
+        assert cli.main(["train", "--train", corpus, "--val", corpus,
+                         "--out", str(tmp_path / "m.faet"),
+                         "--d", "1000000000000"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("faet: error: Unable to allocate")
+        assert err.count("\n") == 1 and "shape" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_corpus_is_data_error(self, workspace):
         bad = workspace / "bad.jsonl"
         bad.write_text('{"text_tokens": []}\n')

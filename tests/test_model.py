@@ -159,9 +159,9 @@ class TestForward:
 
     def test_explain_payload_fine(self, model):
         m, docs = model
-        result = m.predict_doc(m.vocab.encode_text(docs[1].text_tokens),
-                               m.vocab.encode_emojis(docs[1].emoji_tokens),
-                               explain=True)
+        result = next(m.score([(m.vocab.encode_text(docs[1].text_tokens),
+                                m.vocab.encode_emojis(docs[1].emoji_tokens))]
+                              )).prediction(True)
         explain = result["explain"]
         assert set(explain) == {"sense_weights", "interaction",
                                 "emoji_weights", "text_weights",
@@ -213,9 +213,9 @@ class TestForward:
     def test_explain_payload_coarse(self):
         docs = tiny_corpus()
         m = Model(tiny_config(variant="coarse"), build_vocab(docs))
-        result = m.predict_doc(m.vocab.encode_text(docs[0].text_tokens),
-                               m.vocab.encode_emojis(docs[0].emoji_tokens),
-                               explain=True)
+        result = next(m.score([(m.vocab.encode_text(docs[0].text_tokens),
+                                m.vocab.encode_emojis(docs[0].emoji_tokens))]
+                              )).prediction(True)
         assert "coarse_weights" in result["explain"]
         assert "interaction" not in result["explain"]
 
@@ -226,14 +226,14 @@ class TestBatchLoss:
         vocab = m.vocab
         (batch,) = make_batches(docs, vocab, batch_size=4, max_len=100,
                                 shuffle=False)
-        total = m.batch_loss(batch).item()
+        total = float(m.batch_loss(batch).data)
         lam = m.config.lambda_align
         manual = 0.0
         for doc in docs:
             out = forward_one(m, vocab.encode_text(doc.text_tokens),
                               vocab.encode_emojis(doc.emoji_tokens))
             ce, align = m.doc_losses(out, doc.label)
-            manual += ce.item() + lam * align.item()
+            manual += float(ce.data) + lam * float(align.data)
         np.testing.assert_allclose(total, manual / len(docs), atol=1e-12)
 
     def test_backward_reaches_every_parameter_group(self, model):
@@ -324,7 +324,8 @@ def test_batch_loss_invariant_under_reordering(docs, variant, data):
                                 batch_size=len(batch_docs), max_len=12)
         loss = m.batch_loss(batch)
         loss.backward()
-        return loss.item(), {name: p.grad.copy() for name, p in params.items()}
+        return float(loss.data), {name: p.grad.copy()
+                                  for name, p in params.items()}
 
     loss, grads = loss_and_grads(docs)
     permuted_loss, permuted = loss_and_grads(data.draw(st.permutations(docs)))

@@ -7,29 +7,31 @@ from oracles import alignment_pairs
 
 from faet import autograd as ag
 from faet.attention import FineAttentionParams, fine_attention
-from faet.model import TrainConfig
-from faet.objective import alignment_loss, cross_entropy, total_loss
+from faet.corpus import TokenizedDoc, build_vocab, make_batches
+from faet.model import Model, TrainConfig
+from faet.objective import alignment_loss, cross_entropy
 
 
 class TestCrossEntropy:
     def test_uniform_probs_give_ln2(self):
         for label in (0, 1):
             loss = cross_entropy(ag.constant([0.5, 0.5]), label, 0.0)
-            np.testing.assert_allclose(loss.item(), np.log(2.0), atol=1e-12)
+            np.testing.assert_allclose(float(loss.data), np.log(2.0),
+                                       atol=1e-12)
 
     def test_confident_correct_is_zero(self):
         loss = cross_entropy(ag.constant([0.0, 1.0]), 1, 0.0)
-        np.testing.assert_allclose(loss.item(), 0.0, atol=1e-12)
+        np.testing.assert_allclose(float(loss.data), 0.0, atol=1e-12)
 
     def test_confident_wrong_hits_clamp(self):
         loss = cross_entropy(ag.constant([1.0, 0.0]), 1, 0.0)
-        np.testing.assert_allclose(loss.item(), -np.log(1e-12), atol=1e-9)
+        np.testing.assert_allclose(float(loss.data), -np.log(1e-12), atol=1e-9)
 
     def test_label_smoothing(self):
         probs = ag.constant([0.25, 0.75])
         loss = cross_entropy(probs, 1, label_smoothing=0.2)
         expected = -(0.9 * np.log(0.75) + 0.1 * np.log(0.25))
-        np.testing.assert_allclose(loss.item(), expected, atol=1e-12)
+        np.testing.assert_allclose(float(loss.data), expected, atol=1e-12)
 
 
 class TestAlignmentLoss:
@@ -37,13 +39,13 @@ class TestAlignmentLoss:
         loss = alignment_loss(ag.constant(np.ones((1, 3)) / 3.0),
                               ag.constant(np.zeros((1, 4))),
                               ag.constant(np.zeros(8)))
-        assert loss.item() == 0.0
+        assert float(loss.data) == 0.0
 
     def test_identical_rows_zero(self):
         beta = ag.constant(np.tile([0.3, 0.7], (4, 1)))
         text = ag.constant(np.random.default_rng(0).normal(size=(4, 3)))
         loss = alignment_loss(beta, text, ag.constant(np.zeros(6)))
-        np.testing.assert_allclose(loss.item(), 0.0, atol=1e-15)
+        np.testing.assert_allclose(float(loss.data), 0.0, atol=1e-15)
 
     def test_hand_case_minus_one(self):
         # two words, opposite one-hot attention, zero distance weights:
@@ -51,7 +53,7 @@ class TestAlignmentLoss:
         beta = ag.constant(np.array([[1.0, 0.0], [0.0, 1.0]]))
         text = ag.constant(np.random.default_rng(1).normal(size=(2, 3)))
         loss = alignment_loss(beta, text, ag.constant(np.zeros(6)))
-        np.testing.assert_allclose(loss.item(), -1.0, atol=1e-9)
+        np.testing.assert_allclose(float(loss.data), -1.0, atol=1e-9)
 
     def test_bounded_by_pair_count(self):
         rng = np.random.default_rng(2)
@@ -62,7 +64,7 @@ class TestAlignmentLoss:
             text = ag.constant(rng.normal(size=(n, 4)))
             w = ag.constant(rng.normal(size=8))
             with ag.no_grad():
-                loss = alignment_loss(beta, text, w).item()
+                loss = float(alignment_loss(beta, text, w).data)
             assert loss <= 0.0
             assert abs(loss) <= 2.0 * n * (n - 1) / 2.0 + 1e-9
 
@@ -72,10 +74,11 @@ class TestAlignmentLoss:
         beta = raw / raw.sum(axis=1, keepdims=True)
         text = rng.normal(size=(5, 4))
         w = ag.constant(rng.normal(size=8))
-        base = alignment_loss(ag.constant(beta), ag.constant(text), w).item()
+        base = float(alignment_loss(ag.constant(beta), ag.constant(text),
+                                    w).data)
         perm = rng.permutation(5)
-        permuted = alignment_loss(ag.constant(beta[perm]),
-                                  ag.constant(text[perm]), w).item()
+        permuted = float(alignment_loss(ag.constant(beta[perm]),
+                                        ag.constant(text[perm]), w).data)
         np.testing.assert_allclose(base, permuted, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
@@ -123,15 +126,33 @@ class TestAlignmentLoss:
 
 
 class TestTotalLoss:
+    @staticmethod
+    def batch_losses(lambda_align):
+        """`Model.batch_loss` over two documents whose alignment term is
+        nonzero, with their mean cross-entropy and mean alignment."""
+        docs = [TokenizedDoc(["good", "day", "here"], ["E_S", "E_C"], 1),
+                TokenizedDoc(["bad", "day"], ["E_C", "E_S"], 0)]
+        config = TrainConfig(d=4, d_w=5, n_filters=3, widths=(2,),
+                             lambda_align=lambda_align, seed=0)
+        model = Model(config, build_vocab(docs))
+        (batch,) = make_batches(docs, model.vocab, 2, max_len=20,
+                                shuffle=False)
+        terms = [model.doc_losses(out, label) for out, label in
+                 zip(model.forward_docs(batch.rows), batch.labels)]
+        inv = 1.0 / len(batch)
+        ce = sum(float(c.data) for c, _ in terms) * inv
+        align = sum(float(a.data) for _, a in terms) * inv
+        return float(model.batch_loss(batch).data), ce, align
+
     def test_zero_lambda_is_pure_ce(self):
-        ce = ag.constant(0.7)
-        align = ag.constant(-1.0)
-        loss = total_loss(ce, align, 0.0)
-        assert loss.item() == 0.7
+        loss, ce, align = self.batch_losses(0.0)
+        assert align < 0.0
+        assert loss == ce
 
     def test_arithmetic(self):
-        loss = total_loss(ag.constant(0.7), ag.constant(-1.0), 1.0)
-        np.testing.assert_allclose(loss.item(), -0.3, atol=1e-15)
+        loss, ce, align = self.batch_losses(1.0)
+        assert align < 0.0
+        assert loss == ce + align
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
@@ -150,7 +171,7 @@ class TestTotalLoss:
             ce = cross_entropy(ag.softmax(ag.narrow(fused, 0, 0, 2)), 1, 0.0)
             align = alignment_loss(ag.reshape(out.word_emoji_weights, (3, 2)),
                                    text, attn.distance_w)
-            return total_loss(ce, align, 0.5)
+            return ag.add(ce, ag.mul(align, 0.5))
 
         groups = {"text": text, "emoji": emoji}
         groups.update(attn.parameters())
@@ -177,4 +198,4 @@ class TestTotalLoss:
         assert np.any(grad != 0)
         attn.interaction_w.data -= 0.05 * grad
         after = align_value()
-        assert after.item() < before.item()
+        assert float(after.data) < float(before.data)

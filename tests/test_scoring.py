@@ -1,7 +1,7 @@
 """The one scoring path: length-sorted, chunked no-grad `Model.score`
-against `Model.predict_doc`, on generated documents: probabilities,
-labels and the per-document `--explain` payloads, and the groups of
-documents that reach `forward_docs`."""
+against one document scored alone, on generated documents:
+probabilities, labels and the per-document `--explain` payloads, and the
+groups of documents that reach `forward_docs`."""
 
 import itertools
 import math
@@ -55,7 +55,7 @@ def test_batched_scores_match_predict_doc(extra, variant, data):
         outputs = list(model.score(encoded))
     assert len(outputs) == len(docs)
     for out, (text_ids, emoji_ids) in zip(outputs, encoded):
-        single = model.predict_doc(text_ids, emoji_ids, explain=True)
+        single = next(model.score([(text_ids, emoji_ids)])).prediction(True)
         probs = out.probs.data
         np.testing.assert_allclose(probs, single["probs"], rtol=0, atol=1e-12)
         assert predict_label(out.probs) == single["label"]

@@ -12,7 +12,8 @@ import pytest
 from oracles import accuracy_by_hand, prf_by_hand, recount_confusion
 
 from faet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from faet.corpus import TokenizedDoc, build_vocab, encode_doc, make_batches
+from faet.corpus import (CorpusError, TokenizedDoc, build_vocab, encode_doc,
+                         make_batches)
 from faet.model import Model, TrainConfig
 from faet.optim import Adam
 import faet.model
@@ -206,6 +207,23 @@ class TestTrainLoop:
             train(train_docs, val_docs, tiny_config(), log_path=str(log))
         assert steps == []
         assert not log.exists() or log.read_text() == ""
+
+    def test_unknown_validation_emoji_fails_before_any_epoch(
+            self, tmp_path, monkeypatch):
+        docs = gen_overfit(16, seed=10)
+        val_docs = list(docs)
+        val_docs[3] = TokenizedDoc(docs[3].text_tokens, ["E_NEW"],
+                                   docs[3].label)
+        losses = []
+        batch_loss = Model.batch_loss
+        monkeypatch.setattr(Model, "batch_loss", lambda *args, **kwargs:
+                            losses.append(1) or batch_loss(*args, **kwargs))
+        log = tmp_path / "log.jsonl"
+        with pytest.raises(CorpusError, match="^validation document 4: "
+                           "emoji token 'E_NEW' not in vocabulary"):
+            train(docs, val_docs, tiny_config(), log_path=str(log))
+        assert losses == []
+        assert not log.exists()
 
     def test_best_checkpoint_ties_keep_earlier_epoch(self):
         docs = gen_overfit(16, seed=5)
@@ -419,6 +437,22 @@ class TestAblate:
         standalone = train(train_docs, test_docs, coarse_cfg)
         assert (standalone.best_val_acc
                 == report["variants"]["coarse"]["best_val_acc"])
+
+
+    def test_unknown_test_emoji_fails_before_training(self, monkeypatch):
+        train_docs, test_docs = gen_xor(32, 16, seed=12)
+        test_docs[2] = TokenizedDoc(test_docs[2].text_tokens, ["E_NEW"],
+                                    test_docs[2].label)
+        calls = []
+        for owner, name in ((faet.trainer, "train"), (Model, "batch_loss")):
+            def counted(*args, _original=getattr(owner, name), **kwargs):
+                calls.append(name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        with pytest.raises(CorpusError, match="^test document 3: "
+                           "emoji token 'E_NEW' not in vocabulary"):
+            ablate(train_docs, train_docs, test_docs, tiny_config(epochs=2))
+        assert calls == []
 
 
 class TestGradientCheckReport:
