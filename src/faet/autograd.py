@@ -2,11 +2,14 @@
 
 A `Value` wraps a numpy array together with an accumulated gradient and a
 backward rule.  Ops take `Value` operands (an array enters as a `constant`;
-only `mul` also takes a Python number, as a scale) and build a graph
-through the `_prev` links; `Value.backward()` topologically sorts the
-graph and applies the chain rule in reverse.  Everything is float64 and
-single-threaded, so a seeded forward/backward replay is bitwise
-reproducible.
+only `mul` also takes a Python number, as a scale; any other operand is a
+`TypeError` naming the op) and build a graph through the `_prev` links;
+`Value.backward()` topologically sorts the graph and applies the chain
+rule in reverse.  Everything is float64 in a fixed float order, and the
+package starts no threads; only BLAS may split a matrix product over
+threads, which can move its last bits.  So a seeded run repeats its logs
+for a fixed seed, and its checkpoint bytes for a fixed seed and BLAS
+thread count.
 
 Backward allocates only where a gradient lands (Paszke et al. 2017,
 "Automatic differentiation in PyTorch"): a node, leaf or intermediate,
@@ -192,14 +195,17 @@ def make_node(data, inputs: Sequence[Value], op: str) -> Value:
     inputs' data during backward.  That is safe because nothing writes
     into a non-leaf `Value.data`, and the optimizer writes leaves only
     after backward.  An input that is not a `Value` is a `TypeError`."""
-    needs = False
-    for v in inputs:
-        if not isinstance(v, Value):
-            raise TypeError(f"{op}: a {type(v).__name__} is not a Value")
-        needs = needs or v.requires_grad
-    needs = needs and _grad_enabled
+    _check(op, inputs)
+    needs = _grad_enabled and any(v.requires_grad for v in inputs)
     return Value(data, requires_grad=needs,
                  _prev=tuple(inputs) if needs else (), _op=op)
+
+
+def _check(op: str, operands: Iterable) -> None:
+    """An operand that is not a `Value` is a `TypeError` naming `op`."""
+    for v in operands:
+        if not isinstance(v, Value):
+            raise TypeError(f"{op}: a {type(v).__name__} is not a Value")
 
 
 def accumulate(node: Value, g: np.ndarray) -> None:
@@ -248,6 +254,7 @@ def _node(data, inputs: Sequence[Value], op: str, rules: Callable) -> Value:
 
 
 def add(a: Value, b: Value) -> Value:
+    _check("add", (a, b))
     try:
         data = a.data + b.data
     except ValueError as exc:
@@ -261,6 +268,7 @@ def mul(a: Value, b: Value | float) -> Value:
     """Elementwise product; a Python number `b` is a constant scale."""
     if isinstance(b, (int, float)):
         b = constant(b)
+    _check("mul", (a, b))
     try:
         data = a.data * b.data
     except ValueError as exc:
@@ -273,6 +281,7 @@ def mul(a: Value, b: Value | float) -> Value:
 def matmul(a: Value, b: Value) -> Value:
     """numpy `@`: vectors, matrices, and (B, n, k) stacks, whose gradient
     with respect to a shared operand sums over the stack."""
+    _check("matmul", (a, b))
     try:
         data = a.data @ b.data
     except ValueError as exc:
@@ -295,6 +304,7 @@ def matmul(a: Value, b: Value) -> Value:
 
 def concat(parts: Iterable[Value], axis: int = 0) -> Value:
     parts = list(parts)
+    _check("concat", parts)
     if not parts:
         raise ShapeError("concat: no operands")
     try:
@@ -314,6 +324,7 @@ def concat(parts: Iterable[Value], axis: int = 0) -> Value:
 def sigmoid(x: Value) -> Value:
     """Logistic sigmoid as 0.5 * tanh(0.5 * x) + 0.5: no exp() to overflow
     for any input, and within 2.2e-16 of the two-branch exp() form."""
+    _check("sigmoid", (x,))
     s = np.tanh(0.5 * x.data)
     s *= 0.5
     s += 0.5
@@ -321,12 +332,14 @@ def sigmoid(x: Value) -> Value:
 
 
 def tanh(x: Value) -> Value:
+    _check("tanh", (x,))
     t = np.tanh(x.data)
     return _node(t, (x,), "tanh", lambda: (lambda g: g * (1.0 - t * t),))
 
 
 def log(x: Value) -> Value:
     """Natural log with the input clamped at LOG_CLAMP (keeps -inf out)."""
+    _check("log", (x,))
     clamped = np.maximum(x.data, LOG_CLAMP)
     return _node(np.log(clamped), (x,), "log",
                  lambda: (lambda g: g / clamped,))
@@ -334,6 +347,7 @@ def log(x: Value) -> Value:
 
 def softmax(x: Value, axis: int = -1) -> Value:
     """Shift-stabilized softmax along `axis`; rows sum to 1."""
+    _check("softmax", (x,))
     if x.data.shape[axis] == 0:
         raise ShapeError(f"softmax: empty axis {axis} in shape {x.shape}")
     shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
@@ -345,6 +359,7 @@ def softmax(x: Value, axis: int = -1) -> Value:
 
 def max_along(x: Value, axis: int) -> Value:
     """Max along `axis`; ties route the gradient to the first maximal index."""
+    _check("max_along", (x,))
     if x.data.shape[axis] == 0:
         raise ShapeError(f"max_along: empty axis {axis} in shape {x.shape}")
 
@@ -357,6 +372,7 @@ def max_along(x: Value, axis: int) -> Value:
 
 
 def sum_along(x: Value, axis: int | None = None) -> Value:
+    _check("sum_along", (x,))
     return _node(np.sum(x.data, axis=axis), (x,), "sum", lambda: (
         lambda g: np.broadcast_to(
             g if axis is None else np.expand_dims(g, axis), x.shape),))
@@ -370,6 +386,7 @@ def dropout(x: Value, rate: float, rng: np.random.Generator | None) -> Value:
     consuming a stream.  A rate outside [0, 1) raises `ValueError` either
     way.
     """
+    _check("dropout", (x,))
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate {rate} outside [0, 1)")
     if rng is None or rate == 0.0:
@@ -381,6 +398,7 @@ def dropout(x: Value, rate: float, rng: np.random.Generator | None) -> Value:
 
 def take_rows(table: Value, ids) -> Value:
     """Row lookup `table[ids]`; the gradient scatter-adds into the table."""
+    _check("take_rows", (table,))
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexError(
@@ -396,6 +414,7 @@ def take_rows(table: Value, ids) -> Value:
 
 def narrow(x: Value, axis: int, start: int, length: int) -> Value:
     """Contiguous slice [start, start+length) along `axis`, as a view."""
+    _check("narrow", (x,))
     if start < 0 or start + length > x.shape[axis]:
         raise ShapeError(
             f"narrow: [{start}, {start + length}) outside axis {axis} "
@@ -414,6 +433,7 @@ def narrow(x: Value, axis: int, start: int, length: int) -> Value:
 def transpose(x: Value) -> Value:
     """Swap the last two axes of a matrix or of a (B, n, m) stack, as a
     view."""
+    _check("transpose", (x,))
     if x.ndim not in (2, 3):
         raise ShapeError(f"transpose: need 2-D or 3-D, got {x.shape}")
     return _node(np.swapaxes(x.data, -1, -2), (x,), "transpose",
@@ -421,6 +441,7 @@ def transpose(x: Value) -> Value:
 
 
 def reshape(x: Value, shape) -> Value:
+    _check("reshape", (x,))
     return _node(x.data.reshape(shape), (x,), "reshape",
                  lambda: (lambda g: g.reshape(x.shape),))
 

@@ -3,7 +3,9 @@
 Layout: magic "FAET", little-endian u32 format version, length-prefixed
 config JSON, length-prefixed vocab JSON, then a u32 parameter count
 followed by name/shape/float64 blobs in sorted-name order.  Round-trips
-are bitwise exact.  A save writes a temporary file beside the target and
+are bitwise exact.  Saves write version 2; version 1 files, whose TextCNN
+filters carry their summary columns at every shift, still load (see
+`_v1_arrays`).  A save writes a temporary file beside the target and
 renames it into place, so a failed save leaves the previous file intact.
 """
 
@@ -15,14 +17,16 @@ import math
 import os
 import struct
 import sys
+from typing import Callable
 
 import numpy as np
 
+from .classifier import TextCnnParams
 from .corpus import Vocab
 from .model import Model, TrainConfig
 
 MAGIC = b"FAET"
-VERSION = 1
+VERSION = 2
 # config keys that checkpoints of earlier releases carry and loading drops
 RETIRED_CONFIG_FIELDS = ("encoder_mode",)
 
@@ -79,14 +83,14 @@ def _read(fh, n: int, what: str) -> bytes:
     return chunk
 
 
-def _read_header(fh, path: str) -> tuple[TrainConfig, Vocab]:
+def _read_header(fh, path: str) -> tuple[int, TrainConfig, Vocab]:
     if _read(fh, 4, "magic") != MAGIC:
         raise CheckpointError(f"{path}: not a FAET checkpoint")
     (version,) = struct.unpack("<I", _read(fh, 4, "version"))
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise CheckpointError(
             f"{path}: format version {version} unsupported "
-            f"(expected {VERSION})")
+            f"(expected 1 or {VERSION})")
     try:
         (n,) = struct.unpack("<Q", _read(fh, 8, "config length"))
         config = TrainConfig.from_json_dict(
@@ -96,25 +100,49 @@ def _read_header(fh, path: str) -> tuple[TrainConfig, Vocab]:
         vocab = Vocab.from_json_dict(json.loads(_read(fh, n, "vocab")))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad embedded metadata: {exc}") from exc
-    return config, vocab
+    return version, config, vocab
+
+
+def _v1_arrays(cnn: TextCnnParams, arrays: dict[str, np.ndarray]
+               ) -> tuple[dict[str, np.ndarray], Callable[[], None]]:
+    """Version 1 stored each filter at full width, summary columns at
+    every shift, and no `cnn.summary`.  Returns the arrays a v1 file's
+    blobs are read into, given the model's, and the step that then sets
+    the model from them (`TextCnnParams.set_full_width`), summing the
+    copies in shift order as the v1 forward did."""
+    arrays = {k: v for k, v in arrays.items() if k != "cnn.summary"}
+    wide = {}
+    for w in cnn.widths:
+        name = f"cnn.filters_w{w}"
+        f, state_cols = arrays[name].shape
+        wide[w] = arrays[name] = np.empty(
+            (f, state_cols + w * cnn.summary.shape[1]))
+
+    def from_v1():
+        for w, full in wide.items():
+            cnn.set_full_width(w, full)
+    return arrays, from_v1
 
 
 def load_checkpoint(path: str) -> Model:
     """Rebuild a model from file.
 
     The model is built from the embedded config without drawing a random
-    number, and each blob is read straight into its parameter's array.  A
+    number, and each blob is read straight into its parameter's array (a
+    version 1 filter into an array of its own, see `_v1_arrays`).  A
     blob's size is checked against what is left of the file before its
     name and shape are checked against the model; every parameter must
     appear exactly once.
     """
     with open(path, "rb") as fh:
-        config, vocab = _read_header(fh, path)
+        version, config, vocab = _read_header(fh, path)
         try:
             model = Model.blank(config, vocab)
         except ValueError as exc:
             raise CheckpointError(f"{path}: {exc}") from exc
-        params = model.parameters()
+        params = {name: p.data for name, p in model.parameters().items()}
+        if version == 1:
+            params, from_v1 = _v1_arrays(model.cnn, params)
         size = os.fstat(fh.fileno()).st_size
         seen = set()
         (count,) = struct.unpack("<I", _read(fh, 4, "parameter count"))
@@ -136,7 +164,7 @@ def load_checkpoint(path: str) -> Model:
             if name in seen:
                 raise CheckpointError(
                     f"{path}: parameter {name!r} appears twice")
-            data = params[name].data
+            data = params[name]
             if shape != data.shape:
                 raise CheckpointError(
                     f"{path}: checkpoint shape {shape} != model shape "
@@ -151,4 +179,6 @@ def load_checkpoint(path: str) -> Model:
                 f"{path}: missing parameters {sorted(params.keys() - seen)}")
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after parameters")
+    if version == 1:
+        from_v1()
     return model

@@ -21,27 +21,56 @@ from .autograd import Value
 
 
 class TextCnnParams:
-    def __init__(self, channels: int, n_filters: int,
+    """Filters over positions [state ; summary].  Columns
+    [i*hidden, (i+1)*hidden) of `filters[w]` act on a window's state at
+    shift i.  The summary is the same at every shift, so its columns are
+    stored once, summed over the shifts: `summary` rows [k*F, (k+1)*F)
+    serve `widths[k]`.  A seeded build draws full-width filters
+    (`set_full_width`); a draw-free one (`Model.blank`) leaves filters and
+    summary uninitialized."""
+
+    def __init__(self, hidden: int, summary_dim: int, n_filters: int,
                  rng: np.random.Generator, widths):
         self.n_filters = n_filters
         self.widths = tuple(widths)
-        self.filters = {}
-        self.filter_bias = {}
-        for w in self.widths:
-            scale = 1.0 / np.sqrt(w * channels)
-            self.filters[w] = ag.param(
-                rng.uniform(-scale, scale, (n_filters, w * channels)))
-            self.filter_bias[w] = ag.param(np.zeros(n_filters))
+        self.filters = {w: ag.param(np.empty((n_filters, w * hidden)))
+                        for w in self.widths}
+        self.filter_bias = {w: ag.param(np.zeros(n_filters))
+                            for w in self.widths}
+        self.summary = ag.param(
+            np.empty((len(self.widths) * n_filters, summary_dim)))
+        if isinstance(rng, np.random.Generator):
+            channels = hidden + summary_dim
+            for w in self.widths:
+                scale = 1.0 / np.sqrt(w * channels)
+                self.set_full_width(w, rng.uniform(
+                    -scale, scale, (n_filters, w * channels)))
         pooled = len(self.widths) * n_filters
         scale = 1.0 / np.sqrt(pooled)
         self.out_w = ag.param(rng.uniform(-scale, scale, (pooled, 2)))
         self.out_b = ag.param(np.zeros(2))
+
+    def set_full_width(self, w: int, full: np.ndarray) -> None:
+        """Set width `w` from an (F, w * (hidden + summary_dim)) filter with
+        summary columns at every shift: copy its state columns, and sum
+        its summary columns over the shifts in order into `w`'s blocks of
+        `summary`."""
+        state = self.filters[w].data
+        f, hidden = self.n_filters, state.shape[1] // w
+        full = full.reshape(f, w, -1)
+        np.copyto(state.reshape(f, w, hidden), full[:, :, :hidden])
+        for k in (k for k, v in enumerate(self.widths) if v == w):
+            block = self.summary.data[k * f:(k + 1) * f]
+            np.copyto(block, full[:, 0, hidden:])
+            for i in range(1, w):
+                block += full[:, i, hidden:]
 
     def parameters(self) -> dict[str, Value]:
         out = {}
         for w in self.widths:
             out[f"cnn.filters_w{w}"] = self.filters[w]
             out[f"cnn.bias_w{w}"] = self.filter_bias[w]
+        out["cnn.summary"] = self.summary
         out["out_w"] = self.out_w
         out["out_b"] = self.out_b
         return out
@@ -80,41 +109,33 @@ def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
     """(B, L, 2d) states + (B, 4d) summaries -> (B, widths * F) pooled
     features, width by width, as one graph node.
 
-    Filter columns [i*C, i*C + 2d) act on the state at shift i of a
-    window and [i*C + 2d, (i+1)*C) on the row's summary, so a window is a
-    sum of per-shift state products plus one per-row summary term.  Both
-    forms of the state products read one time-major `(L·B, 2d)` copy of
-    the states and yield `(n_out, B, F)` window sums; per width one form
-    is taken (`_shift_products`): one GEMM of all positions against every
+    A window is a sum of per-shift state products plus one per-row
+    summary term (see `TextCnnParams`).  Both forms of the state products
+    read one time-major `(L·B, 2d)` copy of the states and yield
+    `(n_out, B, F)` window sums; per width one form is taken
+    (`_shift_products`): one GEMM of all positions against every
     (filter, shift) state block with the shifts summed on its output, or
     one GEMM per shift of the rows that window at that shift against that
     shift's block.  The summary terms of all widths are one GEMM against
-    the shift-summed summary blocks.  Neither windows nor the broadcast
-    summary are built; the states' gradient is one time-major buffer.
-    Max-over-time pools each row's valid windows: ReLU outputs are >= 0,
-    so zeroing invalid windows leaves every valid maximum in place and
-    pools a window-less row (or a width longer than L) to 0.  Ties route
-    the gradient to the first maximal window.
+    `params.summary`.  Neither windows nor the broadcast summary are
+    built; the states' gradient is one time-major buffer.  Max-over-time
+    pools each row's valid windows: ReLU outputs are >= 0, so zeroing
+    invalid windows leaves every valid maximum in place and pools a
+    window-less row (or a width longer than L) to 0.  Ties route the
+    gradient to the first maximal window.
     """
     batch, length, hidden = states.shape
     f = params.n_filters
     widths = params.widths
     filters = [params.filters[w] for w in widths]
     biases = [params.filter_bias[w] for w in widths]
-    banks = [p.data.reshape(f, w, -1) for p, w in zip(filters, widths)]
-    # (widths * F, 4d): each filter's summary block summed over its shifts,
-    # one shift at a time (a strided sum over the shift axis is slower)
-    summary_bank = np.empty((len(widths) * f, summaries.shape[1]))
-    for k, bank in enumerate(banks):
-        block = summary_bank[k * f:(k + 1) * f]
-        np.copyto(block, bank[:, 0, hidden:])
-        for i in range(1, bank.shape[1]):
-            block += bank[:, i, hidden:]
-    per_row = (summaries.data @ summary_bank.T
+    banks = [p.data.reshape(f, w, hidden) for p, w in zip(filters, widths)]
+    summary_w = params.summary
+    per_row = (summaries.data @ summary_w.data.T
                + np.concatenate([b.data for b in biases]))
     feats = np.zeros((batch, len(widths) * f))
-    out = ag.make_node(feats, (states, summaries, *filters, *biases),
-                       "textcnn")
+    out = ag.make_node(feats, (states, summaries, *filters, summary_w,
+                               *biases), "textcnn")
     # time-major rows: position t of every row is rows [t*B, (t+1)*B)
     steps = np.ascontiguousarray(states.data.transpose(1, 0, 2)).reshape(
         length * batch, hidden)
@@ -126,14 +147,13 @@ def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
             args.append(None)
             continue
         if _shift_products(length, w):
-            conv = steps[:n_out * batch] @ bank[:, 0, :hidden].T
+            conv = steps[:n_out * batch] @ bank[:, 0].T
             for i in range(1, w):
-                conv += steps[i * batch:(i + n_out) * batch] @ \
-                    bank[:, i, :hidden].T
+                conv += steps[i * batch:(i + n_out) * batch] @ bank[:, i].T
             conv = conv.reshape(n_out, batch, f)
         else:
             # (L, B, F, w): filter f's shift-i state block at every position
-            shifted = (steps @ bank[:, :, :hidden].reshape(f * w, hidden).T
+            shifted = (steps @ bank.reshape(f * w, hidden).T
                        ).reshape(length, batch, f, w)
             conv = shifted[:n_out, :, :, 0].copy()
             for i in range(1, w):
@@ -153,33 +173,29 @@ def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
         def _bw(out=weakref.proxy(out)):
             g = out.grad * live                          # (B, widths * F)
             if summaries.requires_grad:
-                ag.accumulate(summaries, g @ summary_bank)
-            d_summary_bank = g.T @ summaries.data
+                ag.accumulate(summaries, g @ summary_w.data)
+            if summary_w.requires_grad:
+                ag.accumulate(summary_w, g.T @ summaries.data)
             d_steps = np.zeros_like(steps) if states.requires_grad else None
             for k, (w, bank, arg) in enumerate(zip(widths, banks, args)):
                 block = slice(k * f, (k + 1) * f)
                 if biases[k].requires_grad:
                     ag.accumulate(biases[k], g[:, block].sum(axis=0))
-                grad = None
-                if filters[k].requires_grad:
-                    # in the (F, w * C) parameter layout; every column is
-                    # written exactly once below
-                    grad = np.empty(bank.shape)
-                    grad[:, :, hidden:] = d_summary_bank[block, None]
                 if arg is None:
-                    if grad is not None:
-                        grad[:, :, :hidden] = 0.0
-                elif _shift_products(length, w):
+                    continue  # no window: the filters get no gradient
+                need = filters[k].requires_grad
+                if _shift_products(length, w):
                     n_out = length - w + 1
+                    grad = np.empty(bank.shape) if need else None
                     d_conv = np.zeros((n_out, batch, f))
                     d_conv[arg, rows, cols] = g[:, block]
                     d_conv = d_conv.reshape(n_out * batch, f)
                     for i in range(w):
                         window = slice(i * batch, (i + n_out) * batch)
                         if d_steps is not None:
-                            d_steps[window] += d_conv @ bank[:, i, :hidden]
+                            d_steps[window] += d_conv @ bank[:, i]
                         if grad is not None:
-                            grad[:, i, :hidden] = d_conv.T @ steps[window]
+                            grad[:, i] = d_conv.T @ steps[window]
                 else:
                     shifts = np.arange(w)
                     d_shifted = np.zeros((length, batch, f, w))
@@ -187,11 +203,8 @@ def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
                               cols[:, None], shifts] = g[:, block, None]
                     d_shifted = d_shifted.reshape(length * batch, f * w)
                     if d_steps is not None:
-                        d_steps += d_shifted @ bank[:, :, :hidden].reshape(
-                            f * w, hidden)
-                    if grad is not None:
-                        grad.reshape(f * w, -1)[:, :hidden] = \
-                            d_shifted.T @ steps
+                        d_steps += d_shifted @ bank.reshape(f * w, hidden)
+                    grad = d_shifted.T @ steps if need else None
                 if grad is not None:
                     ag.accumulate(filters[k], grad.reshape(f, -1))
             if d_steps is not None:

@@ -20,13 +20,15 @@ import typing
 from .autograd import ShapeError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .corpus import (
-    CorpusError, build_vocab, encode_doc, read_jsonl, split_corpus,
-    split_report, write_jsonl,
+    CorpusError, build_vocab, read_jsonl, split_corpus, split_report,
+    write_jsonl,
 )
 from .embedding import load_pretrained_emoji_vectors
 from .model import VARIANTS, Model, TrainConfig
 from .synthetic import gen_overfit, gen_xor
-from .trainer import NanLossError, ablate, evaluate, gradient_check_report, train
+from .trainer import (
+    NanLossError, _encoded, ablate, evaluate, gradient_check_report, train,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -215,9 +217,8 @@ def _cmd_predict(args) -> int:
     docs = read_jsonl(args.data, mode="predict")
     if not docs:
         raise CorpusError("predict: empty document list")
-    encoded = [encode_doc(doc, model.vocab, model.config.max_len)
-               for doc in docs]
-    for out in model.score(encoded):
+    rows = _encoded(docs, model.vocab, model.config.max_len, "predict")
+    for out in model.score(rows):
         _emit(out.prediction(args.explain))
     return EXIT_OK
 

@@ -208,7 +208,7 @@ class Model:
         else:
             self.coarse_params = CoarseAttentionParams(hidden, rngs[4])
         # per-position classifier input: [H_t ; 4d summary] either way
-        self.cnn = TextCnnParams(hidden + 2 * hidden, config.n_filters,
+        self.cnn = TextCnnParams(hidden, 2 * hidden, config.n_filters,
                                  rngs[5], config.widths)
 
     def parameters(self) -> dict[str, Value]:

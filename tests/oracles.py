@@ -5,7 +5,9 @@ formulas, softmax, the LSTM cell, the 1-D convolution, one document's
 fine and coarse attention, the pairwise alignment loss, a whole-array
 Adam update, vocabulary decoding and the unigram logistic baseline are
 all written from scratch so they can disagree with the implementation if
-it is wrong.
+it is wrong.  The TextCNN head over full-width filters (the layout of
+checkpoint format 1) keeps the head's float order instead, so that a
+model can be checked against it bit for bit.
 """
 
 from dataclasses import dataclass
@@ -133,6 +135,85 @@ def conv1d_direct(x, weights, bias, width):
     n_out = x.shape[0] - width + 1
     return np.stack([weights @ x[t:t + width].reshape(-1) + bias
                      for t in range(n_out)])
+
+
+def full_width_filter(params, width):
+    """Width `width`'s TextCNN filter over whole [state ; summary]
+    positions, (F, width * channels), for `conv1d_direct`: the state
+    columns of `params.filters[width]` at every shift, and the width's
+    block of `params.summary` at shift 0 with zeros at the later shifts,
+    which a window sums to the same value."""
+    f = params.n_filters
+    k = params.widths.index(width)
+    state = params.filters[width].data.reshape(f, width, -1)
+    summary = np.zeros((f, width, params.summary.shape[1]))
+    summary[:, 0] = params.summary.data[k * f:(k + 1) * f]
+    return np.concatenate([state, summary], axis=2).reshape(f, -1)
+
+
+def seeded_full_width_filters(seed, n_filters, channels, widths):
+    """Width -> the (F, w * channels) TextCNN filter a model of `seed`
+    draws, in the full-width layout where every shift has summary columns
+    of its own: the sixth generator spawned from SeedSequence([seed, 0])
+    draws them first, one width after the other (a repeated width keeps
+    its last draw)."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]).spawn(6)[5])
+    filters = {}
+    for w in widths:
+        scale = 1.0 / np.sqrt(w * channels)
+        filters[w] = rng.uniform(-scale, scale, (n_filters, w * channels))
+    return filters
+
+
+def conv_pool_full_width(states, summaries, widths, filters, biases, lengths):
+    """(B, L, 2d) states + (B, 4d) summaries -> (B, widths * F) pooled
+    TextCNN features from full-width filters (width -> (F, w * 6d), the
+    summary columns repeated at every shift; checkpoint format 1) and
+    biases (width -> (F,)).
+
+    Not brute force: the reference for the float order the head keeps.
+    Each width's summary copies are summed over the shifts (shift 0
+    copied, every later shift added) into one per-row term.  The state
+    products go per shift where pooling reads fewer than 3/4 of the
+    (position, shift) products, else through one product of all
+    positions with the shifts summed on its output.
+    """
+    batch, length, hidden = states.shape
+    f = len(biases[widths[0]])
+    banks = [filters[w].reshape(f, w, -1) for w in widths]
+    summary_bank = np.empty((len(widths) * f, summaries.shape[1]))
+    for k, bank in enumerate(banks):
+        block = summary_bank[k * f:(k + 1) * f]
+        np.copyto(block, bank[:, 0, hidden:])
+        for i in range(1, bank.shape[1]):
+            block += bank[:, i, hidden:]
+    per_row = (summaries @ summary_bank.T
+               + np.concatenate([biases[w] for w in widths]))
+    steps = np.ascontiguousarray(states.transpose(1, 0, 2)).reshape(
+        length * batch, hidden)
+    feats = np.zeros((batch, len(widths) * f))
+    for k, (w, bank) in enumerate(zip(widths, banks)):
+        n_out = length - w + 1
+        if n_out < 1:
+            continue
+        if 4 * n_out < 3 * length:
+            conv = steps[:n_out * batch] @ bank[:, 0, :hidden].T
+            for i in range(1, w):
+                conv += steps[i * batch:(i + n_out) * batch] @ \
+                    bank[:, i, :hidden].T
+            conv = conv.reshape(n_out, batch, f)
+        else:
+            shifted = (steps @ bank[:, :, :hidden].reshape(f * w, hidden).T
+                       ).reshape(length, batch, f, w)
+            conv = shifted[:n_out, :, :, 0].copy()
+            for i in range(1, w):
+                conv += shifted[i:i + n_out, :, :, i]
+        conv += per_row[:, k * f:(k + 1) * f]
+        np.maximum(conv, 0.0, out=conv)
+        conv *= (np.arange(n_out)[:, None]
+                 < np.reshape(lengths, (1, -1)) - w + 1)[..., None]
+        feats[:, k * f:(k + 1) * f] = conv.max(axis=0)
+    return feats
 
 
 def adam_step(param, m, v, grad, t, lr, beta1=0.9, beta2=0.999,

@@ -121,7 +121,7 @@ class TestNormalizationFuzz:
                 check(word_emoji_attention(inter, emoji_ok), axis=2)
 
                 # 5. class probabilities
-                params = TextCnnParams(10, 3, np.random.default_rng(trial + 1),
+                params = TextCnnParams(6, 4, 3, np.random.default_rng(trial + 1),
                                        widths=(2, 3))
                 probs, _ = textcnn_forward_batch(
                     ag.constant(rng.uniform(-3, 3, (1, n + m, 6))),
@@ -202,7 +202,7 @@ class TestAnalyticLayerValues:
         assert abs(out.c[0] - 1.0) <= 1e-12
         assert abs(out.h[0] - 0.5 * np.tanh(1.0)) <= 1e-12
 
-        cnn = TextCnnParams(8, 4, np.random.default_rng(1), (2, 3, 4))
+        cnn = TextCnnParams(4, 4, 4, np.random.default_rng(1), (2, 3, 4))
         for param in cnn.parameters().values():
             param.data[...] = 0.0
         probs, _ = textcnn_forward_batch(

@@ -6,6 +6,7 @@ differences, which stay the independent reference throughout the suite.
 
 import contextlib
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -128,16 +129,43 @@ class TestShapeErrors:
 class TestOperands:
     """Ops take `Value` operands; only `mul` also takes a number."""
 
+    # every op, called with the operand `a` where a `Value` is due
+    OPS = {
+        "add": lambda x, a: ag.add(x, a),
+        "mul": lambda x, a: ag.mul(a, x),
+        "matmul": lambda x, a: ag.matmul(x, a),
+        "concat": lambda x, a: ag.concat([x, a]),
+        "sigmoid": lambda x, a: ag.sigmoid(a),
+        "tanh": lambda x, a: ag.tanh(a),
+        "log": lambda x, a: ag.log(a),
+        "softmax": lambda x, a: ag.softmax(a),
+        "max_along": lambda x, a: ag.max_along(a, 0),
+        "sum_along": lambda x, a: ag.sum_along(a),
+        "dropout": lambda x, a: ag.dropout(a, 0.5, np.random.default_rng(0)),
+        "take_rows": lambda x, a: ag.take_rows(a, [0]),
+        "narrow": lambda x, a: ag.narrow(a, 0, 0, 1),
+        "transpose": lambda x, a: ag.transpose(a),
+        "reshape": lambda x, a: ag.reshape(a, (3, 1)),
+    }
+
+    def test_the_table_holds_every_op(self):
+        ops = {name for name, fn in vars(ag).items()
+               if inspect.isfunction(fn) and fn.__module__ == ag.__name__
+               and not name.startswith("_")
+               and fn.__annotations__.get("return") == "Value"}
+        assert ops - {"param", "constant", "make_node"} == set(self.OPS)
+
     @pytest.mark.parametrize("graph", [True, False])
-    @pytest.mark.parametrize("op", [
-        lambda x, a: ag.add(x, a), lambda x, a: ag.mul(x, a),
-        lambda x, a: ag.matmul(x, a), lambda x, a: ag.concat([x, a]),
-        lambda x, a: ag.tanh(a), lambda x, a: ag.softmax(a)])
-    def test_an_array_operand_is_refused(self, op, graph):
+    @pytest.mark.parametrize("operand", [1.0, 2, np.ones(3), [1.0, 2.0, 3.0]],
+                             ids=["float", "int", "ndarray", "list"])
+    @pytest.mark.parametrize("name", list(OPS))
+    def test_a_non_value_operand_is_a_type_error_naming_the_op(
+            self, name, operand, graph):
         x = ag.param(np.ones(3))
+        message = f"{name}: a {type(operand).__name__} is not a Value"
         with contextlib.nullcontext() if graph else ag.no_grad():
-            with pytest.raises(TypeError, match="ndarray is not a Value"):
-                op(x, np.ones(3))
+            with pytest.raises(TypeError, match=f"^{message}$"):
+                self.OPS[name](x, operand)
 
     @pytest.mark.parametrize("scale", [2, 2.0])
     def test_mul_takes_a_number_as_a_constant_scale(self, scale):

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from oracles import conv1d_direct
+from oracles import conv1d_direct, full_width_filter
 
 from faet import autograd as ag
 from faet import classifier
 from faet.classifier import TextCnnParams, predict_label, textcnn_forward_batch
 
 
-def make_params(channels, n_filters=3, widths=(2, 3, 4), seed=0):
-    return TextCnnParams(channels, n_filters, np.random.default_rng(seed),
-                         widths=widths)
+def make_params(hidden, summary_dim, n_filters=3, widths=(2, 3, 4), seed=0):
+    return TextCnnParams(hidden, summary_dim, n_filters,
+                         np.random.default_rng(seed), widths=widths)
 
 
 def rand_inputs(length, hidden_dim, fused_dim, seed):
@@ -33,7 +33,7 @@ def textcnn_forward(hidden, fused, params, **kwargs):
 
 class TestForward:
     def test_all_zero_params_give_half_half(self):
-        params = make_params(channels=10)
+        params = make_params(6, 4)
         for p in params.parameters().values():
             p.data[...] = 0.0
         hidden, fused = rand_inputs(5, 6, 4, seed=1)
@@ -43,7 +43,7 @@ class TestForward:
 
     def test_prob_sums_on_fuzzed_inputs(self):
         rng = np.random.default_rng(2)
-        params = make_params(channels=8, seed=3)
+        params = make_params(5, 3, seed=3)
         for _ in range(200):
             length = int(rng.integers(1, 8))
             hidden = ag.constant(rng.uniform(-2, 2, (length, 5)))
@@ -54,7 +54,7 @@ class TestForward:
             np.testing.assert_allclose(probs.data.sum(), 1.0, atol=1e-9)
 
     def test_width_one_kernels_are_permutation_invariant(self):
-        params = make_params(channels=7, widths=(1,), seed=4)
+        params = make_params(4, 3, widths=(1,), seed=4)
         hidden, fused = rand_inputs(6, 4, 3, seed=5)
         probs, _ = textcnn_forward(hidden, fused, params)
         perm = np.random.default_rng(6).permutation(6)
@@ -62,12 +62,12 @@ class TestForward:
         np.testing.assert_allclose(probs.data, probs_p.data, atol=1e-12)
 
     def test_short_sequence_widths_contribute_zeros(self):
-        params = make_params(channels=6, widths=(1, 3), seed=7)
+        params = make_params(4, 2, widths=(1, 3), seed=7)
         hidden, fused = rand_inputs(1, 4, 2, seed=8)  # too short for width 3
         probs, logits = textcnn_forward(hidden, fused, params)
         # manually: only the width-1 branch contributes pooled features
         per_pos = np.concatenate([hidden.data, fused.data[None]], axis=1)
-        conv = np.maximum(conv1d_direct(per_pos, params.filters[1].data,
+        conv = np.maximum(conv1d_direct(per_pos, full_width_filter(params, 1),
                                         params.filter_bias[1].data, width=1),
                           0.0)
         feats = np.concatenate([np.max(conv, axis=0), np.zeros(3)])
@@ -75,7 +75,7 @@ class TestForward:
         np.testing.assert_allclose(logits.data, expected, atol=1e-12)
 
     def test_logit_shift_invariance(self):
-        params = make_params(channels=8, seed=9)
+        params = make_params(5, 3, seed=9)
         hidden, fused = rand_inputs(5, 5, 3, seed=10)
         probs, _ = textcnn_forward(hidden, fused, params)
         params.out_b.data += 11.5  # same constant on both logits
@@ -83,14 +83,14 @@ class TestForward:
         np.testing.assert_allclose(probs.data, probs_shifted.data, atol=1e-12)
 
     def test_deterministic_without_dropout(self):
-        params = make_params(channels=8, seed=11)
+        params = make_params(5, 3, seed=11)
         hidden, fused = rand_inputs(4, 5, 3, seed=12)
         a, _ = textcnn_forward(hidden, fused, params)
         b, _ = textcnn_forward(hidden, fused, params)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_dropout_only_when_training(self):
-        params = make_params(channels=8, seed=13)
+        params = make_params(5, 3, seed=13)
         hidden, fused = rand_inputs(4, 5, 3, seed=14)
         base, _ = textcnn_forward(hidden, fused, params)
         dropped, _ = textcnn_forward(hidden, fused, params, dropout_rate=0.5,
@@ -98,7 +98,7 @@ class TestForward:
         assert np.any(base.data != dropped.data)
 
     def test_positive_rate_without_generator_is_rate_zero(self):
-        params = make_params(channels=8, seed=13)
+        params = make_params(4, 4, seed=13)
         rng = np.random.default_rng(14)
         states = ag.constant(rng.uniform(-1, 1, (3, 5, 4)))
         summaries = ag.constant(rng.uniform(-1, 1, (3, 4)))
@@ -109,7 +109,7 @@ class TestForward:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(15)
-        params = make_params(channels=6, n_filters=2, seed=16)
+        params = make_params(4, 2, n_filters=2, seed=16)
         hidden = ag.param(rng.uniform(-1, 1, (5, 4)))
         fused = ag.param(rng.uniform(-1, 1, 2))
         groups = {"hidden": hidden, "fused": fused}
@@ -141,7 +141,7 @@ class TestBatchedRows:
 
     def make_case(self, seed=20, widths=(2, 3, 4)):
         rng = np.random.default_rng(seed)
-        params = make_params(channels=7, seed=seed + 1, widths=widths)
+        params = make_params(4, 3, seed=seed + 1, widths=widths)
         for bias in params.filter_bias.values():
             bias.data[...] = rng.uniform(-0.5, 0.5, bias.shape)
         states = rng.uniform(-1, 1, (len(self.LENGTHS), 7, 4))
@@ -162,7 +162,7 @@ class TestBatchedRows:
             per_pos = np.concatenate(
                 [states[b, :n], np.tile(summaries[b], (n, 1))], axis=1)
             feats = np.concatenate([
-                np.maximum(conv1d_direct(per_pos, params.filters[w].data,
+                np.maximum(conv1d_direct(per_pos, full_width_filter(params, w),
                                          params.filter_bias[w].data, w),
                            0.0).max(axis=0) if n >= w else np.zeros(3)
                 for w in params.widths])
@@ -242,11 +242,12 @@ class TestBatchedRows:
             for name, grad in grads.items():
                 np.testing.assert_allclose(other_grads[name], grad, rtol=0,
                                            atol=1e-12, err_msg=name)
-        # padding and the too-wide filter's state columns get no gradient
+        # padding and the too-wide filter and its summary rows get no
+        # gradient
         pad = np.arange(7) >= self.LENGTHS[:, None]
         assert not np.any(grads["states"][pad])
-        wide = grads["cnn.filters_w8"].reshape(3, 8, 7)[:, :, :4]
-        assert not np.any(wide)
+        assert not np.any(grads["cnn.filters_w8"])
+        assert not np.any(grads["cnn.summary"][9:])
 
     @pytest.mark.parametrize("form", ["one_gemm", "per_shift"])
     def test_each_form_matches_finite_differences(self, monkeypatch, form):

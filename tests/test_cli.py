@@ -171,6 +171,22 @@ class TestExitCodes:
         assert steps == []
         assert list(out.iterdir()) == [] and not log.exists()
 
+    def test_unknown_predict_emoji_exits_two_naming_the_document(
+            self, tmp_path, capsys):
+        docs = gen_overfit(16, seed=1)
+        model = tmp_path / "m.faet"
+        save_checkpoint(Model(TrainConfig(d=3, d_w=3, n_filters=2),
+                              build_vocab(docs)), str(model))
+        docs[2] = TokenizedDoc(docs[2].text_tokens, ["E_NEW"], None)
+        write_jsonl(docs, str(tmp_path / "new.jsonl"))
+        assert cli.main(["predict", "--model", str(model),
+                         "--data", str(tmp_path / "new.jsonl")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "faet: data error: predict document 3: emoji token 'E_NEW' "
+            "not in vocabulary")
+
     def test_model_too_large_to_allocate_exits_one(self, workspace,
                                                    tmp_path, capsys):
         corpus = str(workspace / "corpus.jsonl")
@@ -450,6 +466,27 @@ class TestTrainEvalPredict:
             assert line["label"] == single["label"]
             assert max(abs(a - b) for a, b in
                        zip(line["probs"], single["probs"])) <= 1e-12
+
+
+class TestFormatOneCheckpoint:
+    """tests/data/v1_tiny.faet: a format 1 checkpoint (d 3, 2 filters,
+    widths 2/3/4), trained on v1_tiny.jsonl by the release that wrote
+    format 1, next to that release's `eval` and `predict --explain`
+    output for it."""
+
+    DATA = os.path.join(os.path.dirname(__file__), "data")
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["eval"], "v1_tiny.eval.json"),
+        (["predict", "--explain"], "v1_tiny.explain.jsonl"),
+    ], ids=["eval", "predict_explain"])
+    def test_output_is_byte_identical(self, capsys, argv, expected):
+        assert cli.main([*argv, "--model",
+                         os.path.join(self.DATA, "v1_tiny.faet"),
+                         "--data", os.path.join(self.DATA, "v1_tiny.jsonl")
+                         ]) == 0
+        with open(os.path.join(self.DATA, expected), "rb") as fh:
+            assert capsys.readouterr().out.encode() == fh.read()
 
 
 def _rewrite_checkpoint(src, dst, vocab=None, first_name=None,

@@ -9,10 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from faet import autograd as ag
+from faet import classifier
 from faet import model as model_mod
-from faet.corpus import TokenizedDoc, build_vocab, make_batches
+from faet.corpus import TokenizedDoc, build_vocab, encode_doc, make_batches
 from faet.model import Model, TrainConfig
-from oracles import fine_attention_doc
+from faet.synthetic import gen_overfit, gen_xor
+from oracles import (
+    conv_pool_full_width, fine_attention_doc, seeded_full_width_filters,
+)
 
 
 def tiny_config(**overrides):
@@ -92,14 +96,66 @@ class TestParameters:
     ])
     def test_fresh_init_draws_are_pinned(self, variant, digest):
         # sha256 over sorted (name, float64 bytes): a fresh model must draw
-        # the same numbers in the same order as every earlier release
-        state = Model(tiny_config(variant=variant),
-                      build_vocab(tiny_corpus())).state()
+        # the same numbers in the same order as every earlier release.
+        # Those stored each TextCNN filter at full width: the model keeps
+        # its state columns and the shift-sum of its summary columns.
+        config = tiny_config(variant=variant)
+        state = Model(config, build_vocab(tiny_corpus())).state()
+        wide = seeded_full_width_filters(config.seed, config.n_filters,
+                                         6 * config.d, config.widths)
+        summary = state.pop("cnn.summary")
+        for k, w in enumerate(config.widths):
+            full = wide[w].reshape(config.n_filters, w, -1)
+            name = f"cnn.filters_w{w}"
+            assert state[name].tobytes() == \
+                full[:, :, :2 * config.d].tobytes()
+            block = full[:, 0, 2 * config.d:].copy()
+            for i in range(1, w):
+                block += full[:, i, 2 * config.d:]
+            rows = slice(k * config.n_filters, (k + 1) * config.n_filters)
+            assert summary[rows].tobytes() == block.tobytes()
+            state[name] = wide[w]
         h = hashlib.sha256()
         for name in sorted(state):
             h.update(name.encode())
             h.update(state[name].tobytes())
         assert h.hexdigest() == digest
+
+
+class TestFullWidthLayout:
+    """A fresh model scores bitwise as the TextCNN head did over filters
+    that carry their summary columns at every shift (the layout of
+    checkpoint format 1), summed in shift order."""
+
+    @pytest.mark.parametrize("config", [
+        TrainConfig(),
+        TrainConfig(d=5, d_w=4, n_filters=3, widths=(2, 9, 2, 3), seed=4,
+                    variant="coarse"),
+    ], ids=["stock", "small_coarse_repeated_and_too_wide"])
+    def test_fresh_model_probabilities_match_the_oracle(self, config,
+                                                        monkeypatch):
+        docs = gen_overfit(16, seed=2) + gen_xor(16, 16, seed=3)[0]
+        vocab = build_vocab(docs)
+        rows = [encode_doc(doc, vocab, config.max_len) for doc in docs]
+        rows.append((rows[0][0], []))  # no emoji
+        # rows of 4-5 positions take both product forms, long ones one
+        batches = [rows, [(text * 5, emoji) for text, emoji in rows[:4]]]
+        model = Model(config, vocab)
+        probs = [out.probs.data for batch in batches
+                 for out in model.score(batch)]
+        wide = seeded_full_width_filters(config.seed, config.n_filters,
+                                         6 * config.d, config.widths)
+
+        def oracle(states, summaries, params, lengths):
+            biases = {w: b.data for w, b in params.filter_bias.items()}
+            return ag.constant(conv_pool_full_width(
+                states.data, summaries.data, params.widths, wide, biases,
+                lengths))
+        monkeypatch.setattr(classifier, "_conv_pool", oracle)
+        expected = [out.probs.data for batch in batches
+                    for out in model.score(batch)]
+        assert [p.tobytes() for p in probs] == \
+            [p.tobytes() for p in expected]
 
 
 class TestForward:

@@ -9,7 +9,9 @@ import struct
 import numpy as np
 import pytest
 
-from oracles import accuracy_by_hand, prf_by_hand, recount_confusion
+from oracles import (
+    accuracy_by_hand, full_width_filter, prf_by_hand, recount_confusion,
+)
 
 from faet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from faet.corpus import (CorpusError, TokenizedDoc, build_vocab, encode_doc,
@@ -31,10 +33,11 @@ def tiny_config(**overrides):
     return TrainConfig(**base)
 
 
-def _write_v1(path, config: dict, vocab: dict, entries) -> None:
-    """Write format 1 byte by byte from (name, array) `entries`, in the
-    order given."""
-    blob = bytearray(b"FAET" + struct.pack("<I", 1))
+def _write_checkpoint(path, version: int, config: dict, vocab: dict,
+                      entries) -> None:
+    """Write format `version` byte by byte from (name, array) `entries`,
+    in the order given."""
+    blob = bytearray(b"FAET" + struct.pack("<I", version))
     for meta in (config, vocab):
         raw = json.dumps(meta, sort_keys=True, ensure_ascii=False).encode()
         blob += struct.pack("<Q", len(raw)) + raw
@@ -325,15 +328,20 @@ class TestCheckpoint:
 
     def test_v1_file_naming_retired_config_field_loads(self, tmp_path):
         # byte layout of format 1 as earlier releases wrote it, whose config
-        # JSON still carried the encoder mode
+        # JSON still carried the encoder mode, and whose TextCNN filters
+        # carried their summary columns at every shift
         docs = gen_overfit(16, seed=11)
         model = Model(tiny_config(), build_vocab(docs))
         state = model.state()
+        old_state = {k: v for k, v in state.items() if k != "cnn.summary"}
+        for w in model.cnn.widths:
+            old_state[f"cnn.filters_w{w}"] = full_width_filter(model.cnn, w)
         config = dict(model.config.to_json_dict(),
                       encoder_mode="trainable_table")
         path = tmp_path / "old.faet"
-        _write_v1(path, config, model.vocab.to_json_dict(),
-                  [(name, state[name]) for name in sorted(state)])
+        _write_checkpoint(path, 1, config, model.vocab.to_json_dict(),
+                          [(name, old_state[name])
+                           for name in sorted(old_state)])
         loaded = load_checkpoint(str(path))
         assert loaded.config == model.config
         loaded_state = loaded.state()
@@ -348,8 +356,8 @@ class TestCheckpoint:
         entries = [(name, state[name]) for name in sorted(state)]
         assert entries[0][0] == "cnn.bias_w2"
         path = tmp_path / "dup.faet"
-        _write_v1(path, model.config.to_json_dict(),
-                  model.vocab.to_json_dict(), entries[:1] + entries)
+        _write_checkpoint(path, 2, model.config.to_json_dict(),
+                          model.vocab.to_json_dict(), entries[:1] + entries)
         with pytest.raises(CheckpointError,
                            match="'cnn.bias_w2' appears twice"):
             load_checkpoint(str(path))
