@@ -194,8 +194,7 @@ def make_node(data, inputs: Sequence[Value], op: str) -> Value:
     `data` may be a view of an input's data, and a rule may read its
     inputs' data during backward.  That is safe because nothing writes
     into a non-leaf `Value.data`, and the optimizer writes leaves only
-    after backward.  An input that is not a `Value` is a `TypeError`."""
-    _check(op, inputs)
+    after backward.  Each op checks its operands itself (`_check`)."""
     needs = _grad_enabled and any(v.requires_grad for v in inputs)
     return Value(data, requires_grad=needs,
                  _prev=tuple(inputs) if needs else (), _op=op)

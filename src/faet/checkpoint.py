@@ -5,7 +5,7 @@ config JSON, length-prefixed vocab JSON, then a u32 parameter count
 followed by name/shape/float64 blobs in sorted-name order.  Round-trips
 are bitwise exact.  Saves write version 2; version 1 files, whose TextCNN
 filters carry their summary columns at every shift, still load (see
-`_v1_arrays`).  A save writes a temporary file beside the target and
+`load_checkpoint`).  A save writes a temporary file beside the target and
 renames it into place, so a failed save leaves the previous file intact.
 """
 
@@ -17,11 +17,9 @@ import math
 import os
 import struct
 import sys
-from typing import Callable
 
 import numpy as np
 
-from .classifier import TextCnnParams
 from .corpus import Vocab
 from .model import Model, TrainConfig
 
@@ -103,33 +101,15 @@ def _read_header(fh, path: str) -> tuple[int, TrainConfig, Vocab]:
     return version, config, vocab
 
 
-def _v1_arrays(cnn: TextCnnParams, arrays: dict[str, np.ndarray]
-               ) -> tuple[dict[str, np.ndarray], Callable[[], None]]:
-    """Version 1 stored each filter at full width, summary columns at
-    every shift, and no `cnn.summary`.  Returns the arrays a v1 file's
-    blobs are read into, given the model's, and the step that then sets
-    the model from them (`TextCnnParams.set_full_width`), summing the
-    copies in shift order as the v1 forward did."""
-    arrays = {k: v for k, v in arrays.items() if k != "cnn.summary"}
-    wide = {}
-    for w in cnn.widths:
-        name = f"cnn.filters_w{w}"
-        f, state_cols = arrays[name].shape
-        wide[w] = arrays[name] = np.empty(
-            (f, state_cols + w * cnn.summary.shape[1]))
-
-    def from_v1():
-        for w, full in wide.items():
-            cnn.set_full_width(w, full)
-    return arrays, from_v1
-
-
 def load_checkpoint(path: str) -> Model:
     """Rebuild a model from file.
 
     The model is built from the embedded config without drawing a random
-    number, and each blob is read straight into its parameter's array (a
-    version 1 filter into an array of its own, see `_v1_arrays`).  A
+    number, and each blob is read straight into its parameter's array.
+    Version 1 stored each filter at full width, summary columns at every
+    shift, and no `cnn.summary`: its filters are read into arrays of
+    their own and set with `TextCnnParams.set_full_width`, which sums the
+    copies in shift order as the version 1 forward did.  A
     blob's size is checked against what is left of the file before its
     name and shape are checked against the model; every parameter must
     appear exactly once.
@@ -141,8 +121,12 @@ def load_checkpoint(path: str) -> Model:
         except ValueError as exc:
             raise CheckpointError(f"{path}: {exc}") from exc
         params = {name: p.data for name, p in model.parameters().items()}
+        cnn = model.cnn
         if version == 1:
-            params, from_v1 = _v1_arrays(model.cnn, params)
+            del params["cnn.summary"]
+            for w, p in cnn.filters.items():
+                params[f"cnn.filters_w{w}"] = np.empty(
+                    (cnn.n_filters, p.shape[1] + w * cnn.summary.shape[1]))
         size = os.fstat(fh.fileno()).st_size
         seen = set()
         (count,) = struct.unpack("<I", _read(fh, 4, "parameter count"))
@@ -180,5 +164,6 @@ def load_checkpoint(path: str) -> Model:
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after parameters")
     if version == 1:
-        from_v1()
+        for w in cnn.filters:
+            cnn.set_full_width(w, params[f"cnn.filters_w{w}"])
     return model

@@ -26,29 +26,29 @@ class TextCnnParams:
     shift i.  The summary is the same at every shift, so its columns are
     stored once, summed over the shifts: `summary` rows [k*F, (k+1)*F)
     serve `widths[k]`.  A seeded build draws full-width filters
-    (`set_full_width`); a draw-free one (`Model.blank`) leaves filters and
-    summary uninitialized."""
+    (`set_full_width`); `rng=None` (`Model.blank`) draws nothing and
+    leaves every weight uninitialized."""
 
     def __init__(self, hidden: int, summary_dim: int, n_filters: int,
-                 rng: np.random.Generator, widths):
+                 rng: np.random.Generator | None, widths):
         self.n_filters = n_filters
         self.widths = tuple(widths)
+        pooled = len(self.widths) * n_filters
         self.filters = {w: ag.param(np.empty((n_filters, w * hidden)))
                         for w in self.widths}
         self.filter_bias = {w: ag.param(np.zeros(n_filters))
                             for w in self.widths}
-        self.summary = ag.param(
-            np.empty((len(self.widths) * n_filters, summary_dim)))
-        if isinstance(rng, np.random.Generator):
+        self.summary = ag.param(np.empty((pooled, summary_dim)))
+        self.out_w = ag.param(np.empty((pooled, 2)))
+        self.out_b = ag.param(np.zeros(2))
+        if rng is not None:
             channels = hidden + summary_dim
             for w in self.widths:
                 scale = 1.0 / np.sqrt(w * channels)
                 self.set_full_width(w, rng.uniform(
                     -scale, scale, (n_filters, w * channels)))
-        pooled = len(self.widths) * n_filters
-        scale = 1.0 / np.sqrt(pooled)
-        self.out_w = ag.param(rng.uniform(-scale, scale, (pooled, 2)))
-        self.out_b = ag.param(np.zeros(2))
+            scale = 1.0 / np.sqrt(pooled)
+            self.out_w.data[:] = rng.uniform(-scale, scale, (pooled, 2))
 
     def set_full_width(self, w: int, full: np.ndarray) -> None:
         """Set width `w` from an (F, w * (hidden + summary_dim)) filter with

@@ -161,7 +161,8 @@ class Model:
         overwrite every parameter before the model is used."""
         model = cls.__new__(cls)
         with np.errstate(all="ignore"):  # arithmetic on placeholder values
-            model._build(config, vocab, [_NoDraw] * 6)
+            # the TextCNN head takes None for a draw-free build
+            model._build(config, vocab, [_NoDraw] * 5 + [None])
         return model
 
     @classmethod

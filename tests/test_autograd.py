@@ -167,6 +167,17 @@ class TestOperands:
             with pytest.raises(TypeError, match=f"^{message}$"):
                 self.OPS[name](x, operand)
 
+    @pytest.mark.parametrize("graph", [True, False])
+    @pytest.mark.parametrize("operand", [np.ones(3), [1.0, 2.0, 3.0]],
+                             ids=["ndarray", "list"])
+    def test_mul_takes_no_array_as_its_scale(self, operand, graph):
+        # an ndarray's `.data` is a memoryview, so only the check stops it
+        x = ag.param(np.ones(3))
+        message = f"mul: a {type(operand).__name__} is not a Value"
+        with contextlib.nullcontext() if graph else ag.no_grad():
+            with pytest.raises(TypeError, match=f"^{message}$"):
+                ag.mul(x, operand)
+
     @pytest.mark.parametrize("scale", [2, 2.0])
     def test_mul_takes_a_number_as_a_constant_scale(self, scale):
         x = ag.param([1.0, -3.0])

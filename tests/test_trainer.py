@@ -50,6 +50,15 @@ def _write_checkpoint(path, version: int, config: dict, vocab: dict,
     path.write_bytes(bytes(blob))
 
 
+def _v1_entries(model):
+    """`model`'s parameters as format 1 stored them, in sorted-name order:
+    no `cnn.summary`, and each TextCNN filter at full width."""
+    state = {k: v for k, v in model.state().items() if k != "cnn.summary"}
+    for w in model.cnn.filters:
+        state[f"cnn.filters_w{w}"] = full_width_filter(model.cnn, w)
+    return [(name, state[name]) for name in sorted(state)]
+
+
 class TestMetrics:
     def test_hand_case(self):
         pairs = [(1, 1)] * 3 + [(1, 0)] * 1 + [(0, 1)] * 1 + [(0, 0)] * 5
@@ -332,19 +341,26 @@ class TestCheckpoint:
         # carried their summary columns at every shift
         docs = gen_overfit(16, seed=11)
         model = Model(tiny_config(), build_vocab(docs))
-        state = model.state()
-        old_state = {k: v for k, v in state.items() if k != "cnn.summary"}
-        for w in model.cnn.widths:
-            old_state[f"cnn.filters_w{w}"] = full_width_filter(model.cnn, w)
         config = dict(model.config.to_json_dict(),
                       encoder_mode="trainable_table")
         path = tmp_path / "old.faet"
         _write_checkpoint(path, 1, config, model.vocab.to_json_dict(),
-                          [(name, old_state[name])
-                           for name in sorted(old_state)])
+                          _v1_entries(model))
         loaded = load_checkpoint(str(path))
         assert loaded.config == model.config
-        loaded_state = loaded.state()
+        state, loaded_state = model.state(), loaded.state()
+        assert set(loaded_state) == set(state)
+        for name, arr in state.items():
+            assert loaded_state[name].tobytes() == arr.tobytes()
+
+    def test_v1_file_with_a_repeated_width_loads(self, tmp_path):
+        # a repeated width's one filter serves each of its summary blocks
+        docs = gen_overfit(16, seed=11)
+        model = Model(tiny_config(widths=(2, 3, 2)), build_vocab(docs))
+        path = tmp_path / "old.faet"
+        _write_checkpoint(path, 1, model.config.to_json_dict(),
+                          model.vocab.to_json_dict(), _v1_entries(model))
+        state, loaded_state = model.state(), load_checkpoint(str(path)).state()
         assert set(loaded_state) == set(state)
         for name, arr in state.items():
             assert loaded_state[name].tobytes() == arr.tobytes()
