@@ -214,6 +214,6 @@ def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
     return out
 
 
-def predict_label(probs: Value) -> int:
-    """Argmax over the 2-vector; an exact tie resolves to 0 (negative)."""
-    return 1 if probs.data[1] > probs.data[0] else 0
+def predict_label(probs: np.ndarray) -> int:
+    """Argmax over a probability row; an exact tie resolves to 0 (negative)."""
+    return 1 if probs[1] > probs[0] else 0

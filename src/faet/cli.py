@@ -218,8 +218,8 @@ def _cmd_predict(args) -> int:
     if not docs:
         raise CorpusError("predict: empty document list")
     rows = _encoded(docs, model.vocab, model.config.max_len, "predict")
-    for out in model.score(rows):
-        _emit(out.prediction(args.explain))
+    for result in model.predictions(rows, args.explain):
+        _emit(result)
     return EXIT_OK
 
 

@@ -1,9 +1,9 @@
 """Full model assembly: embedding -> BiLSTM -> attention -> TextCNN.
 
-Embedding, the BiLSTM, attention and the TextCNN head each run once per
-batch over zero-padded sequences with per-row lengths; the losses run per
-document on each document's unpadded slices, and batches average
-per-document losses.  The "fine" variant runs the word-level
+Embedding, the BiLSTM, attention, the TextCNN head and the cross-entropy
+each run once per batch over zero-padded sequences with per-row lengths;
+only the alignment term runs per row, on the unpadded slices of each row
+that has two words and two emojis.  The "fine" variant runs the word-level
 cross-attention; the "coarse" ablation variant replaces it with one pooled
 attention over emojis, keeping the classifier input width identical (6d
 per position) so head capacity stays comparable.
@@ -11,9 +11,8 @@ per position) so head capacity stays comparable.
 
 from __future__ import annotations
 
-import functools
 import numbers
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -32,11 +31,10 @@ from .objective import alignment_loss, cross_entropy
 
 VARIANTS = ("fine", "coarse")
 # `Model.score` runs this many documents per pass, sorted by length within
-# windows of `SCORE_WINDOW_CHUNKS` chunks.  The encoder outputs (B, L, 2d)
-# that 4 buffered chunks keep alive hold 8·B·L·d floats, the size of one
-# chunk's packed gate buffer (2, total, 4d) at its largest (total <= B·L,
-# equal when every row is full length), so scoring memory stays bounded by
-# the window, not by the input.
+# windows of `SCORE_WINDOW_CHUNKS` chunks.  The rows `Model.predictions`
+# buffers until every earlier document is out keep no chunk's batch arrays
+# alive, only their probabilities and any asked-for dumps as lists, so
+# scoring memory stays bounded by the window, not by the input.
 SCORE_CHUNK = 64
 SCORE_WINDOW_CHUNKS = 4
 
@@ -129,22 +127,16 @@ class TrainConfig:
 
 
 @dataclass
-class DocOutputs:
-    """One document's slices of a batched forward pass."""
+class BatchOutputs:
+    """One forward pass over B documents: row b of each array is document
+    b, padded past its n[b] words and m[b] emojis."""
 
-    text_states: Value                       # (n, 2d)
-    probs: Value                             # (2,)
-    word_emoji_weights: Value | None         # (n, m), fine variant only
-    explain: dict                            # name -> per-document array
-
-    def prediction(self, explain: bool) -> dict:
-        """Probabilities and label; with `explain`, the attention dumps."""
-        result = {"probs": self.probs.data.tolist(),
-                  "label": predict_label(self.probs)}
-        if explain:
-            result["explain"] = {name: values.tolist()
-                                 for name, values in self.explain.items()}
-        return result
+    probs: Value                         # (B, 2)
+    text_states: Value                   # (B, n, 2d)
+    word_emoji_weights: Value | None     # (B, n, m), fine variant only
+    n: np.ndarray                        # (B,) words per row
+    m: np.ndarray                        # (B,) emojis per row
+    explain: Callable[[int], dict]       # row b -> its dumps, as lists
 
 
 class Model:
@@ -230,14 +222,15 @@ class Model:
 
     def forward_docs(self, docs: list[tuple],
                      dropout_rng: np.random.Generator | None = None
-                     ) -> list[DocOutputs]:
+                     ) -> BatchOutputs:
         """Forward a list of (text_ids, emoji_ids) documents, with dropout
         drawn from `dropout_rng` when one is given (training).
 
         Ids are unpadded; this is the one place that pads.  Every layer
         runs once over the list, padded to its longest [text ; emoji]
-        sequence; each document's outputs are slices of the batch.  A
-        document without text ids is a `ValueError` naming its index.
+        sequence, into one `BatchOutputs`; its `explain(b)` slices row b's
+        attention dumps off the batch only when called.  A document without
+        text ids is a `ValueError` naming its index.
         """
         cfg = self.config
         n = np.array([len(t) for t, _ in docs])
@@ -280,88 +273,101 @@ class Model:
         if self.fine_params is not None:
             att = fine_attention(text_states, emoji_states, self.fine_params,
                                  n, m)
-            summary = att.fused
-            word_emoji = ag.reshape(att.word_emoji_weights,
-                                    (len(docs) * n_max, m_max))
+            summary, word_emoji = att.fused, att.word_emoji_weights
         else:
             context, coarse_weights = coarse_attention(
                 text_states, emoji_states, self.coarse_params, n, m)
             summary = ag.concat([sentence_mean(text_states, n), context],
                                 axis=1)
+            word_emoji = None
         summary = ag.dropout(summary, cfg.dropout, dropout_rng)   # (B, 4d)
         probs, _ = textcnn_forward_batch(encoded, summary, self.cnn, lengths,
                                          cfg.dropout, dropout_rng)
-        probs = ag.reshape(probs, (2 * len(docs),))
 
-        outputs = []
-        senses = np.split(senses.data, np.cumsum(m)[:-1])
-        for b, (n_b, m_b) in enumerate(zip(n, m)):
-            explain = {"sense_weights": senses[b]} if m_b else {}
-            if self.fine_params is not None:
-                explain.update(
+        def explain(b: int) -> dict:
+            n_b, m_b, first = n[b], m[b], m[:b].sum()
+            dumps = ({"sense_weights": senses.data[first:first + m_b]}
+                     if m_b else {})
+            if word_emoji is not None:
+                dumps.update(
                     interaction=att.interaction.data[b, :n_b, :m_b],
                     emoji_weights=att.emoji_weights.data[b, :m_b],
                     text_weights=att.text_weights.data[b, :n_b],
-                    word_emoji_weights=att.word_emoji_weights.data[b, :n_b, :m_b])
-                beta = ag.narrow(ag.narrow(word_emoji, 0, b * n_max, n_b),
-                                 1, 0, m_b)
+                    word_emoji_weights=word_emoji.data[b, :n_b, :m_b])
             else:
-                explain["coarse_weights"] = coarse_weights.data[b, :m_b]
-                beta = None
-            outputs.append(DocOutputs(ag.narrow(states, 0, b * length, n_b),
-                                      ag.narrow(probs, 0, 2 * b, 2),
-                                      beta, explain))
-        return outputs
+                dumps["coarse_weights"] = coarse_weights.data[b, :m_b]
+            return {name: values.tolist() for name, values in dumps.items()}
+        return BatchOutputs(probs, text_states, word_emoji, n, m, explain)
 
     def score(self, docs: list[tuple]):
-        """Yield each document's outputs from no-grad `forward_docs` passes,
-        in input order.  Every scoring caller (evaluation, prediction,
-        ablation) goes through here.
+        """Yield (positions, outputs) per no-grad `forward_docs` pass: row k
+        of `outputs` is document `positions[k]`.  Every scoring caller
+        (evaluation, prediction, validation, ablation) goes through here.
 
         Each window of `SCORE_WINDOW_CHUNKS * SCORE_CHUNK` documents is
         stably sorted by length [text ; emoji] and cut into consecutive
         groups of `SCORE_CHUNK`, so a group pads only to its own longest
         document; each group reaches `forward_docs` in input order.  An
         input of at most `SCORE_CHUNK` documents is therefore one pass over
-        the list as given.
+        the list as given.  A document without text ids is a `ValueError`
+        naming its input position, before any pass.
         """
+        for position, (text_ids, _) in enumerate(docs):
+            if not len(text_ids):
+                raise ValueError(f"document {position} has no text ids")
         window = SCORE_WINDOW_CHUNKS * SCORE_CHUNK
         for start in range(0, len(docs), window):
-            part = docs[start:start + window]
-            order = sorted(range(len(part)),
-                           key=lambda i: len(part[i][0]) + len(part[i][1]))
-            outputs = [None] * len(part)
-            for first in range(0, len(part), SCORE_CHUNK):
+            order = sorted(range(start, min(start + window, len(docs))),
+                           key=lambda i: len(docs[i][0]) + len(docs[i][1]))
+            for first in range(0, len(order), SCORE_CHUNK):
                 group = sorted(order[first:first + SCORE_CHUNK])
                 with ag.no_grad():
-                    results = self.forward_docs([part[i] for i in group])
-                for i, out in zip(group, results):
-                    outputs[i] = out
-            yield from outputs
+                    outputs = self.forward_docs([docs[i] for i in group])
+                yield group, outputs
 
-    def doc_losses(self, outputs: DocOutputs, label: int) -> tuple[Value, Value]:
-        """(cross-entropy, alignment) for one document's outputs."""
-        ce = cross_entropy(outputs.probs, label, self.config.label_smoothing)
-        if outputs.word_emoji_weights is None:
-            return ce, ag.constant(0.0)
-        return ce, alignment_loss(outputs.word_emoji_weights,
-                                  outputs.text_states,
-                                  self.fine_params.distance_w)
+    def predictions(self, docs: list[tuple], explain: bool):
+        """Yield each document's probabilities, label and, with `explain`,
+        attention dumps, in input order, once every earlier one is scored."""
+        done, position = {}, 0
+        for group, outputs in self.score(docs):
+            for b, i in enumerate(group):
+                probs = outputs.probs.data[b]
+                done[i] = {"probs": probs.tolist(),
+                           "label": predict_label(probs)}
+                if explain:
+                    done[i]["explain"] = outputs.explain(b)
+            while position in done:
+                yield done.pop(position)
+                position += 1
+
+    def doc_losses(self, outputs: BatchOutputs, labels) -> tuple[Value, Value]:
+        """(cross-entropy, alignment) of a batch against its `labels`, each
+        summed over the rows.  Alignment runs on the unpadded slices of each
+        row with at least 2 words and 2 emojis; it is 0 on every other row."""
+        ce = cross_entropy(outputs.probs, labels, self.config.label_smoothing)
+        align = ag.constant(0.0)
+        rows = np.flatnonzero((outputs.n >= 2) & (outputs.m >= 2))
+        if outputs.word_emoji_weights is None or not rows.size:
+            return ce, align
+        batch, n_max, m_max = outputs.word_emoji_weights.shape
+        beta = ag.reshape(outputs.word_emoji_weights, (batch * n_max, m_max))
+        text = ag.reshape(outputs.text_states, (batch * n_max, -1))
+        for b, n, m in zip(rows, outputs.n[rows], outputs.m[rows]):
+            align = ag.add(align, alignment_loss(
+                ag.narrow(ag.narrow(beta, 0, b * n_max, n), 1, 0, m),
+                ag.narrow(text, 0, b * n_max, n), self.fine_params.distance_w))
+        return ce, align
 
     def batch_loss(self, batch,
                    dropout_rng: np.random.Generator | None = None) -> Value:
         """Mean cross-entropy plus weighted mean alignment over a batch,
         with dropout drawn from `dropout_rng` when one is given."""
         outputs = self.forward_docs(batch.rows, dropout_rng=dropout_rng)
-        losses = [self.doc_losses(out, label)
-                  for out, label in zip(outputs, batch.labels)]
-        ce_terms, align_terms = zip(*losses)
+        ce, align = self.doc_losses(outputs, batch.labels)
         inv = 1.0 / len(batch)
-        ce_mean = ag.mul(functools.reduce(ag.add, ce_terms), inv)
-        align_mean = ag.mul(functools.reduce(ag.add, align_terms), inv)
-        return ag.add(ce_mean, ag.mul(align_mean, self.config.lambda_align))
+        return ag.add(ag.mul(ce, inv),
+                      ag.mul(ag.mul(align, inv), self.config.lambda_align))
 
     def predict_doc(self, text_ids, emoji_ids) -> dict:
         """Inference on one document: probabilities and label."""
-        (out,) = self.score([(text_ids, emoji_ids)])
-        return out.prediction(False)
+        return next(self.predictions([(text_ids, emoji_ids)], False))

@@ -20,16 +20,17 @@ from . import autograd as ag
 from .autograd import Value
 
 
-def cross_entropy(probs: Value, label: int, label_smoothing: float) -> Value:
-    """-log probs[label], with the log input clamped at 1e-12.
+def cross_entropy(probs: Value, labels, label_smoothing: float) -> Value:
+    """Sum over the rows b of (B, 2) `probs` of -log probs[b, labels[b]],
+    with the log input clamped at 1e-12.
 
-    With smoothing s the target distribution becomes
-    (1-s)*onehot + s/2 on both classes.  The sign rides on the constant
-    target, so the loss is two graph nodes.
+    With smoothing s each row's target becomes (1-s)*onehot + s/2 on both
+    classes.  The sign rides on the constant target, so the loss is three
+    graph nodes for any B: one `log`, one product and its sum.
     """
-    target = np.full(2, label_smoothing / 2.0)
-    target[label] += 1.0 - label_smoothing
-    return ag.matmul(ag.log(probs), ag.constant(-target))
+    target = np.full(probs.shape, label_smoothing / 2.0)
+    target[np.arange(len(target)), labels] += 1.0 - label_smoothing
+    return ag.sum_along(ag.mul(ag.log(probs), ag.constant(-target)))
 
 
 def alignment_loss(word_emoji_weights: Value, text: Value,
@@ -42,10 +43,6 @@ def alignment_loss(word_emoji_weights: Value, text: Value,
     under permuting the text words.
     """
     n, m = word_emoji_weights.shape
-    if n < 2 or m < 2:
-        # one emoji makes every row the same one-point distribution, so the
-        # loss and all its gradients vanish identically
-        return ag.constant(0.0)
     h = text.shape[1]
     a = ag.matmul(text, ag.narrow(distance_w, 0, 0, h))   # (n,) first slot
     c = ag.matmul(text, ag.narrow(distance_w, 0, h, h))   # (n,) second slot

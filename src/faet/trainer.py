@@ -128,31 +128,27 @@ def _encoded(docs: list[TokenizedDoc], vocab: Vocab, max_len: int,
     return rows
 
 
-def _prediction_pairs(model: Model, rows: list[tuple],
-                      docs: list[TokenizedDoc]) -> list[tuple[int, int]]:
-    """(predicted, true) label per labeled document, scored from `rows`,
-    the documents' ids."""
-    return [(predict_label(out.probs), doc.label)
-            for out, doc in zip(model.score(rows), docs)]
-
-
 def evaluate(model: Model, docs: list[TokenizedDoc]) -> MetricsReport:
     """Score labeled documents; never touches model parameters."""
     _require_labels(docs, "evaluate")
     rows = _encoded(docs, model.vocab, model.config.max_len, "evaluate")
-    return metrics_from_pairs(_prediction_pairs(model, rows, docs))
+    return metrics_from_pairs([(result["label"], doc.label) for result, doc
+                               in zip(model.predictions(rows, False), docs)])
 
 
 def _mean_loss_and_accuracy(model: Model, rows: list[tuple],
                             docs: list[TokenizedDoc]) -> tuple[float, float]:
+    """Mean loss and accuracy over the groups `Model.score` forms."""
     total = 0.0
     correct = 0
     lam = model.config.lambda_align
-    for out, doc in zip(model.score(rows), docs):
+    for group, outputs in model.score(rows):
+        labels = [docs[i].label for i in group]
         with ag.no_grad():
-            ce, align = model.doc_losses(out, doc.label)
+            ce, align = model.doc_losses(outputs, labels)
         total += float(ce.data) + lam * float(align.data)
-        correct += int(predict_label(out.probs) == doc.label)
+        correct += sum(predict_label(probs) == label
+                       for probs, label in zip(outputs.probs.data, labels))
     return total / len(docs), correct / len(docs)
 
 
@@ -262,7 +258,8 @@ def ablate(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
         cfg = dataclasses.replace(config, variant=variant)
         result = train(train_docs, val_docs, cfg, model=Model(cfg, vocab))
         best = Model.from_state(cfg, vocab, result.best_state)
-        pairs = _prediction_pairs(best, test_rows, test_docs)
+        pairs = [(result["label"], doc.label) for result, doc
+                 in zip(best.predictions(test_rows, False), test_docs)]
         variants[variant] = {
             "metrics": metrics_from_pairs(pairs).to_dict(),
             "best_epoch": result.best_epoch,

@@ -2,7 +2,8 @@
 
 Nothing here imports the library under test: confusion counting, metric
 formulas, softmax, the LSTM cell, the 1-D convolution, one document's
-fine and coarse attention, the pairwise alignment loss, a whole-array
+fine and coarse attention, per-row cross-entropy, the pairwise alignment
+loss, a whole-array
 Adam update, vocabulary decoding and the unigram logistic baseline are
 all written from scratch so they can disagree with the implementation if
 it is wrong.  The TextCNN head over full-width filters (the layout of
@@ -240,6 +241,25 @@ def adam_step(param, m, v, grad, t, lr, beta1=0.9, beta2=0.999,
 def decode_text(vocab, ids):
     """Text tokens of `ids`, read straight off the vocabulary's list."""
     return [vocab.id_to_text[i] for i in ids]
+
+
+def cross_entropy_rows(probs, labels, smoothing):
+    """Each row's cross-entropy and its gradient, one row at a time.
+
+    Row b's target puts 1 - s + s/2 on its label and s/2 on the other
+    class; its loss is -sum_k target_k * log(max(p_k, 1e-12)), and the
+    gradient with respect to p_k is -target_k / max(p_k, 1e-12).  Returns
+    (losses (B,), gradients (B, 2)).
+    """
+    losses, grads = [], []
+    for row, label in zip(probs, labels):
+        target = np.array([smoothing / 2.0, smoothing / 2.0])
+        target[label] += 1.0 - smoothing
+        clamped = np.maximum(np.asarray(row, dtype=np.float64), 1e-12)
+        losses.append(-(target[0] * np.log(clamped[0])
+                        + target[1] * np.log(clamped[1])))
+        grads.append(-target / clamped)
+    return np.array(losses), np.array(grads)
 
 
 def alignment_pairs(beta, text, w):

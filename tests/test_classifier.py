@@ -269,10 +269,10 @@ class TestBatchedRows:
 
 class TestPredictLabel:
     def test_positive(self):
-        assert predict_label(ag.constant(np.array([0.4, 0.6]))) == 1
+        assert predict_label(np.array([0.4, 0.6])) == 1
 
     def test_negative(self):
-        assert predict_label(ag.constant(np.array([0.6, 0.4]))) == 0
+        assert predict_label(np.array([0.6, 0.4])) == 0
 
     def test_exact_tie_is_negative(self):
-        assert predict_label(ag.constant(np.array([0.5, 0.5]))) == 0
+        assert predict_label(np.array([0.5, 0.5])) == 0

@@ -36,8 +36,8 @@ def tiny_corpus():
 
 
 def forward_one(m, text_ids, emoji_ids, **kwargs):
-    """One document through the batched forward."""
-    return m.forward_docs([(text_ids, emoji_ids)], **kwargs)[0]
+    """One document through the batched forward: a batch of one row."""
+    return m.forward_docs([(text_ids, emoji_ids)], **kwargs)
 
 
 @pytest.fixture
@@ -142,7 +142,7 @@ class TestFullWidthLayout:
         batches = [rows, [(text * 5, emoji) for text, emoji in rows[:4]]]
         model = Model(config, vocab)
         probs = [out.probs.data for batch in batches
-                 for out in model.score(batch)]
+                 for _, out in model.score(batch)]
         wide = seeded_full_width_filters(config.seed, config.n_filters,
                                          6 * config.d, config.widths)
 
@@ -153,7 +153,7 @@ class TestFullWidthLayout:
                 lengths))
         monkeypatch.setattr(classifier, "_conv_pool", oracle)
         expected = [out.probs.data for batch in batches
-                    for out in model.score(batch)]
+                    for _, out in model.score(batch)]
         assert [p.tobytes() for p in probs] == \
             [p.tobytes() for p in expected]
 
@@ -165,19 +165,19 @@ class TestForward:
             out = forward_one(m, m.vocab.encode_text(doc.text_tokens),
                               m.vocab.encode_emojis(doc.emoji_tokens))
             np.testing.assert_allclose(out.probs.data.sum(), 1.0, atol=1e-9)
-            assert np.all(out.probs.data >= 0)
+            assert out.probs.shape == (1, 2) and np.all(out.probs.data >= 0)
 
     def test_batched_forward_matches_per_doc(self, model):
         m, docs = model
         encoded = [(m.vocab.encode_text(d.text_tokens),
                     m.vocab.encode_emojis(d.emoji_tokens)) for d in docs]
         batched = m.forward_docs(encoded)
-        for one, (tids, eids) in zip(batched, encoded):
+        for b, (tids, eids) in enumerate(encoded):
             single = forward_one(m, tids, eids)
-            np.testing.assert_allclose(one.probs.data, single.probs.data,
-                                       atol=1e-12)
-            np.testing.assert_allclose(one.text_states.data,
-                                       single.text_states.data, atol=1e-12)
+            np.testing.assert_allclose(batched.probs.data[b],
+                                       single.probs.data[0], atol=1e-12)
+            np.testing.assert_allclose(batched.text_states.data[b, :len(tids)],
+                                       single.text_states.data[0], atol=1e-12)
 
     def test_deterministic_without_dropout(self, model):
         m, docs = model
@@ -212,12 +212,17 @@ class TestForward:
         with pytest.raises(ValueError, match="document 1 has no text ids"):
             m.forward_docs([(m.vocab.encode_text(["good"]), [0]),
                             ([], emoji_ids)])
+        # scoring sorts by length: the error names the input position, not
+        # the position inside the document's length-sorted group
+        docs = [(m.vocab.encode_text(["good"]), [0])] * 69 + [([], emoji_ids)]
+        with pytest.raises(ValueError, match="document 69 has no text ids"):
+            list(m.score(docs))
 
     def test_explain_payload_fine(self, model):
         m, docs = model
-        result = next(m.score([(m.vocab.encode_text(docs[1].text_tokens),
-                                m.vocab.encode_emojis(docs[1].emoji_tokens))]
-                              )).prediction(True)
+        result = next(m.predictions(
+            [(m.vocab.encode_text(docs[1].text_tokens),
+              m.vocab.encode_emojis(docs[1].emoji_tokens))], True))
         explain = result["explain"]
         assert set(explain) == {"sense_weights", "interaction",
                                 "emoji_weights", "text_weights",
@@ -254,11 +259,11 @@ class TestForward:
         outputs = m.forward_docs(rows)
         states = encoded[0].data                  # (B, L, 2d), [text ; emoji]
         w = m.fine_params.interaction_w.data
-        for b, (out, (text_ids, emoji_ids)) in enumerate(zip(outputs, rows)):
+        for b, (text_ids, emoji_ids) in enumerate(rows):
             n, k = len(text_ids), len(emoji_ids)
             u, emoji_w, text_w, beta, _ = fine_attention_doc(
                 states[b, :n], states[b, n:n + k], w)
-            explain = out.prediction(explain=True)["explain"]
+            explain = outputs.explain(b)
             for name, want in (("interaction", u), ("emoji_weights", emoji_w),
                                ("text_weights", text_w),
                                ("word_emoji_weights", beta)):
@@ -269,9 +274,9 @@ class TestForward:
     def test_explain_payload_coarse(self):
         docs = tiny_corpus()
         m = Model(tiny_config(variant="coarse"), build_vocab(docs))
-        result = next(m.score([(m.vocab.encode_text(docs[0].text_tokens),
-                                m.vocab.encode_emojis(docs[0].emoji_tokens))]
-                              )).prediction(True)
+        result = next(m.predictions(
+            [(m.vocab.encode_text(docs[0].text_tokens),
+              m.vocab.encode_emojis(docs[0].emoji_tokens))], True))
         assert "coarse_weights" in result["explain"]
         assert "interaction" not in result["explain"]
 
@@ -288,7 +293,7 @@ class TestBatchLoss:
         for doc in docs:
             out = forward_one(m, vocab.encode_text(doc.text_tokens),
                               vocab.encode_emojis(doc.emoji_tokens))
-            ce, align = m.doc_losses(out, doc.label)
+            ce, align = m.doc_losses(out, [doc.label])
             manual += float(ce.data) + lam * float(align.data)
         np.testing.assert_allclose(total, manual / len(docs), atol=1e-12)
 
@@ -343,15 +348,68 @@ class TestBatchLoss:
             graph = [v for v in ag.topo_order(loss) if v._prev]
             ops = [v._op for v in graph]
             # the whole step's graph: the encoder, the head and one
-            # cross-entropy chain per document
+            # cross-entropy for the batch
             assert ops.count("bilstm") == 1 and ops.count("textcnn") == 1
-            assert ops.count("log") == len(batch)
+            assert ops.count("log") == 1
             nodes = [weakref.ref(v) for v in graph]
             del graph
             del loss
             assert [r() for r in nodes if r() is not None] == []
         finally:
             gc.enable()
+
+
+def _ops_built(monkeypatch, call, grad_only):
+    """The op of every graph node `call()` builds (with `grad_only`, of
+    every node that requires a gradient), in build order."""
+    built = []
+    make_node = ag.make_node
+
+    def counting(data, inputs, op):
+        out = make_node(data, inputs, op)
+        if out.requires_grad or not grad_only:
+            built.append(op)
+        return out
+
+    monkeypatch.setattr(ag, "make_node", counting)
+    call()
+    monkeypatch.setattr(ag, "make_node", make_node)
+    return built
+
+
+class TestNodeCounts:
+    """The loss side is batched like the layers: no op runs once per
+    document, so a step's graph and a scoring pass do not grow with B."""
+
+    WORDS = ["good", "bad", "day", "here", "fine", "ugh"]
+
+    def _docs(self, count, emojis):
+        return [TokenizedDoc(self.WORDS[:1 + i % 6], emojis(i), i % 2)
+                for i in range(count)]
+
+    @pytest.mark.parametrize("variant", ["fine", "coarse"])
+    def test_step_graph_is_the_same_at_8_and_64(self, variant, monkeypatch):
+        docs = self._docs(64, lambda i: [["E_S", "E_C"][i % 2]])
+        m = Model(tiny_config(variant=variant), build_vocab(docs))
+
+        def step_ops(count):
+            (batch,) = make_batches(docs[:count], m.vocab, count, 100,
+                                    shuffle=False)
+            return _ops_built(monkeypatch, lambda: m.batch_loss(
+                batch, dropout_rng=np.random.default_rng(0)).backward(), True)
+
+        assert len(step_ops(8)) == len(step_ops(64))
+
+    def test_scoring_builds_the_same_ops_for_8_and_64(self, monkeypatch):
+        docs = self._docs(64, lambda i: ["E_S", "E_C", "E_S"][:i % 4])
+        m = Model(tiny_config(), build_vocab(docs))
+        rows = [encode_doc(doc, m.vocab, 20) for doc in docs]
+
+        def score_ops(count):
+            return _ops_built(monkeypatch,
+                              lambda: list(m.score(rows[:count])), False)
+
+        assert len(score_ops(8)) == len(score_ops(64)) > 0
 
 
 WORDS = [f"w{i}" for i in range(12)]

@@ -1,9 +1,11 @@
 """Cross-entropy and alignment loss values, bounds, and gradients."""
 
+import math
+
 import numpy as np
 import pytest
 
-from oracles import alignment_pairs
+from oracles import alignment_pairs, cross_entropy_rows
 
 from faet import autograd as ag
 from faet.attention import FineAttentionParams, fine_attention
@@ -13,25 +15,44 @@ from faet.objective import alignment_loss, cross_entropy
 
 
 class TestCrossEntropy:
-    def test_uniform_probs_give_ln2(self):
-        for label in (0, 1):
-            loss = cross_entropy(ag.constant([0.5, 0.5]), label, 0.0)
-            np.testing.assert_allclose(float(loss.data), np.log(2.0),
-                                       atol=1e-12)
+    # uniform rows under either label, a confident right row, a confident
+    # wrong row (clamped at 1e-12) and a row for the smoothed target
+    PROBS = np.array([[0.5, 0.5], [0.5, 0.5], [0.0, 1.0], [1.0, 0.0],
+                      [0.25, 0.75]])
+    LABELS = [0, 1, 1, 1, 1]
 
-    def test_confident_correct_is_zero(self):
-        loss = cross_entropy(ag.constant([0.0, 1.0]), 1, 0.0)
-        np.testing.assert_allclose(float(loss.data), 0.0, atol=1e-12)
+    def test_oracle_rows_are_the_known_values(self):
+        rows, _ = cross_entropy_rows(self.PROBS, self.LABELS, 0.0)
+        np.testing.assert_allclose(
+            rows, [np.log(2.0), np.log(2.0), 0.0, -np.log(1e-12),
+                   -np.log(0.75)], rtol=0, atol=1e-12)
+        rows, _ = cross_entropy_rows(self.PROBS, self.LABELS, 0.2)
+        np.testing.assert_allclose(
+            rows[4], -(0.9 * np.log(0.75) + 0.1 * np.log(0.25)), atol=1e-12)
 
-    def test_confident_wrong_hits_clamp(self):
-        loss = cross_entropy(ag.constant([1.0, 0.0]), 1, 0.0)
-        np.testing.assert_allclose(float(loss.data), -np.log(1e-12), atol=1e-9)
+    @pytest.mark.parametrize("smoothing", [0.0, 0.2])
+    def test_batch_matches_the_per_row_oracle(self, smoothing):
+        probs = ag.param(self.PROBS.copy())
+        loss = cross_entropy(probs, self.LABELS, smoothing)
+        loss.backward()
+        rows, grads = cross_entropy_rows(self.PROBS, self.LABELS, smoothing)
+        assert loss.shape == ()
+        np.testing.assert_allclose(float(loss.data), math.fsum(rows),
+                                   rtol=1e-14)
+        # row b's gradient is row b's own: the batch is a sum of its rows
+        np.testing.assert_allclose(probs.grad, grads, rtol=1e-14)
+        for b, want in enumerate(rows):
+            one = cross_entropy(ag.constant(self.PROBS[b:b + 1]),
+                                self.LABELS[b:b + 1], smoothing)
+            np.testing.assert_allclose(float(one.data), want, atol=1e-12)
 
-    def test_label_smoothing(self):
-        probs = ag.constant([0.25, 0.75])
-        loss = cross_entropy(probs, 1, label_smoothing=0.2)
-        expected = -(0.9 * np.log(0.75) + 0.1 * np.log(0.25))
-        np.testing.assert_allclose(float(loss.data), expected, atol=1e-12)
+    def test_gradients_through_softmax_match_finite_differences(self):
+        rng = np.random.default_rng(9)
+        logits = ag.param(rng.uniform(-2, 2, (5, 2)))
+        report = ag.finite_difference_check(
+            lambda: cross_entropy(ag.softmax(logits, axis=1), [0, 1, 1, 0, 1],
+                                  0.1), {"logits": logits})
+        assert max(report.values()) < 1e-4
 
 
 class TestAlignmentLoss:
@@ -137,12 +158,11 @@ class TestTotalLoss:
         model = Model(config, build_vocab(docs))
         (batch,) = make_batches(docs, model.vocab, 2, max_len=20,
                                 shuffle=False)
-        terms = [model.doc_losses(out, label) for out, label in
-                 zip(model.forward_docs(batch.rows), batch.labels)]
+        ce, align = model.doc_losses(model.forward_docs(batch.rows),
+                                     batch.labels)
         inv = 1.0 / len(batch)
-        ce = sum(float(c.data) for c, _ in terms) * inv
-        align = sum(float(a.data) for _, a in terms) * inv
-        return float(model.batch_loss(batch).data), ce, align
+        return (float(model.batch_loss(batch).data), float(ce.data) * inv,
+                float(align.data) * inv)
 
     def test_zero_lambda_is_pure_ce(self):
         loss, ce, align = self.batch_losses(0.0)
@@ -168,7 +188,8 @@ class TestTotalLoss:
             out = fine_attention(ag.reshape(text, (1, 3, 3)),
                                  ag.reshape(emoji, (1, 2, 3)), attn, [3], [2])
             fused = ag.reshape(out.fused, (6,))
-            ce = cross_entropy(ag.softmax(ag.narrow(fused, 0, 0, 2)), 1, 0.0)
+            logits = ag.reshape(ag.narrow(fused, 0, 0, 2), (1, 2))
+            ce = cross_entropy(ag.softmax(logits, axis=1), [1], 0.0)
             align = alignment_loss(ag.reshape(out.word_emoji_weights, (3, 2)),
                                    text, attn.distance_w)
             return ag.add(ce, ag.mul(align, 0.5))

@@ -1,15 +1,18 @@
 """The one scoring path: length-sorted, chunked no-grad `Model.score`
-against one document scored alone, on generated documents:
-probabilities, labels and the per-document `--explain` payloads, and the
-groups of documents that reach `forward_docs`."""
+and the input-order `Model.predictions` built on it, against one document
+scored alone, on generated documents: probabilities, labels and the
+per-document `--explain` payloads, the groups of documents that reach
+`forward_docs`, and the memory a no-grad pass keeps."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from faet import autograd as ag
 from faet import model as model_module
 from faet.classifier import predict_label
 from faet.corpus import TokenizedDoc, build_vocab, encode_doc
@@ -52,18 +55,18 @@ def test_batched_scores_match_predict_doc(extra, variant, data):
     # a chunk smaller than the list puts chunk boundaries between docs
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model_module, "SCORE_CHUNK", 4)
-        outputs = list(model.score(encoded))
+        outputs = list(model.predictions(encoded, True))
     assert len(outputs) == len(docs)
     for out, (text_ids, emoji_ids) in zip(outputs, encoded):
-        single = next(model.score([(text_ids, emoji_ids)])).prediction(True)
-        probs = out.probs.data
+        single = next(model.predictions([(text_ids, emoji_ids)], True))
+        probs = out["probs"]
         np.testing.assert_allclose(probs, single["probs"], rtol=0, atol=1e-12)
-        assert predict_label(out.probs) == single["label"]
+        assert out["label"] == single["label"]
         assert abs(math.fsum(probs) - 1.0) <= 1e-12
         assert abs(math.fsum(single["probs"]) - 1.0) <= 1e-12
         # the batch's explain payload is the document's own, never padded
         n, m = len(text_ids), len(emoji_ids)
-        explain = out.prediction(explain=True)["explain"]
+        explain = out["explain"]
         assert list(explain) == list(single["explain"])
         shapes = {"sense_weights": (m, 2), "interaction": (n, m),
                   "emoji_weights": (m,), "text_weights": (n,),
@@ -112,8 +115,7 @@ class TestScoringGroups:
         model = MODELS["fine"]
         groups = _record_groups(model, monkeypatch)
         monkeypatch.setattr(model_module, "SCORE_CHUNK", chunk)
-        outputs = list(model.score(docs))
-        assert len(outputs) == len(docs)
+        assert len(list(model.predictions(docs, False))) == len(docs)
         return groups
 
     def test_groups_follow_length_order_within_each_window(self, monkeypatch):
@@ -186,7 +188,7 @@ class TestScoringGroups:
         docs = _mixed_docs(model, 3 * self.WINDOW, seed=6)
         groups = _record_groups(model, monkeypatch)
         monkeypatch.setattr(model_module, "SCORE_CHUNK", self.CHUNK)
-        scored = model.score(docs)
+        scored = model.predictions(docs, False)
         next(scored)
         assert 1 <= len(groups) <= self.WINDOW // self.CHUNK
         assert len(list(scored)) == len(docs) - 1
@@ -196,11 +198,44 @@ class TestScoringGroups:
         model = MODELS[variant]
         docs = _mixed_docs(model, 3 * self.WINDOW + 5, seed=7)
         monkeypatch.setattr(model_module, "SCORE_CHUNK", self.CHUNK)
-        outputs = list(model.score(docs))
+        rows = {}
+        for group, outputs in model.score(docs):
+            for b, i in enumerate(group):
+                assert outputs.n[b] == len(docs[i][0])
+                assert outputs.m[b] == len(docs[i][1])
+                rows[i] = outputs.probs.data[b]
+        outputs = list(model.predictions(docs, False))
+        assert sorted(rows) == list(range(len(docs)))
         assert len(outputs) == len(docs)
-        for out, (text_ids, emoji_ids) in zip(outputs, docs):
+        for i, (out, (text_ids, emoji_ids)) in enumerate(zip(outputs, docs)):
             single = model.predict_doc(text_ids, emoji_ids)
-            assert out.text_states.shape[0] == len(text_ids)
-            np.testing.assert_allclose(out.probs.data, single["probs"],
+            assert out["probs"] == rows[i].tolist()
+            np.testing.assert_allclose(rows[i], single["probs"],
                                        rtol=0, atol=1e-12)
-            assert predict_label(out.probs) == single["label"]
+            assert out["label"] == predict_label(rows[i]) == single["label"]
+
+
+class TestScoringMemory:
+    @pytest.mark.parametrize("variant", sorted(MODELS))
+    def test_no_grad_forward_keeps_batch_arrays_only(self, variant):
+        # the outputs keep the padded batch arrays and build no per-document
+        # object: a row's explain dumps are sliced only when asked for
+        model = MODELS[variant]
+        docs = _mixed_docs(model, 256, seed=8)
+        tracemalloc.start()
+        try:
+            with ag.no_grad():
+                outputs = model.forward_docs(docs)
+            kept = tracemalloc.take_snapshot().statistics("filename")
+        finally:
+            tracemalloc.stop()
+        batch, (n, m) = len(docs), (outputs.n.max(), outputs.m.max())
+        length, hidden = (outputs.n + outputs.m).max(), \
+            outputs.text_states.shape[2]
+        # encoder output, summaries, (B, n, m) interaction and word-emoji
+        # weights, emoji and text weights, sense weights and probabilities
+        floats = (batch * length * hidden + batch * 2 * hidden
+                  + 2 * batch * n * m + batch * (n + m)
+                  + 2 * outputs.m.sum() + 2 * batch)
+        assert sum(s.size for s in kept) < 8 * floats + 32 * 1024
+        assert sum(s.count for s in kept) < batch // 2
