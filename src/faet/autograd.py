@@ -22,7 +22,8 @@ gradient, and `zero_grad` drops a buffer instead of clearing it.
 
 Every op here except `narrow` and `take_rows` is a forward pass plus one
 gradient function per input, wired into the graph by `_node`; the fused
-nodes defined elsewhere attach a weak rule of their own.
+BiLSTM, TextCNN and alignment nodes defined elsewhere attach a weak rule
+of their own.
 """
 
 from __future__ import annotations
@@ -183,7 +184,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def make_node(data, inputs: Sequence[Value], op: str) -> Value:
     """Graph-node constructor for every op: `_node` attaches most rules here;
-    `narrow`, `take_rows` and fused ops attach theirs via `out._backward`.
+    `narrow`, `take_rows` and the fused ops (`bilstm`, `textcnn`,
+    `alignment`) attach theirs via `out._backward`.  A fused op keeps only
+    what its rule reads: the alignment node, for one, only its two (n, n)
+    arrays, not the (n, n, m) differences of its forward.
 
     The rule must hold `out` weakly (a `weakref.proxy` default argument):
     a strong reference would put every node in a cycle with its rule, so a

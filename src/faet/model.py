@@ -2,11 +2,12 @@
 
 Embedding, the BiLSTM, attention, the TextCNN head and the cross-entropy
 each run once per batch over zero-padded sequences with per-row lengths;
-only the alignment term runs per row, on the unpadded slices of each row
-that has two words and two emojis.  The "fine" variant runs the word-level
-cross-attention; the "coarse" ablation variant replaces it with one pooled
-attention over emojis, keeping the classifier input width identical (6d
-per position) so head capacity stays comparable.
+only the alignment term runs per row, as one fused node on the unpadded
+slices of each row that has two words and two emojis.  The "fine" variant
+runs the word-level cross-attention; the "coarse" ablation variant
+replaces it with one pooled attention over emojis, keeping the classifier
+input width identical (6d per position) so head capacity stays
+comparable.
 """
 
 from __future__ import annotations

@@ -1,19 +1,22 @@
 """Independent brute-force oracles used only by the tests.
 
-Nothing here imports the library under test: confusion counting, metric
-formulas, softmax, the LSTM cell, the 1-D convolution, one document's
-fine and coarse attention, per-row cross-entropy, the pairwise alignment
-loss, a whole-array
-Adam update, vocabulary decoding and the unigram logistic baseline are
-all written from scratch so they can disagree with the implementation if
-it is wrong.  The TextCNN head over full-width filters (the layout of
-checkpoint format 1) keeps the head's float order instead, so that a
-model can be checked against it bit for bit.
+Confusion counting, metric formulas, softmax, the LSTM cell, the 1-D
+convolution, one document's fine and coarse attention, per-row
+cross-entropy, the pairwise alignment loss, a whole-array Adam update,
+vocabulary decoding and the unigram logistic baseline are all written
+from scratch, without the library under test, so they can disagree with
+the implementation if it is wrong.  Two references keep the library's
+float order instead, so that it can be checked against them bit for bit:
+the TextCNN head over full-width filters (the layout of checkpoint
+format 1), and the alignment loss composed of generic autograd ops (the
+graph form the fused alignment node replaced).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from faet import autograd as ag
 
 
 def recount_confusion(pairs):
@@ -288,6 +291,22 @@ def alignment_pairs(beta, text, w):
     np.add.at(g_text, i, np.outer(g1, w[:h]) + np.outer(g2, w[h:]))
     np.add.at(g_text, o, np.outer(g1, w[h:]) + np.outer(g2, w[:h]))
     return loss, g_beta, g_text, g_w
+
+
+def alignment_composite(word_emoji_weights, text, distance_w):
+    """The alignment loss as a graph of generic autograd ops: (n, m)
+    per-word emoji distributions + (n, 2d) text states -> scalar <= 0.
+    The fused `objective.alignment_loss` runs the same ufunc sequence, so
+    its value equals this one bit for bit."""
+    n, m = word_emoji_weights.shape
+    h = text.shape[1]
+    a = ag.matmul(text, ag.narrow(distance_w, 0, 0, h))   # (n,) first slot
+    c = ag.matmul(text, ag.narrow(distance_w, 0, h, h))   # (n,) second slot
+    dist = ag.sigmoid(ag.add(ag.reshape(a, (n, 1)), ag.reshape(c, (1, n))))
+    diff = ag.add(ag.reshape(word_emoji_weights, (n, 1, m)),
+                  ag.mul(ag.reshape(word_emoji_weights, (1, n, m)), -1.0))
+    sq = ag.sum_along(ag.mul(diff, diff), axis=2)         # (n, n)
+    return ag.mul(ag.sum_along(ag.mul(dist, sq)), -0.5)
 
 
 def fine_attention_doc(text, emoji, w):

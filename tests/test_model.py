@@ -1,5 +1,6 @@
 """Full-model assembly: variants, batching equivalence, loss composition."""
 
+import collections
 import gc
 import hashlib
 import weakref
@@ -399,6 +400,29 @@ class TestNodeCounts:
                 batch, dropout_rng=np.random.default_rng(0)).backward(), True)
 
         assert len(step_ops(8)) == len(step_ops(64))
+
+    def test_alignment_adds_five_nodes_per_aligned_row(self, monkeypatch):
+        # the same documents with one emoji and with two: a row with at
+        # least 2 words and 2 emojis adds its 3 `narrow`s, one fused
+        # `alignment` node and the `add` into the sum, and the batch the
+        # two reshapes that `narrow` reads and the two scalings of the sum
+        one = self._docs(64, lambda i: [["E_S", "E_C"][i % 2]])
+        two = self._docs(64, lambda i: ["E_S", "E_C"])
+        m = Model(tiny_config(), build_vocab(one))
+
+        def step_ops(docs):
+            (batch,) = make_batches(docs, m.vocab, len(docs), 100,
+                                    shuffle=False)
+            return collections.Counter(_ops_built(
+                monkeypatch, lambda: m.batch_loss(
+                    batch, dropout_rng=np.random.default_rng(0)).backward(),
+                True))
+
+        for count in (8, 64):
+            rows = sum(len(doc.text_tokens) >= 2 for doc in two[:count])
+            extra = step_ops(two[:count]) - step_ops(one[:count])
+            assert extra == collections.Counter(
+                narrow=3 * rows, alignment=rows, add=rows, reshape=2, mul=2)
 
     def test_scoring_builds_the_same_ops_for_8_and_64(self, monkeypatch):
         docs = self._docs(64, lambda i: ["E_S", "E_C", "E_S"][:i % 4])
