@@ -10,10 +10,10 @@ import numpy as np
 
 from faet import Adam, autograd as ag
 
-# --- a scalar graph: loss = sigmoid(x * y) + tanh(x) --------------------
+# --- a scalar graph: loss = tanh(x * y) + log(x) ------------------------
 x = ag.param(0.7)
 y = ag.param(-1.3)
-loss = ag.add(ag.sigmoid(ag.mul(x, y)), ag.tanh(x))
+loss = ag.add(ag.tanh(ag.mul(x, y)), ag.log(x))
 loss.backward()
 print("loss                :", float(loss.data))
 print("d loss / d x        :", float(x.grad))
@@ -22,9 +22,9 @@ print("d loss / d y        :", float(y.grad))
 # the same derivative, measured numerically
 h = 1e-6
 x.data += h
-up = float(ag.sigmoid(ag.mul(x, y)).data) + float(ag.tanh(x).data)
+up = float(ag.tanh(ag.mul(x, y)).data) + float(ag.log(x).data)
 x.data -= 2 * h
-down = float(ag.sigmoid(ag.mul(x, y)).data) + float(ag.tanh(x).data)
+down = float(ag.tanh(ag.mul(x, y)).data) + float(ag.log(x).data)
 x.data += h
 print("central difference  :", (up - down) / (2 * h))
 

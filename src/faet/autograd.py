@@ -23,7 +23,9 @@ gradient, and `zero_grad` drops a buffer instead of clearing it.
 Every op here except `narrow` and `take_rows` is a forward pass plus one
 gradient function per input, wired into the graph by `_node`; the fused
 BiLSTM, TextCNN and alignment nodes defined elsewhere attach a weak rule
-of their own.
+of their own.  The module keeps only ops the package calls: the BiLSTM
+gates and the alignment weights take their sigmoid inside their fused
+node, so there is no sigmoid op.
 """
 
 from __future__ import annotations
@@ -322,16 +324,6 @@ def concat(parts: Iterable[Value], axis: int = 0) -> Value:
         return [lambda g, sl=lead + (slice(end - p.shape[axis], end),): g[sl]
                 for p, end in zip(parts, ends)]
     return _node(data, parts, "concat", rules)
-
-
-def sigmoid(x: Value) -> Value:
-    """Logistic sigmoid as 0.5 * tanh(0.5 * x) + 0.5: no exp() to overflow
-    for any input, and within 2.2e-16 of the two-branch exp() form."""
-    _check("sigmoid", (x,))
-    s = np.tanh(0.5 * x.data)
-    s *= 0.5
-    s += 0.5
-    return _node(s, (x,), "sigmoid", lambda: (lambda g: g * s * (1.0 - s),))
 
 
 def tanh(x: Value) -> Value:

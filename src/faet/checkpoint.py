@@ -118,7 +118,7 @@ def load_checkpoint(path: str) -> Model:
         version, config, vocab = _read_header(fh, path)
         try:
             model = Model.blank(config, vocab)
-        except ValueError as exc:
+        except (MemoryError, ValueError) as exc:
             raise CheckpointError(f"{path}: {exc}") from exc
         params = {name: p.data for name, p in model.parameters().items()}
         cnn = model.cnn

@@ -1,7 +1,8 @@
 """Command-line entry point: faet <subcommand>.
 
 Exit codes: 0 success, 1 usage error (a model too large to allocate
-included: its sizes come from the flags), 2 data error, 3 numeric failure
+included: its sizes come from the flags; from a checkpoint's config it is
+a data error), 2 data error, 3 numeric failure
 (non-finite loss or failed gradient check), 141 output pipe closed by its
 reader (128 + SIGPIPE, as a shell reports a tool that SIGPIPE ended).
 Every subcommand is reproducible byte for byte under a fixed --seed;
@@ -64,11 +65,12 @@ def _emit(obj, pretty: bool = False) -> None:
         print(json.dumps(obj, sort_keys=True, ensure_ascii=False))
 
 
-def _add_config_flags(sub) -> None:
-    # one flag per config field but `widths`, which only --config sets
+def _add_config_flags(sub, *skip: str) -> None:
+    # one flag per config field but `widths`, which only --config sets, and
+    # those in `skip`; a --config file may still set any field
     types = typing.get_type_hints(TrainConfig)
     for field in dataclasses.fields(TrainConfig):
-        if field.name != "widths":
+        if field.name != "widths" and field.name not in skip:
             sub.add_argument(
                 "--" + field.name.replace("_", "-"), type=types[field.name],
                 choices=VARIANTS if field.name == "variant" else None)
@@ -137,7 +139,7 @@ def build_parser() -> _Parser:
     p.add_argument("--val", dest="val_file", required=True)
     p.add_argument("--test", dest="test_file", required=True)
     p.add_argument("--pretty", action="store_true")
-    _add_config_flags(p)
+    _add_config_flags(p, "variant")  # it trains every variant
 
     p = subs.add_parser("gradcheck",
                         help="finite-difference check per parameter group")

@@ -8,8 +8,9 @@ from scratch, without the library under test, so they can disagree with
 the implementation if it is wrong.  Two references keep the library's
 float order instead, so that it can be checked against them bit for bit:
 the TextCNN head over full-width filters (the layout of checkpoint
-format 1), and the alignment loss composed of generic autograd ops (the
-graph form the fused alignment node replaced).
+format 1), and the alignment loss composed of generic autograd ops and
+the sigmoid op the package no longer has (the graph form the fused
+alignment node replaced).
 """
 
 from dataclasses import dataclass
@@ -293,6 +294,16 @@ def alignment_pairs(beta, text, w):
     return loss, g_beta, g_text, g_w
 
 
+def sigmoid(x: ag.Value) -> ag.Value:
+    """Logistic sigmoid as 0.5 * tanh(0.5 * x) + 0.5: no exp() to overflow
+    for any input, and within 2.2e-16 of the two-branch exp() form."""
+    ag._check("sigmoid", (x,))
+    s = np.tanh(0.5 * x.data)
+    s *= 0.5
+    s += 0.5
+    return ag._node(s, (x,), "sigmoid", lambda: (lambda g: g * s * (1.0 - s),))
+
+
 def alignment_composite(word_emoji_weights, text, distance_w):
     """The alignment loss as a graph of generic autograd ops: (n, m)
     per-word emoji distributions + (n, 2d) text states -> scalar <= 0.
@@ -302,7 +313,7 @@ def alignment_composite(word_emoji_weights, text, distance_w):
     h = text.shape[1]
     a = ag.matmul(text, ag.narrow(distance_w, 0, 0, h))   # (n,) first slot
     c = ag.matmul(text, ag.narrow(distance_w, 0, h, h))   # (n,) second slot
-    dist = ag.sigmoid(ag.add(ag.reshape(a, (n, 1)), ag.reshape(c, (1, n))))
+    dist = sigmoid(ag.add(ag.reshape(a, (n, 1)), ag.reshape(c, (1, n))))
     diff = ag.add(ag.reshape(word_emoji_weights, (n, 1, m)),
                   ag.mul(ag.reshape(word_emoji_weights, (1, n, m)), -1.0))
     sq = ag.sum_along(ag.mul(diff, diff), axis=2)         # (n, n)
