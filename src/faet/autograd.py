@@ -7,9 +7,9 @@ only `mul` also takes a Python number, as a scale; any other operand is a
 `Value.backward()` topologically sorts the graph and applies the chain
 rule in reverse.  Everything is float64 in a fixed float order, and the
 package starts no threads; only BLAS may split a matrix product over
-threads, which can move its last bits.  So a seeded run repeats its logs
-for a fixed seed, and its checkpoint bytes for a fixed seed and BLAS
-thread count.
+threads, which can move its last bits.  The `faet` CLI runs on one BLAS
+thread, so for a fixed seed it writes the same logs and checkpoint bytes
+whatever the CPU count, for one numpy/OpenBLAS build on one CPU type.
 
 Backward allocates only where a gradient lands (Paszke et al. 2017,
 "Automatic differentiation in PyTorch"): a node, leaf or intermediate,
@@ -23,9 +23,11 @@ gradient, and `zero_grad` drops a buffer instead of clearing it.
 Every op here except `narrow` and `take_rows` is a forward pass plus one
 gradient function per input, wired into the graph by `_node`; the fused
 BiLSTM, TextCNN and alignment nodes defined elsewhere attach a weak rule
-of their own.  The module keeps only ops the package calls: the BiLSTM
-gates and the alignment weights take their sigmoid inside their fused
-node, so there is no sigmoid op.
+of their own, and refuse bad operands as the ops here do (`make_node`);
+`tests/test_fused_nodes.py` checks their shared contract as one table.
+The module keeps only ops the package calls: the BiLSTM gates and the
+alignment weights take their sigmoid inside their fused node, so there
+is no sigmoid op.
 """
 
 from __future__ import annotations
@@ -200,7 +202,10 @@ def make_node(data, inputs: Sequence[Value], op: str) -> Value:
     `data` may be a view of an input's data, and a rule may read its
     inputs' data during backward.  That is safe because nothing writes
     into a non-leaf `Value.data`, and the optimizer writes leaves only
-    after backward.  Each op checks its operands itself (`_check`)."""
+    after backward.  Each op checks its operands itself before it builds
+    a node: an operand that is not a `Value` is a `TypeError` (`_check`),
+    and a misshapen operand, or bad `lengths` of a batched fused op
+    (`_row_lengths`), a `ShapeError`, each naming the op."""
     needs = _grad_enabled and any(v.requires_grad for v in inputs)
     return Value(data, requires_grad=needs,
                  _prev=tuple(inputs) if needs else (), _op=op)
@@ -211,6 +216,19 @@ def _check(op: str, operands: Iterable) -> None:
     for v in operands:
         if not isinstance(v, Value):
             raise TypeError(f"{op}: a {type(v).__name__} is not a Value")
+
+
+def _row_lengths(op: str, lengths, batch: int, length: int) -> np.ndarray:
+    """A fused batched op's `lengths` as a (batch,) integer vector with
+    every entry in [1, length]; anything else is a `ShapeError` naming
+    `op`."""
+    lengths = np.asarray(lengths)
+    if (lengths.shape != (batch,) or lengths.dtype.kind not in "iu" or batch
+            and not 1 <= lengths.min() <= lengths.max() <= length):
+        raise ShapeError(
+            f"{op}: lengths must be a ({batch},) integer vector with "
+            f"entries in [1, {length}], got {lengths!r}")
+    return lengths
 
 
 def accumulate(node: Value, g: np.ndarray) -> None:

@@ -72,12 +72,12 @@ def _write(fh, model: Model) -> None:
 def _read(fh, n: int, what: str) -> bytes:
     # a large size the file claims is checked against what is left of the
     # file before anything is allocated for it
-    if (n > io.DEFAULT_BUFFER_SIZE
-            and n > os.fstat(fh.fileno()).st_size - fh.tell()):
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    chunk = fh.read(n)
+    past_end = (n > io.DEFAULT_BUFFER_SIZE
+                and n > os.fstat(fh.fileno()).st_size - fh.tell())
+    chunk = b"" if past_end else fh.read(n)
     if len(chunk) != n:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
+        raise CheckpointError(
+            f"{fh.name}: truncated checkpoint while reading {what}")
     return chunk
 
 
@@ -140,7 +140,8 @@ def load_checkpoint(path: str) -> Model:
             (ndim,) = struct.unpack("<B", _read(fh, 1, "ndim"))
             shape = tuple(
                 struct.unpack("<Q", _read(fh, 8, "dim"))[0] for _ in range(ndim))
-            truncated = f"truncated checkpoint while reading data of {name!r}"
+            truncated = (f"{path}: truncated checkpoint while reading data "
+                         f"of {name!r}")
             if math.prod(shape) * 8 > size - fh.tell():
                 raise CheckpointError(truncated)
             if name not in params:

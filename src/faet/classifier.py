@@ -17,7 +17,7 @@ import weakref
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Value
+from .autograd import ShapeError, Value
 
 
 class TextCnnParams:
@@ -87,7 +87,29 @@ def textcnn_forward_batch(states: Value, summaries: Value,
     Convolution, ReLU and max-over-time pooling are one fused node (see
     `_conv_pool`); dropout at `dropout_rate` applies to the pooled
     features when `dropout_rng` is given (see `ag.dropout`).
+
+    An operand that is not a `Value`, a weight of `params` included, is a
+    `TypeError` naming `textcnn`.  States that are not 3-D, summaries
+    that are not one row per state row, a weight whose shape does not fit
+    them (see `TextCnnParams`), or `lengths` that are not one integer in
+    [1, L] per row is a `ShapeError` naming `textcnn`.
     """
+    widths, f = params.widths, params.n_filters
+    weights = ([params.filters[w] for w in widths]
+               + [params.filter_bias[w] for w in widths]
+               + [params.summary, params.out_w, params.out_b])
+    ag._check("textcnn", (states, summaries, *weights))
+    pooled, shapes = len(widths) * f, [v.shape for v in weights]
+    if (states.ndim != 3 or summaries.ndim != 2
+            or len(summaries.data) != len(states.data)
+            or shapes != [(f, w * states.shape[2]) for w in widths]
+            + [(f,)] * len(widths)
+            + [(pooled, summaries.shape[1]), (pooled, 2), (2,)]):
+        raise ShapeError(
+            f"textcnn: states {states.shape} and summaries "
+            f"{summaries.shape} do not fit the filters, biases, summary "
+            f"weights and output layer of widths {widths}: {shapes}")
+    lengths = ag._row_lengths("textcnn", lengths, *states.shape[:2])
     feats = ag.dropout(_conv_pool(states, summaries, params, lengths),
                        dropout_rate, dropout_rng)
     logits = ag.add(ag.matmul(feats, params.out_w), params.out_b)
@@ -139,7 +161,7 @@ def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
     # time-major rows: position t of every row is rows [t*B, (t+1)*B)
     steps = np.ascontiguousarray(states.data.transpose(1, 0, 2)).reshape(
         length * batch, hidden)
-    valid = np.reshape(lengths, (1, -1))
+    valid = lengths[None]
     args = []  # per width: each (row, filter)'s winning window, or None
     for k, (w, bank) in enumerate(zip(widths, banks)):
         n_out = length - w + 1

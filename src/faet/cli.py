@@ -5,13 +5,19 @@ included: its sizes come from the flags; from a checkpoint's config it is
 a data error), 2 data error, 3 numeric failure
 (non-finite loss or failed gradient check), 141 output pipe closed by its
 reader (128 + SIGPIPE, as a shell reports a tool that SIGPIPE ended).
-Every subcommand is reproducible byte for byte under a fixed --seed;
+Every subcommand is reproducible byte for byte under a fixed --seed,
+whatever the CPU or BLAS thread count, for one numpy/OpenBLAS build on
+one CPU type: a command runs with OpenBLAS on one thread, because a
+matrix product split over threads sums in another order (OpenBLAS still
+picks its kernels per CPU type, and another BLAS is left as it is).
 FAET_SEED serves as a fallback seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
 import json
 import os
@@ -278,6 +284,55 @@ _COMMANDS = {
 }
 
 
+_MAPS = "/proc/self/maps"  # the process's mapped files, one per line
+
+
+def _openblas_threads():
+    """The (get, set) thread-count calls of the OpenBLAS that numpy
+    loaded, found among the process's mapped libraries, or None where
+    there is none (or none that loads)."""
+    try:
+        with open(_MAPS, encoding="utf-8", errors="replace") as fh:
+            # address perms offset dev inode path; the path may hold spaces
+            fields = [line.rstrip("\n").split(maxsplit=5) for line in fh]
+    except OSError:
+        return None
+    paths = sorted({f[5] for f in fields if len(f) == 6
+                    and "openblas" in os.path.basename(f[5])
+                    and not f[5].endswith(" (deleted)")})
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS on one thread inside, and the caller's count again after;
+    nothing changes where numpy's BLAS is not an OpenBLAS found here."""
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -285,7 +340,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        code = _COMMANDS[args.command](args)
+        with _one_blas_thread():
+            code = _COMMANDS[args.command](args)
         if sys.stdout is not None:  # None when started without an fd 1
             sys.stdout.flush()  # here, so a closed pipe cannot fail at exit
         return code

@@ -6,6 +6,7 @@ disputes stay out of the model's test surface.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -25,6 +26,16 @@ class CorpusError(ValueError):
         if line_number is not None:
             message = f"line {line_number}: {message}"
         super().__init__(message)
+
+
+@contextlib.contextmanager
+def naming_file(path: str):
+    """A `CorpusError` raised inside is raised again with `path` in front
+    of its message, so that it says which file it is about."""
+    try:
+        yield
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -98,7 +109,7 @@ def utf8_lines(fh):
 
 def read_jsonl(path: str, mode: str = "train") -> list[TokenizedDoc]:
     docs = []
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, naming_file(path):
         for i, line in utf8_lines(fh):
             if line.strip():
                 docs.append(parse_jsonl_record(line, line_number=i, mode=mode))

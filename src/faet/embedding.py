@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Value
-from .corpus import CorpusError, PAD_ID, Vocab, utf8_lines
+from .corpus import CorpusError, PAD_ID, Vocab, naming_file, utf8_lines
 
 
 class TextEncoder:
@@ -96,10 +96,10 @@ def load_pretrained_emoji_vectors(path: str, table: BisenseEmojiEmbedding,
     "_pos"/"_neg" initialize one sense; bare tokens set both senses to the
     same vector.  Entries not in the emoji vocabulary are counted and
     skipped.  A wrong count, a sense given twice, or a `nan` or `inf`
-    value is a `CorpusError` naming the line; the table changes only when
-    the whole file is valid.
+    value is a `CorpusError` naming the file and the line; the table
+    changes only when the whole file is valid.
     """
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, naming_file(path):
         lines = utf8_lines(fh)
         header = next(lines, (1, ""))[1].split()
         if len(header) != 2:
@@ -140,9 +140,9 @@ def load_pretrained_emoji_vectors(path: str, table: BisenseEmojiEmbedding,
                 loaded += 1
             else:
                 ignored += 1
-    if loaded + ignored != count:
-        raise CorpusError(f"header count {count} != {loaded + ignored} "
-                          "vector lines", 1)
+        if loaded + ignored != count:
+            raise CorpusError(f"header count {count} != {loaded + ignored} "
+                              "vector lines", 1)
     for (base, sense), (_, vec) in vectors.items():
         if base in vocab.emoji_to_id:
             target = table.sense_pos if sense == "pos" else table.sense_neg

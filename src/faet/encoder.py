@@ -54,27 +54,15 @@ class LstmParams:
                 f"{prefix}.bias": self.bias}
 
 
-def _row_lengths(lengths, batch: int, length: int) -> np.ndarray:
-    """`lengths` as a (batch,) integer vector with every entry in
-    [1, length]."""
-    lengths = np.asarray(lengths)
-    if (lengths.shape != (batch,) or lengths.dtype.kind not in "iu"
-            or np.any(lengths < 1) or np.any(lengths > length)):
-        raise ShapeError(
-            f"bilstm: lengths must be a ({batch},) integer vector with "
-            f"entries in [1, {length}], got {lengths!r}")
-    return lengths
-
-
 def bilstm_encode_batch(seq: Value, fwd: LstmParams, bwd: LstmParams,
                         lengths) -> Value:
     """(B, L, d_in) padded batch with per-row `lengths` -> (B, L, 2d)
     features, as a single fused node.
 
     Row b is valid on its first `lengths[b]` positions, each an integer in
-    [1, L] (else `ShapeError`).  The forward direction reads them left to
-    right, the backward direction right to left from the row's last valid
-    position; padding is never read and its outputs are 0.  Each step is
+    [1, L].  The forward direction reads them left to right, the
+    backward direction right to left from the row's last valid position;
+    padding is never read and its outputs are 0.  Each step is
     the standard cell update: sigmoid input/forget/output gates, tanh
     candidate, c' = f*c + i*g, h' = o*tanh(c').  The backward rule is
     hand-rolled BPTT, checked against a per-step reference and central
@@ -82,11 +70,25 @@ def bilstm_encode_batch(seq: Value, fwd: LstmParams, bwd: LstmParams,
     projection in place; without a gradient to compute, no per-step
     history is kept: each step's c, tanh(c) and h go into its own spent
     forget, candidate and input gate columns.
+
+    An operand that is not a `Value` is a `TypeError` naming `bilstm`.  A
+    `seq` that is not 3-D, a direction whose `w_in`, `w_rec` and `bias`
+    are not `(d_in, 4d)`, `(d, 4d)` and `(4d,)`, or bad `lengths` is a
+    `ShapeError` naming `bilstm`.
     """
-    d = fwd.d
-    batch, length, d_in = seq.shape
-    lengths = _row_lengths(lengths, batch, length)
     params = (fwd, bwd)
+    inputs = (seq,) + tuple(v for p in params
+                            for v in (p.w_in, p.w_rec, p.bias))
+    ag._check("bilstm", inputs)
+    d = fwd.d
+    shapes = [v.shape for v in inputs]
+    if seq.ndim != 3 or shapes[1:] != 2 * [
+            (seq.shape[2], 4 * d), (d, 4 * d), (4 * d,)]:
+        raise ShapeError(
+            f"bilstm: need a (B, L, d_in) seq and (d_in, 4d), (d, 4d) and "
+            f"(4d,) weights per direction, d = {d}; got {shapes}")
+    batch, length, d_in = seq.shape
+    lengths = ag._row_lengths("bilstm", lengths, batch, length)
 
     # packed index p runs over (step, rank) pairs, step-major, where rank
     # orders the rows longest first; step t is the block
@@ -104,10 +106,7 @@ def bilstm_encode_batch(seq: Value, fwd: LstmParams, bwd: LstmParams,
     positions = (step_of, ranked[rank_of] - 1 - step_of)
     halves = (slice(0, d), slice(d, 2 * d))
 
-    out = ag.make_node(
-        np.zeros((batch, length, 2 * d)),
-        (seq,) + tuple(v for p in params for v in (p.w_in, p.w_rec, p.bias)),
-        "bilstm")
+    out = ag.make_node(np.zeros((batch, length, 2 * d)), inputs, "bilstm")
     keep = out.requires_grad
     gates = np.empty((2, total, 4 * d))
     if keep:

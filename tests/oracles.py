@@ -1,19 +1,18 @@
-"""Independent brute-force oracles used only by the tests.
+"""Independent oracles used only by the tests.
 
-Confusion counting, metric formulas, softmax, the LSTM cell, the 1-D
-convolution, one document's fine and coarse attention, per-row
-cross-entropy, the pairwise alignment loss, a whole-array Adam update,
-vocabulary decoding and the unigram logistic baseline are all written
-from scratch, without the library under test, so they can disagree with
-the implementation if it is wrong.  Two references keep the library's
-float order instead, so that it can be checked against them bit for bit:
-the TextCNN head over full-width filters (the layout of checkpoint
-format 1), and the alignment loss composed of generic autograd ops and
-the sigmoid op the package no longer has (the graph form the fused
-alignment node replaced).
+Confusion counting, metric formulas, softmax, one document's fine and
+coarse attention, per-row cross-entropy, the pairwise alignment loss, a
+whole-array Adam update, vocabulary decoding and the unigram logistic
+baseline are written from scratch in numpy, without the library under
+test.  The fused graph nodes' references are graphs of the package's
+generic autograd ops, whose rules then give the reference gradients: the
+LSTM cell folded one position at a time, the TextCNN head one window at
+a time, and the alignment loss as the graph the fused node replaced,
+which keeps its float order, as does the TextCNN head over full-width
+filters (checkpoint format 1).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -101,14 +100,11 @@ def gate_slice(name, d):
     return slice(k * d, (k + 1) * d)
 
 
-@dataclass
-class LstmState:
-    h: np.ndarray  # (d,)
-    c: np.ndarray  # (d,)
+LstmState = namedtuple("LstmState", "h c")  # (d,) graph values each
 
 
 def initial_state(d):
-    return LstmState(np.zeros(d), np.zeros(d))
+    return LstmState(ag.constant(np.zeros(d)), ag.constant(np.zeros(d)))
 
 
 def _sigmoid(z):
@@ -122,32 +118,46 @@ def _sigmoid(z):
 
 
 def lstm_step(x, prev, w_in, w_rec, bias):
-    """One cell update, one step at a time: sigmoid input/forget/output
-    gates, tanh candidate, c' = f*c + i*g, h' = o*tanh(c')."""
+    """One cell update on graph values, one step at a time: sigmoid
+    input/forget/output gates, tanh candidate, c' = f*c + i*g,
+    h' = o*tanh(c').  `x` is (d_in,), the weights are one direction's."""
     d = w_rec.shape[0]
-    z = x @ w_in + prev.h @ w_rec + bias
-    i = _sigmoid(z[gate_slice("input", d)])
-    f = _sigmoid(z[gate_slice("forget", d)])
-    o = _sigmoid(z[gate_slice("output", d)])
-    g = np.tanh(z[gate_slice("cell", d)])
-    c = f * prev.c + i * g
-    return LstmState(o * np.tanh(c), c)
+    z = ag.add(ag.add(ag.matmul(x, w_in), ag.matmul(prev.h, w_rec)), bias)
+    i, f, o, g = (ag.narrow(z, 0, k * d, d) for k in range(len(GATES)))
+    i, f, o, g = sigmoid(i), sigmoid(f), sigmoid(o), ag.tanh(g)
+    c = ag.add(ag.mul(f, prev.c), ag.mul(i, g))
+    return LstmState(ag.mul(o, ag.tanh(c)), c)
 
 
-def conv1d_direct(x, weights, bias, width):
-    """Valid 1-D convolution of a (length, channels) sequence, one window
-    at a time; `weights` is (filters, width*channels)."""
-    n_out = x.shape[0] - width + 1
-    return np.stack([weights @ x[t:t + width].reshape(-1) + bias
-                     for t in range(n_out)])
+def bilstm_folded(seq, fwd, bwd, lengths):
+    """(B, L, d_in) padded batch -> (B, L, 2d) [forward ; backward] hidden
+    states: each row's first `lengths[b]` positions folded through
+    `lstm_step` left to right with `fwd`'s weights and right to left with
+    `bwd`'s, as a graph of generic ops; padding outputs are 0."""
+    length, d = seq.shape[1], fwd.w_rec.shape[0]
+    rows = []
+    for b, n in enumerate(lengths):
+        halves = []
+        for p, steps in ((fwd, range(n)), (bwd, range(n - 1, -1, -1))):
+            state, hidden = initial_state(d), [None] * n
+            for t in steps:
+                x = ag.reshape(ag.narrow(ag.narrow(seq, 0, b, 1), 1, t, 1),
+                               seq.shape[2:])
+                state = lstm_step(x, state, p.w_in, p.w_rec, p.bias)
+                hidden[t] = ag.reshape(state.h, (1, d))
+            halves.append(ag.concat(hidden))
+        pad = ag.constant(np.zeros((length - n, 2 * d)))
+        rows.append(ag.reshape(ag.concat([ag.concat(halves, axis=1), pad]),
+                               (1, length, 2 * d)))
+    return ag.concat(rows)
 
 
 def full_width_filter(params, width):
     """Width `width`'s TextCNN filter over whole [state ; summary]
-    positions, (F, width * channels), for `conv1d_direct`: the state
-    columns of `params.filters[width]` at every shift, and the width's
-    block of `params.summary` at shift 0 with zeros at the later shifts,
-    which a window sums to the same value."""
+    positions, (F, width * channels): the state columns of
+    `params.filters[width]` at every shift, and the width's block of
+    `params.summary` at shift 0 with zeros at the later shifts, which a
+    window sums to the same value."""
     f = params.n_filters
     k = params.widths.index(width)
     state = params.filters[width].data.reshape(f, width, -1)
@@ -219,6 +229,33 @@ def conv_pool_full_width(states, summaries, widths, filters, biases, lengths):
                  < np.reshape(lengths, (1, -1)) - w + 1)[..., None]
         feats[:, k * f:(k + 1) * f] = conv.max(axis=0)
     return feats
+
+
+def textcnn_windows(states, summaries, params, lengths):
+    """(B, L, h) padded states + (B, s) summaries -> (B, 2) TextCNN
+    logits, one window at a time, as a graph of generic ops.
+
+    Window t of width w over row b is `filters[w]` times the row's
+    positions t..t+w-1 flattened, plus the width's block of `summary`
+    times the row's summary, plus the bias; a row pools the maximum over
+    its windows and 0, which is max-over-time of the ReLU.  A width
+    longer than the row pools to 0."""
+    f, feats = params.n_filters, []
+    for b, n in enumerate(lengths):
+        row = ag.narrow(states, 0, b, 1)
+        summary = ag.reshape(ag.narrow(summaries, 0, b, 1),
+                             summaries.shape[1:])
+        pooled = []
+        for k, w in enumerate(params.widths):
+            extra = ag.add(ag.matmul(ag.narrow(params.summary, 0, k * f, f),
+                                     summary), params.filter_bias[w])
+            windows = [ag.reshape(ag.add(ag.matmul(
+                params.filters[w], ag.reshape(ag.narrow(row, 1, t, w), (-1,))),
+                extra), (1, f)) for t in range(n - w + 1)]
+            pooled.append(ag.max_along(ag.concat(
+                windows + [ag.constant(np.zeros((1, f)))]), 0))
+        feats.append(ag.reshape(ag.concat(pooled), (1, -1)))
+    return ag.add(ag.matmul(ag.concat(feats), params.out_w), params.out_b)
 
 
 def adam_step(param, m, v, grad, t, lr, beta1=0.9, beta2=0.999,

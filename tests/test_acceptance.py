@@ -193,14 +193,15 @@ class TestAnalyticLayerValues:
         p.w_in.data[...] = 0.0
         p.w_rec.data[...] = 0.0
         p.bias.data[...] = 0.0
-        weights = (p.w_in.data, p.w_rec.data, p.bias.data)
-        out = lstm_step(np.zeros(1), initial_state(1), *weights)
-        assert abs(out.h[0]) <= 1e-12 and abs(out.c[0]) <= 1e-12
+        weights = (p.w_in, p.w_rec, p.bias)
+        x = ag.constant(np.zeros(1))
+        out = lstm_step(x, initial_state(1), *weights)
+        assert abs(out.h.data[0]) <= 1e-12 and abs(out.c.data[0]) <= 1e-12
 
-        prev = LstmState(np.zeros(1), np.array([2.0]))
-        out = lstm_step(np.zeros(1), prev, *weights)
-        assert abs(out.c[0] - 1.0) <= 1e-12
-        assert abs(out.h[0] - 0.5 * np.tanh(1.0)) <= 1e-12
+        prev = LstmState(ag.constant(np.zeros(1)), ag.constant([2.0]))
+        out = lstm_step(x, prev, *weights)
+        assert abs(out.c.data[0] - 1.0) <= 1e-12
+        assert abs(out.h.data[0] - 0.5 * np.tanh(1.0)) <= 1e-12
 
         cnn = TextCnnParams(4, 4, 4, np.random.default_rng(1), (2, 3, 4))
         for param in cnn.parameters().values():

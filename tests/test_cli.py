@@ -160,6 +160,58 @@ class TestExitCodes:
             cli.main(["gradcheck"])
 
 
+class TestOneBlasThread:
+    def test_checkpoints_match_under_one_and_two_blas_threads(self, tmp_path):
+        # OpenBLAS uses no more threads than CPUs: one CPU can only pass
+        corpus = str(tmp_path / "overfit.jsonl")
+        write_jsonl(gen_overfit(64, seed=0), corpus)
+        for threads in ("1", "2"):
+            result = run_cli("train", "--train", corpus, "--val", corpus,
+                             "--out", str(tmp_path / f"{threads}.faet"),
+                             "--epochs", "1",
+                             env_extra={"OPENBLAS_NUM_THREADS": threads})
+            assert result.returncode == 0, result.stderr
+        assert (tmp_path / "1.faet").read_bytes() == \
+            (tmp_path / "2.faet").read_bytes()
+
+    def test_a_command_runs_on_one_thread_and_restores_the_count(
+            self, monkeypatch):
+        calls = cli._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS")
+        get, put = calls
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "split",
+                            lambda args: seen.append(get()) or 0)
+        before = get()
+        put(2)
+        try:
+            caller = get()  # 2, or 1 on a one-CPU host
+            assert cli.main(["split", "--in", "x", "--out-dir", "y"]) == 0
+            assert seen == [1] and get() == caller
+        finally:
+            put(before)
+
+
+    def test_odd_mapped_paths_do_no_harm(self, monkeypatch, tmp_path):
+        # a path is the sixth field whole; a deleted or unloadable library
+        # is passed over, and the command runs unpinned
+        real = [line.split(maxsplit=5)[5].rstrip("\n")
+                for line in open(cli._MAPS) if "openblas" in line]
+        lib, maps = tmp_path / "a dir" / "libopenblas copy.so", tmp_path / "m"
+        lib.parent.mkdir()
+        head = "7f00-7f01 r-xp 00000000 08:01 42    "
+        maps.write_text(f"{head}\n{head}{tmp_path}/libopenblas.so (deleted)\n"
+                        f"{head}{lib}\n")
+        monkeypatch.setattr(cli, "_MAPS", str(maps))
+        assert cli._openblas_threads() is None
+        assert cli.main(["gen-synthetic", "--kind", "overfit",
+                         "--out-dir", str(tmp_path)]) == 0
+        if real:
+            lib.symlink_to(real[0])
+            assert cli._openblas_threads() is not None
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("name", ["d", "d_w", "n_filters", "batch_size",
                                       "epochs", "max_len", "min_count",

@@ -244,14 +244,14 @@ ROWS = [
         r"--out {tmp}/\. is a directory$"),
     # --- data (2): corpora --------------------------------------------------
     Row("corpus-record-malformed", "eval --model {model} --data {tmp}/bad.jsonl", 2,
-        "line 1: text_tokens must be a non-empty array",
+        "{tmp}/bad.jsonl: line 1: text_tokens must be a non-empty array",
         write("bad.jsonl", '{"text_tokens": []}\n')),
     Row("corpus-not-utf8", "eval --model {model} --data {tmp}/bad.jsonl", 2,
-        "line 3: not valid UTF-8",
+        "{tmp}/bad.jsonl: line 3: not valid UTF-8",
         replace("corpus.jsonl", "bad.jsonl", b"E_", b"\xffE_", 3, 1)),
     Row("corpus-float-label", "train --train {tmp}/bad.jsonl "
         f"--val {{tmp}}/bad.jsonl --out {{tmp}}/m.faet {TINY}", 2,
-        "line 2: label must be 0 or 1",
+        "{tmp}/bad.jsonl: line 2: label must be 0 or 1",
         replace("corpus.jsonl", "bad.jsonl", rb'"label": (\d)',
                 rb'"label": \1.0', 2)),
     Row("eval-data-empty", "eval --model {model} --data {tmp}/empty.jsonl", 2,
@@ -277,51 +277,61 @@ ROWS = [
         f"--test {{tmp}}/new.jsonl {TINY}", 2,
         "test document 1: emoji token 'E_NEW' not in vocabulary", NEW_EMOJI),
     # --- data (2): emoji vectors -------------------------------------------
-    Row("vectors-not-utf8", VECTORS, 2, "line 2: not valid UTF-8",
+    Row("vectors-not-utf8", VECTORS, 2, "{tmp}/v.txt: line 2: not valid UTF-8",
         replace("vectors.txt", "v.txt", b"E_SMILE", b"E_SMILE\xff")),
-    Row("vectors-nan", VECTORS, 2, "line 3: non-finite vector value",
+    Row("vectors-nan", VECTORS, 2,
+        "{tmp}/v.txt: line 3: non-finite vector value$",
         replace("vectors.txt", "v.txt", b"E_SAD 1 1", b"E_SAD 1 nan")),
-    Row("vectors-inf", VECTORS, 2, "line 3: non-finite vector value",
+    Row("vectors-inf", VECTORS, 2,
+        "{tmp}/v.txt: line 3: non-finite vector value$",
         replace("vectors.txt", "v.txt", b"E_SAD 1 1", b"E_SAD 1 inf")),
-    Row("vectors-nan-line-2", VECTORS, 2, "line 2: non-finite",
+    Row("vectors-nan-line-2", VECTORS, 2, "{tmp}/v.txt: line 2: non-finite",
         write("v.txt", "1 5\nE_SMILE 1 nan 1 1 1\n")),
     Row("vectors-header-count", VECTORS, 2,
-        "line 1: header count 5 != 1 vector lines",
+        "{tmp}/v.txt: line 1: header count 5 != 1 vector lines",
         write("v.txt", "5 5\nE_SMILE 1 1 1 1 1\n")),
     Row("vectors-sense-twice", VECTORS, 2,
-        "line 4: pos sense of 'E_CRY' already set on line 2",
+        "{tmp}/v.txt: line 4: pos sense of 'E_CRY' already set on line 2",
         write("v.txt", "3 5\nE_CRY 1 1 1 1 1\nE_SMILE 1 1 1 1 1\n"
                        "E_CRY_pos 2 2 2 2 2\n")),
     Row("vectors-dimension", VECTORS, 2,
-        "line 1: file dimension 300 != configured dimension 5",
+        "{tmp}/v.txt: line 1: file dimension 300 != configured dimension 5",
         write("v.txt", "1 300\nE_SMILE " + " ".join(["0"] * 300) + "\n")),
     # --- data (2): checkpoints ---------------------------------------------
     Row("checkpoint-magic", "eval --model {corpus} --data {corpus}", 2,
         "{corpus}: not a FAET checkpoint$"),
     Row("checkpoint-version", EVAL_BAD, 2,
-        r"format version 3 unsupported \(expected 1 or 2\)$",
+        r"{tmp}/bad.faet: format version 3 unsupported \(expected 1 or 2\)$",
         replace("model.faet", "bad.faet", b"^FAET\x02", b"FAET\x03", 1)),
     Row("checkpoint-trailing-bytes", EVAL_BAD, 2,
-        "trailing bytes after parameters$",
+        "{tmp}/bad.faet: trailing bytes after parameters$",
         lambda ws, tmp: (tmp / "bad.faet").write_bytes(
             (ws / "model.faet").read_bytes() + b"\0")),
     Row("checkpoint-unknown-parameter", EVAL_BAD, 2,
-        "unknown parameter 'cnn.bias_w9'$",
+        "{tmp}/bad.faet: unknown parameter 'cnn.bias_w9'$",
         checkpoint(first_name=b"cnn.bias_w9")),
     Row("checkpoint-shape", EVAL_BAD, 2,
-        r"checkpoint shape \(1,\) != model shape \(2,\) for 'cnn.bias_w2'$",
+        r"{tmp}/bad.faet: checkpoint shape \(1,\) != model shape \(2,\) "
+        "for 'cnn.bias_w2'$",
         checkpoint(first_dim=1)),
-    Row("checkpoint-vocab-keys", EVAL_BAD, 2, "metadata",
+    Row("checkpoint-vocab-keys", EVAL_BAD, 2,
+        "{tmp}/bad.faet: bad embedded metadata",
         checkpoint(vocab=lambda v: {"emoji": ["E_SMILE"]})),
-    Row("checkpoint-size-past-end", EVAL_BAD, 2, "truncated",
-        checkpoint(first_dim=2 ** 60)),
-    Row("checkpoint-name-not-utf8", EVAL_BAD, 2, "UTF-8",
+    Row("checkpoint-size-past-end", EVAL_BAD, 2,
+        "{tmp}/bad.faet: truncated checkpoint while reading data of "
+        "'cnn.bias_w2'$", checkpoint(first_dim=2 ** 60)),
+    Row("checkpoint-truncated-header", EVAL_BAD, 2,
+        "{tmp}/bad.faet: truncated checkpoint while reading config length$",
+        lambda ws, tmp: (tmp / "bad.faet").write_bytes(
+            (ws / "model.faet").read_bytes()[:10])),
+    Row("checkpoint-name-not-utf8", EVAL_BAD, 2,
+        "{tmp}/bad.faet: parameter name is not UTF-8$",
         checkpoint(first_name=b"\xff")),
     Row("checkpoint-emoji-vocab-empty", EVAL_BAD, 2,
-        "emoji vocabulary is empty",
+        "{tmp}/bad.faet: .*emoji vocabulary is empty",
         checkpoint(vocab=lambda v: {"text": ["<pad>", "<unk>"], "emoji": []})),
     *(Row(f"checkpoint-vocab-{id}", EVAL_BAD, 2,
-          "^faet: data error: .*" + re.escape(repr(token)),
+          "^faet: data error: {tmp}/bad.faet: .*" + re.escape(repr(token)),
           checkpoint(vocab=vocab_entry(part, index, token)))
       for id, part, index, token in [
           ("duplicate-text", "text", 3, "MARK_NEG_A"),  # id 2's token again
@@ -329,13 +339,14 @@ ROWS = [
           ("pad-overwritten", "text", 0, "<unk>"),
           ("number", "text", 2, 1234)]),
     Row("checkpoint-vocab-unk-overwritten", EVAL_BAD, 2,
-        r"must be '<pad>' and '<unk>', got \['<pad>', '<pad>'\]",
+        r"{tmp}/bad.faet: .*must be '<pad>' and '<unk>', "
+        r"got \['<pad>', '<pad>'\]",
         replace("model.faet", "bad.faet", b'"<unk>"', b'"<pad>"')),
     Row("checkpoint-config-unknown-key", EVAL_BAD, 2,
-        r"unknown config key\(s\): babch_size",
+        r"{tmp}/bad.faet: .*unknown config key\(s\): babch_size",
         replace("model.faet", "bad.faet", b'"batch_size"', b'"babch_size"')),
     Row("checkpoint-missing-parameter", EVAL_BAD, 2,
-        r"missing parameters \['out_b'\]", without_out_b),
+        r"{tmp}/bad.faet: missing parameters \['out_b'\]", without_out_b),
     Row("checkpoint-model-too-large", EVAL_BAD, 2,
         "{tmp}/bad.faet: Unable to allocate",
         checkpoint(config=lambda c: {**c, "d": 10 ** 12})),

@@ -444,7 +444,7 @@ REORDER_MODELS = {
     for variant in ("fine", "coarse")}
 
 
-@settings(max_examples=20, derandomize=True, deadline=None)
+@settings(max_examples=20)
 @given(docs=st.lists(st.builds(
            TokenizedDoc,
            st.lists(st.sampled_from(WORDS), min_size=1, max_size=12),

@@ -45,7 +45,7 @@ docs_strategy = st.lists(
     max_size=6)
 
 
-@settings(max_examples=25, derandomize=True, deadline=None)
+@settings(max_examples=25)
 @given(extra=docs_strategy, variant=st.sampled_from(sorted(MODELS)),
        data=st.data())
 def test_batched_scores_match_predict_doc(extra, variant, data):
