@@ -22,12 +22,12 @@ gradient, and `zero_grad` drops a buffer instead of clearing it.
 
 Every op here except `narrow` and `take_rows` is a forward pass plus one
 gradient function per input, wired into the graph by `_node`; the fused
-BiLSTM, TextCNN and alignment nodes defined elsewhere attach a weak rule
-of their own, and refuse bad operands as the ops here do (`make_node`);
-`tests/test_fused_nodes.py` checks their shared contract as one table.
-The module keeps only ops the package calls: the BiLSTM gates and the
-alignment weights take their sigmoid inside their fused node, so there
-is no sigmoid op.
+BiLSTM, TextCNN, alignment and cross-entropy nodes defined elsewhere
+attach a weak rule of their own, and refuse bad operands as the ops here
+do (`make_node`); `tests/test_fused_nodes.py` checks their shared
+contract as one table.  The module keeps only ops the package calls: the
+fused nodes take their sigmoid, log and sums inside, so there is no
+sigmoid, log or sum op.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-LOG_CLAMP = 1e-12
 # `finite_difference_check`'s step and its coordinate-sampling seed
 FD_STEP = 1e-5
 FD_SEED = 0
@@ -188,10 +187,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def make_node(data, inputs: Sequence[Value], op: str) -> Value:
     """Graph-node constructor for every op: `_node` attaches most rules here;
-    `narrow`, `take_rows` and the fused ops (`bilstm`, `textcnn`,
-    `alignment`) attach theirs via `out._backward`.  A fused op keeps only
-    what its rule reads: the alignment node, for one, only its two (n, n)
-    arrays, not the (n, n, m) differences of its forward.
+    `narrow`, `take_rows` and the fused ops attach theirs via `out._backward`.
+    A fused op keeps only what its rule reads: the alignment node, for one,
+    only its two (n, n) arrays, not the (n, n, m) differences of its forward.
 
     The rule must hold `out` weakly (a `weakref.proxy` default argument):
     a strong reference would put every node in a cycle with its rule, so a
@@ -350,12 +348,10 @@ def tanh(x: Value) -> Value:
     return _node(t, (x,), "tanh", lambda: (lambda g: g * (1.0 - t * t),))
 
 
-def log(x: Value) -> Value:
-    """Natural log with the input clamped at LOG_CLAMP (keeps -inf out)."""
-    _check("log", (x,))
-    clamped = np.maximum(x.data, LOG_CLAMP)
-    return _node(np.log(clamped), (x,), "log",
-                 lambda: (lambda g: g / clamped,))
+def softmax_array(z: np.ndarray, axis: int) -> np.ndarray:
+    """`softmax`'s forward, which the loss backward and scoring share."""
+    e = np.exp(z - np.max(z, axis=axis, keepdims=True))
+    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 def softmax(x: Value, axis: int = -1) -> Value:
@@ -363,9 +359,7 @@ def softmax(x: Value, axis: int = -1) -> Value:
     _check("softmax", (x,))
     if x.data.shape[axis] == 0:
         raise ShapeError(f"softmax: empty axis {axis} in shape {x.shape}")
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / np.sum(e, axis=axis, keepdims=True)
+    p = softmax_array(x.data, axis)
     return _node(p, (x,), "softmax", lambda: (
         lambda g: p * (g - np.sum(g * p, axis=axis, keepdims=True)),))
 
@@ -382,13 +376,6 @@ def max_along(x: Value, axis: int) -> Value:
                                               axis), True, axis=axis)
         return (lambda g: np.where(sel, np.expand_dims(g, axis), 0.0),)
     return _node(np.max(x.data, axis=axis), (x,), "max", rules)
-
-
-def sum_along(x: Value, axis: int | None = None) -> Value:
-    _check("sum_along", (x,))
-    return _node(np.sum(x.data, axis=axis), (x,), "sum", lambda: (
-        lambda g: np.broadcast_to(
-            g if axis is None else np.expand_dims(g, axis), x.shape),))
 
 
 def dropout(x: Value, rate: float, rng: np.random.Generator | None) -> Value:
@@ -487,21 +474,21 @@ def finite_difference_check(
     rng = np.random.default_rng(FD_SEED)
     report: dict[str, float] = {}
     for name, p in params.items():
-        flat = p.data.reshape(-1)
-        n = flat.size
+        n = p.data.size
         k = min(samples_per_group, n)
         coords = rng.choice(n, size=k, replace=False) if n > k else np.arange(n)
         worst = 0.0
         for i in coords:
-            orig = flat[i]
+            at = np.unravel_index(i, p.shape)  # a reshape may be a copy
+            orig = p.data[at]
             with no_grad():
-                flat[i] = orig + FD_STEP
+                p.data[at] = orig + FD_STEP
                 f_plus = float(f().data)
-                flat[i] = orig - FD_STEP
+                p.data[at] = orig - FD_STEP
                 f_minus = float(f().data)
-            flat[i] = orig
+            p.data[at] = orig
             numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
-            ana = float(analytic[name].reshape(-1)[i])
+            ana = float(analytic[name][at])
             err = abs(ana - numeric) / max(1.0, abs(ana), abs(numeric))
             worst = max(worst, err)
         report[name] = worst

@@ -6,8 +6,8 @@ features and the global attention summary.  Filters of widths {2, 3, 4}
 feed ReLU and max-over-time pooling; pooled features map affinely to two
 logits.  Convolution, ReLU and pooling for every width are one
 hand-written graph node over the padded batch, with a backward that
-writes straight into the filters' parameter layout; dropout, the output
-layer and the softmax stay ordinary graph ops.
+writes straight into the filters' parameter layout; dropout and the
+output layer stay ordinary graph ops, and the head ends at the logits.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ def textcnn_forward_batch(states: Value, summaries: Value,
                           params: TextCnnParams, lengths,
                           dropout_rate: float = 0.0,
                           dropout_rng: np.random.Generator | None = None
-                          ) -> tuple[Value, Value]:
-    """(B, L, 2d) padded states + (B, 4d) summaries -> ((B, 2) probs,
-    (B, 2) logits); row b is valid on its first `lengths[b]` positions.
+                          ) -> Value:
+    """(B, L, 2d) padded states + (B, 4d) summaries -> (B, 2) logits; row
+    b is valid on its first `lengths[b]` positions.
 
     Convolution, ReLU and max-over-time pooling are one fused node (see
     `_conv_pool`); dropout at `dropout_rate` applies to the pooled
@@ -112,8 +112,7 @@ def textcnn_forward_batch(states: Value, summaries: Value,
     lengths = ag._row_lengths("textcnn", lengths, *states.shape[:2])
     feats = ag.dropout(_conv_pool(states, summaries, params, lengths),
                        dropout_rate, dropout_rng)
-    logits = ag.add(ag.matmul(feats, params.out_w), params.out_b)
-    return ag.softmax(logits, axis=1), logits
+    return ag.add(ag.matmul(feats, params.out_w), params.out_b)
 
 
 def _shift_products(length: int, width: int) -> bool:

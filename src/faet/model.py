@@ -1,13 +1,13 @@
 """Full model assembly: embedding -> BiLSTM -> attention -> TextCNN.
 
 Embedding, the BiLSTM, attention, the TextCNN head and the cross-entropy
-each run once per batch over zero-padded sequences with per-row lengths;
-only the alignment term runs per row, as one fused node on the unpadded
-slices of each row that has two words and two emojis.  The "fine" variant
-runs the word-level cross-attention; the "coarse" ablation variant
-replaces it with one pooled attention over emojis, keeping the classifier
-input width identical (6d per position) so head capacity stays
-comparable.
+on its logits run once per batch over zero-padded sequences with per-row
+lengths; scoring softmaxes the logits outside the graph.  Only the
+alignment term runs per row, as one fused node on the unpadded slices of
+each row that has two words and two emojis.  The "fine" variant runs the
+word-level cross-attention; the "coarse" ablation variant replaces it
+with one pooled attention over emojis, keeping the classifier input width
+identical (6d per position) so head capacity stays comparable.
 """
 
 from __future__ import annotations
@@ -132,7 +132,8 @@ class BatchOutputs:
     """One forward pass over B documents: row b of each array is document
     b, padded past its n[b] words and m[b] emojis."""
 
-    probs: Value                         # (B, 2)
+    logits: Value                        # (B, 2)
+    probs: np.ndarray                    # (B, 2), softmaxed logits
     text_states: Value                   # (B, n, 2d)
     word_emoji_weights: Value | None     # (B, n, m), fine variant only
     n: np.ndarray                        # (B,) words per row
@@ -282,8 +283,8 @@ class Model:
                                 axis=1)
             word_emoji = None
         summary = ag.dropout(summary, cfg.dropout, dropout_rng)   # (B, 4d)
-        probs, _ = textcnn_forward_batch(encoded, summary, self.cnn, lengths,
-                                         cfg.dropout, dropout_rng)
+        logits = textcnn_forward_batch(encoded, summary, self.cnn, lengths,
+                                       cfg.dropout, dropout_rng)
 
         def explain(b: int) -> dict:
             n_b, m_b, first = n[b], m[b], m[:b].sum()
@@ -298,7 +299,8 @@ class Model:
             else:
                 dumps["coarse_weights"] = coarse_weights.data[b, :m_b]
             return {name: values.tolist() for name, values in dumps.items()}
-        return BatchOutputs(probs, text_states, word_emoji, n, m, explain)
+        return BatchOutputs(logits, ag.softmax_array(logits.data, 1),
+                            text_states, word_emoji, n, m, explain)
 
     def score(self, docs: list[tuple]):
         """Yield (positions, outputs) per no-grad `forward_docs` pass: row k
@@ -332,7 +334,7 @@ class Model:
         done, position = {}, 0
         for group, outputs in self.score(docs):
             for b, i in enumerate(group):
-                probs = outputs.probs.data[b]
+                probs = outputs.probs[b]
                 done[i] = {"probs": probs.tolist(),
                            "label": predict_label(probs)}
                 if explain:
@@ -345,7 +347,7 @@ class Model:
         """(cross-entropy, alignment) of a batch against its `labels`, each
         summed over the rows.  Alignment runs on the unpadded slices of each
         row with at least 2 words and 2 emojis; it is 0 on every other row."""
-        ce = cross_entropy(outputs.probs, labels, self.config.label_smoothing)
+        ce = cross_entropy(outputs.logits, labels, self.config.label_smoothing)
         align = ag.constant(0.0)
         rows = np.flatnonzero((outputs.n >= 2) & (outputs.m >= 2))
         if outputs.word_emoji_weights is None or not rows.size:

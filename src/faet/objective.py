@@ -34,17 +34,29 @@ from . import autograd as ag
 from .autograd import ShapeError, Value
 
 
-def cross_entropy(probs: Value, labels, label_smoothing: float) -> Value:
-    """Sum over the rows b of (B, 2) `probs` of -log probs[b, labels[b]],
-    with the log input clamped at 1e-12.
-
-    With smoothing s each row's target becomes (1-s)*onehot + s/2 on both
-    classes.  The sign rides on the constant target, so the loss is three
-    graph nodes for any B: one `log`, one product and its sum.
-    """
-    target = np.full(probs.shape, label_smoothing / 2.0)
-    target[np.arange(len(target)), labels] += 1.0 - label_smoothing
-    return ag.sum_along(ag.mul(ag.log(probs), ag.constant(-target)))
+def cross_entropy(logits: Value, labels, label_smoothing: float) -> Value:
+    """Sum over the rows b of (B, 2) `logits` z of logsumexp(z_b) - t_b . z_b
+    (on z_b less its maximum; t_b sums to 1) as one node, whose gradient
+    g * (softmax(z_b) - t_b) has no clamp; t_b is (1-s)*onehot(labels[b])
+    + s/2 on both classes for smoothing s.  A non-`Value` operand is a
+    `TypeError`; anything but (B, 2) logits, B 0/1 labels is a `ShapeError`."""
+    ag._check("cross_entropy", (logits,))
+    z, labels = logits.data, np.asarray(labels)
+    if (z.ndim != 2 or z.shape[1] != 2 or labels.shape != (len(z),)
+            or labels.dtype.kind not in "iu"
+            or not np.isin(labels, (0, 1)).all()):
+        raise ShapeError(f"cross_entropy: need (B, 2) logits and B labels "
+                         f"in {{0, 1}}, got {z.shape} and {labels!r}")
+    t = np.full(z.shape, label_smoothing / 2.0)
+    t[np.arange(len(z)), labels] += 1.0 - label_smoothing
+    shifted = z - np.max(z, axis=1, keepdims=True)
+    rows = np.log(np.sum(np.exp(shifted), 1)) - np.sum(t * shifted, 1)
+    out = ag.make_node(np.sum(rows), (logits,), "cross_entropy")
+    if out.requires_grad:
+        def _bw(out=weakref.proxy(out)):
+            ag.accumulate(logits, out._grad * (ag.softmax_array(z, 1) - t))
+        out._backward = _bw
+    return out
 
 
 def alignment_loss(word_emoji_weights: Value, text: Value,

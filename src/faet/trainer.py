@@ -148,7 +148,7 @@ def _mean_loss_and_accuracy(model: Model, rows: list[tuple],
             ce, align = model.doc_losses(outputs, labels)
         total += float(ce.data) + lam * float(align.data)
         correct += sum(predict_label(probs) == label
-                       for probs, label in zip(outputs.probs.data, labels))
+                       for probs, label in zip(outputs.probs, labels))
     return total / len(docs), correct / len(docs)
 
 
@@ -175,8 +175,9 @@ def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
     the final model (ties keep the earlier epoch).  The validation
     documents are encoded once, before the first epoch and before the log
     file is opened, so an emoji outside the vocabulary is refused (naming
-    the document) with nothing trained or written.  A non-finite loss
-    aborts with the offending batch named.
+    the document) with nothing trained or written.  A non-finite loss, or
+    an overflow, invalid value or division by zero in a step, aborts with
+    the offending batch named.
     """
     _require_labels(train_docs, "train")
     _require_labels(val_docs, "validation")
@@ -206,15 +207,20 @@ def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
                                    seed=_epoch_seed(config.seed, epoch))
             loss_sum = 0.0
             for batch_index, batch in enumerate(batches):
-                optimizer.zero_grad()
-                loss = model.batch_loss(batch, dropout_rng=dropout_rng)
-                loss_value = float(loss.data)
-                if not np.isfinite(loss_value):
-                    raise NanLossError(
-                        f"non-finite loss at epoch {epoch}, "
-                        f"batch {batch_index}")
-                loss.backward()
-                optimizer.step()
+                try:
+                    with np.errstate(over="raise", invalid="raise",
+                                     divide="raise"):
+                        optimizer.zero_grad()
+                        loss = model.batch_loss(batch, dropout_rng=dropout_rng)
+                        loss_value = float(loss.data)
+                        if not np.isfinite(loss_value):
+                            raise FloatingPointError(
+                                f"the loss is {loss_value}")
+                        loss.backward()
+                        optimizer.step()
+                except FloatingPointError as exc:
+                    raise NanLossError(f"non-finite loss at epoch {epoch}, "
+                                       f"batch {batch_index}: {exc}") from exc
                 del loss  # free this step's graph before the next forward
                 loss_sum += loss_value * len(batch)
             val_loss, val_acc = _mean_loss_and_accuracy(model, val_rows,

@@ -7,9 +7,10 @@ baseline are written from scratch in numpy, without the library under
 test.  The fused graph nodes' references are graphs of the package's
 generic autograd ops, whose rules then give the reference gradients: the
 LSTM cell folded one position at a time, the TextCNN head one window at
-a time, and the alignment loss as the graph the fused node replaced,
-which keeps its float order, as does the TextCNN head over full-width
-filters (checkpoint format 1).
+a time, and the alignment loss and the cross-entropy as the graphs the
+fused nodes replaced, which keep their float order, as does the TextCNN
+head over full-width filters (checkpoint format 1).  The ops only these
+graphs use (sigmoid, the clamped log and the sum) live here too.
 """
 
 from collections import namedtuple
@@ -331,6 +332,34 @@ def alignment_pairs(beta, text, w):
     return loss, g_beta, g_text, g_w
 
 
+def log(x: ag.Value) -> ag.Value:
+    """Natural log with the input clamped at 1e-12 (keeps -inf out); the
+    gradient is g / max(x, 1e-12), clamp or not."""
+    ag._check("log", (x,))
+    clamped = np.maximum(x.data, 1e-12)
+    return ag._node(np.log(clamped), (x,), "log",
+                    lambda: (lambda g: g / clamped,))
+
+
+def sum_along(x: ag.Value, axis=None) -> ag.Value:
+    """Sum along `axis`, or of every element when `axis` is None."""
+    ag._check("sum_along", (x,))
+    return ag._node(np.sum(x.data, axis=axis), (x,), "sum", lambda: (
+        lambda g: np.broadcast_to(
+            g if axis is None else np.expand_dims(g, axis), x.shape),))
+
+
+def cross_entropy_composite(probs, labels, smoothing):
+    """The cross-entropy of (B, 2) `probs` as the graph the fused node on
+    the logits replaced, in its float order: the clamped `log`, a product
+    with the negated smoothed target, and its sum.  Where a probability
+    is below 1e-12 the clamp holds its gradient back; elsewhere it agrees
+    with the fused node on `softmax`ed logits."""
+    target = np.full(probs.shape, smoothing / 2.0)
+    target[np.arange(len(target)), labels] += 1.0 - smoothing
+    return sum_along(ag.mul(log(probs), ag.constant(-target)))
+
+
 def sigmoid(x: ag.Value) -> ag.Value:
     """Logistic sigmoid as 0.5 * tanh(0.5 * x) + 0.5: no exp() to overflow
     for any input, and within 2.2e-16 of the two-branch exp() form."""
@@ -353,8 +382,8 @@ def alignment_composite(word_emoji_weights, text, distance_w):
     dist = sigmoid(ag.add(ag.reshape(a, (n, 1)), ag.reshape(c, (1, n))))
     diff = ag.add(ag.reshape(word_emoji_weights, (n, 1, m)),
                   ag.mul(ag.reshape(word_emoji_weights, (1, n, m)), -1.0))
-    sq = ag.sum_along(ag.mul(diff, diff), axis=2)         # (n, n)
-    return ag.mul(ag.sum_along(ag.mul(dist, sq)), -0.5)
+    sq = sum_along(ag.mul(diff, diff), axis=2)            # (n, n)
+    return ag.mul(sum_along(ag.mul(dist, sq)), -0.5)
 
 
 def fine_attention_doc(text, emoji, w):

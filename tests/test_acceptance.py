@@ -123,10 +123,10 @@ class TestNormalizationFuzz:
                 # 5. class probabilities
                 params = TextCnnParams(6, 4, 3, np.random.default_rng(trial + 1),
                                        widths=(2, 3))
-                probs, _ = textcnn_forward_batch(
+                logits = textcnn_forward_batch(
                     ag.constant(rng.uniform(-3, 3, (1, n + m, 6))),
                     ag.constant(rng.uniform(-3, 3, (1, 4))), params, [n + m])
-                check(probs)
+                check(ag.constant(ag.softmax_array(logits.data, 1)))
 
         assert failures == 0
         report_pass("normalization fuzz (1000 inputs, zero failures)")
@@ -206,11 +206,11 @@ class TestAnalyticLayerValues:
         cnn = TextCnnParams(4, 4, 4, np.random.default_rng(1), (2, 3, 4))
         for param in cnn.parameters().values():
             param.data[...] = 0.0
-        probs, _ = textcnn_forward_batch(
+        logits = textcnn_forward_batch(
             ag.constant(np.random.default_rng(2).uniform(-1, 1, (1, 5, 4))),
             ag.constant(np.random.default_rng(3).uniform(-1, 1, (1, 4))), cnn,
             [5])
-        assert np.all(np.abs(probs.data - 0.5) <= 1e-12)
+        assert np.all(np.abs(ag.softmax_array(logits.data, 1) - 0.5) <= 1e-12)
         report_pass("analytic layer values (LSTM cells, classifier 0.5/0.5)")
 
 

@@ -19,7 +19,6 @@ EXPECTED = [
     "autograd.Value.__init__(_op)",
     "autograd.concat(axis)",
     "autograd.softmax(axis)",
-    "autograd.sum_along(axis)",
     "autograd.finite_difference_check(samples_per_group)",
     "classifier.textcnn_forward_batch(dropout_rate)",
     "classifier.textcnn_forward_batch(dropout_rng)",

@@ -14,7 +14,7 @@ from faet.attention import (
     emoji_to_text, fine_attention, interaction_matrix, text_to_emoji,
     word_emoji_attention,
 )
-from oracles import coarse_attention_doc, fine_attention_doc
+from oracles import coarse_attention_doc, fine_attention_doc, sum_along
 
 SOFTMAX_2_0 = np.exp([2.0, 0.0]) / np.exp([2.0, 0.0]).sum()  # [0.8808, 0.1192]
 
@@ -183,7 +183,7 @@ class TestFineAttentionEndToEnd:
             out = fine_attention(ag.reshape(text, (1, 3, 3)),
                                  ag.reshape(emoji, (1, 2, 3)), params,
                                  [3], [2])
-            return ag.sum_along(ag.tanh(out.fused))
+            return sum_along(ag.tanh(out.fused))
 
         report = ag.finite_difference_check(f, groups, samples_per_group=6)
         assert max(report.values()) < 1e-4
@@ -265,7 +265,7 @@ class TestBatchedAgainstOracle:
         emoji = ag.param(rng.uniform(-1, 1, (2, 2, 3)))
         # row 0: two words, no emoji; row 1: four words, two emojis
         out = fine_attention(text, emoji, params, [2, 4], [0, 2])
-        ag.sum_along(ag.tanh(out.fused)).backward()
+        sum_along(ag.tanh(out.fused)).backward()
         assert np.all(emoji.grad[0] == 0.0)
         assert np.all(text.grad[0, 2:] == 0.0)
         # uniform weights on row 0 do not depend on the scorer, so its
@@ -273,7 +273,7 @@ class TestBatchedAgainstOracle:
         alone = FineAttentionParams(hidden=3, rng=np.random.default_rng(29))
         row = fine_attention(ag.constant(text.data[1:]),
                              ag.constant(emoji.data[1:]), alone, [4], [2])
-        ag.sum_along(ag.tanh(row.fused)).backward()
+        sum_along(ag.tanh(row.fused)).backward()
         np.testing.assert_allclose(params.interaction_w.grad,
                                    alone.interaction_w.grad, rtol=0,
                                    atol=1e-12)

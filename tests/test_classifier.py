@@ -20,12 +20,14 @@ def rand_inputs(length, hidden_dim, fused_dim, seed):
 
 def textcnn_forward(hidden, fused, params, **kwargs):
     """One document through the batched head: (L, 2d) states + (4d,)
-    fused vector -> ((2,) probs, (2,) logits)."""
-    probs, logits = textcnn_forward_batch(
+    fused vector -> ((2,) probs, (2,) logits), the probabilities
+    softmaxed as the model softmaxes them."""
+    logits = textcnn_forward_batch(
         ag.reshape(hidden, (1,) + hidden.shape),
         ag.reshape(fused, (1, fused.shape[0])), params, [hidden.shape[0]],
         **kwargs)
-    return ag.reshape(probs, (2,)), ag.reshape(logits, (2,))
+    return (ag.constant(ag.softmax_array(logits.data, 1)[0]),
+            ag.reshape(logits, (2,)))
 
 
 class TestForward:
@@ -79,9 +81,9 @@ class TestForward:
         rng = np.random.default_rng(14)
         states = ag.constant(rng.uniform(-1, 1, (3, 5, 4)))
         summaries = ag.constant(rng.uniform(-1, 1, (3, 4)))
-        base, _ = textcnn_forward_batch(states, summaries, params, [5, 2, 4])
-        rated, _ = textcnn_forward_batch(states, summaries, params, [5, 2, 4],
-                                         0.5)
+        base = textcnn_forward_batch(states, summaries, params, [5, 2, 4])
+        rated = textcnn_forward_batch(states, summaries, params, [5, 2, 4],
+                                      0.5)
         np.testing.assert_array_equal(rated.data, base.data)
 
 

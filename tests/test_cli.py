@@ -337,7 +337,9 @@ class TestFormatOneCheckpoint:
     """tests/data/v1_tiny.faet: a format 1 checkpoint (d 3, 2 filters,
     widths 2/3/4), trained on v1_tiny.jsonl by the release that wrote
     format 1, next to that release's `eval` and `predict --explain`
-    output for it."""
+    output for it.  The output is compared through `cli.main` and, when
+    `shutil.which("faet")` finds the installed console script, through
+    that script too."""
 
     DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -346,12 +348,17 @@ class TestFormatOneCheckpoint:
         (["predict", "--explain"], "v1_tiny.explain.jsonl"),
     ], ids=["eval", "predict_explain"])
     def test_output_is_byte_identical(self, capsys, argv, expected):
-        assert cli.main([*argv, "--model",
-                         os.path.join(self.DATA, "v1_tiny.faet"),
-                         "--data", os.path.join(self.DATA, "v1_tiny.jsonl")
-                         ]) == 0
+        argv = [*argv, "--model", os.path.join(self.DATA, "v1_tiny.faet"),
+                "--data", os.path.join(self.DATA, "v1_tiny.jsonl")]
         with open(os.path.join(self.DATA, expected), "rb") as fh:
-            assert capsys.readouterr().out.encode() == fh.read()
+            want = fh.read()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.encode() == want
+        script = shutil.which("faet")
+        if script is not None:
+            result = subprocess.run([script, *argv], capture_output=True,
+                                    timeout=300)
+            assert (result.returncode, result.stdout) == (0, want)
 
 
 class TestEmojiVectors:

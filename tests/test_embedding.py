@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import sum_along
 
 from faet import autograd as ag
 from faet.corpus import (
@@ -94,7 +95,7 @@ class TestBisenseMix:
         ctx = ag.constant(np.full(3, 0.2))
         mixed, weights = table.mix([1], ctx)
         assert 0 < weights.data[0, 0] < 1
-        ag.sum_along(mixed).backward()
+        sum_along(mixed).backward()
         assert np.any(table.sense_pos.grad[1] != 0)
         assert np.any(table.sense_neg.grad[1] != 0)
 
@@ -116,7 +117,7 @@ class TestBisenseMix:
 
         def f():
             mixed, _ = table.mix([0, 1], ag.constant(ctx_data))
-            return ag.sum_along(ag.tanh(mixed))
+            return sum_along(ag.tanh(mixed))
 
         report = ag.finite_difference_check(f, table.parameters())
         assert max(report.values()) < 1e-6

@@ -1,16 +1,17 @@
 """The fused graph nodes' shared contract as one table.
 
 One row per fused op: `bilstm_encode_batch`, `textcnn_forward_batch`
-under each form of its state products, and `alignment_loss`.  A row
-draws valid operands of random shape from a seed, with a seeded upstream
-gradient for the output, and names its references, its tolerance (that
-of the per-node tests it replaced) and its documented bad shapes.
-`close` allows `tol` times the reference's largest magnitude, capped at
-`tol`, so it is never looser than an absolute or a relative bound of
-`tol`, and it wants exact zeros where the reference has them.  Backward
-runs from the upstream gradient, never through `ag.log`.  Each test
-below checks one property of the contract for every row; the last two
-hold for the batched ops only.
+under each form of its state products, `alignment_loss` and
+`cross_entropy`.  A row draws valid operands of random shape from a
+seed, with a seeded upstream gradient for the output, and names its
+references, its tolerance (that of the per-node tests it replaced) and
+its documented bad shapes.  `close` allows `tol` times the reference's
+largest magnitude, capped at `tol`, so it is never looser than an
+absolute or a relative bound of `tol`, and it wants exact zeros where
+the reference has them.  Backward runs from the upstream gradient,
+through one product with the output (`loss_of`).  Each test below checks
+one property of the contract for every row; the last two hold for the
+batched ops only.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     alignment_composite, alignment_pairs, bilstm_folded, conv_pool_full_width,
-    full_width_filter, textcnn_windows,
+    cross_entropy_composite, cross_entropy_rows, full_width_filter,
+    softmax_direct, textcnn_windows,
 )
 
 from faet import autograd as ag
@@ -34,7 +36,7 @@ from faet import classifier
 from faet.autograd import ShapeError
 from faet.classifier import TextCnnParams, textcnn_forward_batch
 from faet.encoder import bilstm_encode_batch
-from faet.objective import alignment_loss
+from faet.objective import alignment_loss, cross_entropy
 
 
 class Case(typing.NamedTuple):
@@ -43,6 +45,8 @@ class Case(typing.NamedTuple):
     upstream: np.ndarray  # d(loss)/d(output)
     widths: tuple = ()  # the TextCNN filter widths
     n_filters: int = 0  # and the filters per width
+    labels: np.ndarray | None = None  # the cross-entropy's class labels
+    smoothing: float = 0.0  # and its label smoothing
 
 
 class Row(typing.NamedTuple):
@@ -251,6 +255,37 @@ def alignment_by_pairs(case):
     return loss, dict(zip(case.arrays, (case.upstream * g for g in grads)))
 
 
+@st.composite
+def cross_entropy_cases(draw):
+    # logits at most 8 apart: no probability falls to the composite's clamp
+    batch, rng = draw(st.integers(1, 6)), seeded(draw)
+    return Case({"logits": rng.uniform(-4, 4, (batch, 2))}, None,
+                rng.normal(size=()), labels=rng.integers(0, 2, batch),
+                smoothing=draw(st.sampled_from([0.0, 0.1, 0.35])))
+
+
+def fused_cross_entropy(values, case):
+    return cross_entropy(values["logits"], case.labels, case.smoothing)
+
+
+def composite_cross_entropy(values, case):
+    return cross_entropy_composite(ag.softmax(values["logits"], axis=1),
+                                   case.labels, case.smoothing)
+
+
+def cross_entropy_by_rows(case):
+    """Per-row losses of the softmaxed logits, and their gradients taken
+    back through the softmax's Jacobian."""
+    p = np.array([softmax_direct(z) for z in case.arrays["logits"]])
+    losses, d_p = cross_entropy_rows(p, case.labels, case.smoothing)
+    d_z = p * (d_p - (d_p * p).sum(axis=1, keepdims=True))
+    return np.sum(losses), {"logits": case.upstream * d_z}
+
+
+def bad_labels(change):
+    return lambda case: case._replace(labels=change(case.labels))
+
+
 ROWS = [
     Row("bilstm", "bilstm", bilstm_cases(), bilstm(bilstm_encode_batch),
         ((graph(bilstm(bilstm_folded)), 1e-14),), 1e-14,
@@ -258,7 +293,7 @@ ROWS = [
                   ("fwd.w_rec", "taller"), ("bwd.bias", "shorter"),
                   padded="seq"), padded=("seq",)),
     *(Row(f"textcnn-{form}", "textcnn", textcnn_cases(),
-          textcnn(lambda *args: textcnn_forward_batch(*args)[1]),
+          textcnn(textcnn_forward_batch),
           ((graph(textcnn(textcnn_windows)), 1e-12),
            (textcnn_full_width, 1e-12)), 1e-12,
           misshapen(("states", "fewer-axes"), ("states", "wider"),
@@ -276,6 +311,19 @@ ROWS = [
         misshapen(("beta", "fewer-axes"), ("text", "more-axes"),
                   ("text", "taller"), ("distance_w", "wider"),
                   ("distance_w", "more-axes"))),
+    Row("cross_entropy", "cross_entropy", cross_entropy_cases(),
+        fused_cross_entropy,
+        ((graph(composite_cross_entropy), 1e-12),
+         (cross_entropy_by_rows, 1e-12)), 1e-12,
+        misshapen(("logits", "fewer-axes"), ("logits", "more-axes"),
+                  ("logits", "wider"), ("logits", "taller"),
+                  ("logits", "shorter")) + (
+            ("labels-one-short", bad_labels(lambda n: n[:-1])),
+            ("labels-2d", bad_labels(lambda n: n[None])),
+            ("labels-two", bad_labels(lambda n: np.r_[2, n[1:]])),
+            ("labels-negative", bad_labels(lambda n: np.r_[-1, n[1:]])),
+            ("labels-float", bad_labels(lambda n: n.astype(float))),
+            ("labels-bool", bad_labels(lambda n: n.astype(bool))))),
 ]
 BATCHED = pytest.mark.parametrize(
     "row", [row for row in ROWS if row.padded], indirect=True,

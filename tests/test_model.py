@@ -142,7 +142,7 @@ class TestFullWidthLayout:
         # rows of 4-5 positions take both product forms, long ones one
         batches = [rows, [(text * 5, emoji) for text, emoji in rows[:4]]]
         model = Model(config, vocab)
-        probs = [out.probs.data for batch in batches
+        probs = [out.probs for batch in batches
                  for _, out in model.score(batch)]
         wide = seeded_full_width_filters(config.seed, config.n_filters,
                                          6 * config.d, config.widths)
@@ -153,7 +153,7 @@ class TestFullWidthLayout:
                 states.data, summaries.data, params.widths, wide, biases,
                 lengths))
         monkeypatch.setattr(classifier, "_conv_pool", oracle)
-        expected = [out.probs.data for batch in batches
+        expected = [out.probs for batch in batches
                     for _, out in model.score(batch)]
         assert [p.tobytes() for p in probs] == \
             [p.tobytes() for p in expected]
@@ -165,8 +165,24 @@ class TestForward:
         for doc in docs:
             out = forward_one(m, m.vocab.encode_text(doc.text_tokens),
                               m.vocab.encode_emojis(doc.emoji_tokens))
-            np.testing.assert_allclose(out.probs.data.sum(), 1.0, atol=1e-9)
-            assert out.probs.shape == (1, 2) and np.all(out.probs.data >= 0)
+            np.testing.assert_allclose(out.probs.sum(), 1.0, atol=1e-9)
+            assert out.probs.shape == (1, 2) and np.all(out.probs >= 0)
+
+    def test_probs_are_the_softmaxed_logits_off_the_graph(self, model,
+                                                         monkeypatch):
+        # the head's graph ends at its output layer, and `probs` rounds
+        # as the softmax op would
+        m, docs = model
+        encoded = [(m.vocab.encode_text(d.text_tokens),
+                    m.vocab.encode_emojis(d.emoji_tokens)) for d in docs]
+        outputs = []
+        ops = _ops_built(monkeypatch,
+                         lambda: outputs.append(m.forward_docs(encoded)), False)
+        (out,) = outputs
+        assert ops[ops.index("textcnn"):] == ["textcnn", "matmul", "add"]
+        assert out.logits.shape == out.probs.shape == (len(docs), 2)
+        assert out.probs.tobytes() == \
+            ag.softmax(out.logits, axis=1).data.tobytes()
 
     def test_batched_forward_matches_per_doc(self, model):
         m, docs = model
@@ -175,8 +191,8 @@ class TestForward:
         batched = m.forward_docs(encoded)
         for b, (tids, eids) in enumerate(encoded):
             single = forward_one(m, tids, eids)
-            np.testing.assert_allclose(batched.probs.data[b],
-                                       single.probs.data[0], atol=1e-12)
+            np.testing.assert_allclose(batched.probs[b],
+                                       single.probs[0], atol=1e-12)
             np.testing.assert_allclose(batched.text_states.data[b, :len(tids)],
                                        single.text_states.data[0], atol=1e-12)
 
@@ -184,17 +200,17 @@ class TestForward:
         m, docs = model
         ids = (m.vocab.encode_text(docs[0].text_tokens),
                m.vocab.encode_emojis(docs[0].emoji_tokens))
-        a = forward_one(m, *ids).probs.data
-        b = forward_one(m, *ids).probs.data
+        a = forward_one(m, *ids).probs
+        b = forward_one(m, *ids).probs
         np.testing.assert_array_equal(a, b)
 
     def test_training_dropout_changes_outputs(self, model):
         m, docs = model
         ids = (m.vocab.encode_text(docs[0].text_tokens),
                m.vocab.encode_emojis(docs[0].emoji_tokens))
-        base = forward_one(m, *ids).probs.data
+        base = forward_one(m, *ids).probs
         dropped = forward_one(m, *ids,
-                              dropout_rng=np.random.default_rng(0)).probs.data
+                              dropout_rng=np.random.default_rng(0)).probs
         assert np.any(base != dropped)
 
     def test_no_emoji_document_predicts(self, model):
@@ -348,10 +364,11 @@ class TestBatchLoss:
             loss.backward()
             graph = [v for v in ag.topo_order(loss) if v._prev]
             ops = [v._op for v in graph]
-            # the whole step's graph: the encoder, the head and one
-            # cross-entropy for the batch
+            # the whole step's graph: the encoder, the head and one fused
+            # cross-entropy for the batch, with no log or sum around it
             assert ops.count("bilstm") == 1 and ops.count("textcnn") == 1
-            assert ops.count("log") == 1
+            assert ops.count("cross_entropy") == 1
+            assert "log" not in ops and "sum" not in ops
             nodes = [weakref.ref(v) for v in graph]
             del graph
             del loss

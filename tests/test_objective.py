@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import alignment_composite, cross_entropy_rows
+from oracles import alignment_composite, cross_entropy_rows, softmax_direct
 
 from faet import autograd as ag
 from faet.attention import FineAttentionParams, fine_attention
@@ -20,6 +20,11 @@ class TestCrossEntropy:
     PROBS = np.array([[0.5, 0.5], [0.5, 0.5], [0.0, 1.0], [1.0, 0.0],
                       [0.25, 0.75]])
     LABELS = [0, 1, 1, 1, 1]
+    # logits for uniform rows under either label, a confident right row
+    # and the smoothed row, none so confident that the oracle's clamp acts
+    LOGITS = np.array([[0.0, 0.0], [1.5, 1.5], [-5.0, 5.0],
+                       [0.0, np.log(3.0)]])
+    LOGIT_LABELS = np.array([0, 1, 1, 1])
 
     def test_oracle_rows_are_the_known_values(self):
         rows, _ = cross_entropy_rows(self.PROBS, self.LABELS, 0.0)
@@ -32,26 +37,47 @@ class TestCrossEntropy:
 
     @pytest.mark.parametrize("smoothing", [0.0, 0.2])
     def test_batch_matches_the_per_row_oracle(self, smoothing):
-        probs = ag.param(self.PROBS.copy())
-        loss = cross_entropy(probs, self.LABELS, smoothing)
+        z, labels = self.LOGITS, self.LOGIT_LABELS
+        logits = ag.param(z)
+        loss = cross_entropy(logits, labels, smoothing)
         loss.backward()
-        rows, grads = cross_entropy_rows(self.PROBS, self.LABELS, smoothing)
+        p = np.array([softmax_direct(row) for row in z])
+        want, d_p = cross_entropy_rows(p, labels, smoothing)
         assert loss.shape == ()
-        np.testing.assert_allclose(float(loss.data), math.fsum(rows),
-                                   rtol=1e-14)
-        # row b's gradient is row b's own: the batch is a sum of its rows
-        np.testing.assert_allclose(probs.grad, grads, rtol=1e-14)
-        for b, want in enumerate(rows):
-            one = cross_entropy(ag.constant(self.PROBS[b:b + 1]),
-                                self.LABELS[b:b + 1], smoothing)
-            np.testing.assert_allclose(float(one.data), want, atol=1e-12)
+        np.testing.assert_allclose(float(loss.data), math.fsum(want),
+                                   rtol=0, atol=1e-12)
+        # row b's gradient is row b's own, through the softmax's Jacobian
+        d_z = p * (d_p - (d_p * p).sum(axis=1, keepdims=True))
+        np.testing.assert_allclose(logits.grad, d_z, rtol=0, atol=1e-12)
+        for b, row in enumerate(want):
+            one = cross_entropy(ag.constant(z[b:b + 1]), labels[b:b + 1],
+                                smoothing)
+            np.testing.assert_allclose(float(one.data), row, atol=1e-12)
 
-    def test_gradients_through_softmax_match_finite_differences(self):
+    @pytest.mark.parametrize("smoothing", [0.0, 0.1])
+    @pytest.mark.parametrize("gap", [30.0, 40.0, 60.0])
+    def test_a_confidently_wrong_row_keeps_its_gradient(self, gap,
+                                                        smoothing):
+        # the clamped log of the label's probability gave 0.094 at a gap
+        # of 30, 4.2e-6 at 40 and 8.8e-15 at 60, and capped the loss at
+        # -log(1e-12); unclamped, the gradient is p - t, which is
+        # +-(1 - s/2) here, and the loss gap * (1 - s/2)
+        logits = ag.param([[gap / 2.0, -gap / 2.0]])
+        loss = cross_entropy(logits, [1], smoothing)
+        loss.backward()
+        keep = 1.0 - smoothing / 2.0
+        np.testing.assert_allclose(logits.grad, [[keep, -keep]], rtol=0,
+                                   atol=1e-9)
+        np.testing.assert_allclose(float(loss.data), gap * keep, rtol=1e-12)
+        assert float(loss.data) > -np.log(1e-12)
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.1])
+    def test_gradients_match_finite_differences(self, smoothing):
         rng = np.random.default_rng(9)
         logits = ag.param(rng.uniform(-2, 2, (5, 2)))
         report = ag.finite_difference_check(
-            lambda: cross_entropy(ag.softmax(logits, axis=1), [0, 1, 1, 0, 1],
-                                  0.1), {"logits": logits})
+            lambda: cross_entropy(logits, [0, 1, 1, 0, 1], smoothing),
+            {"logits": logits})
         assert max(report.values()) < 1e-4
 
 
@@ -166,7 +192,7 @@ class TestTotalLoss:
                                  ag.reshape(emoji, (1, 2, 3)), attn, [3], [2])
             fused = ag.reshape(out.fused, (6,))
             logits = ag.reshape(ag.narrow(fused, 0, 0, 2), (1, 2))
-            ce = cross_entropy(ag.softmax(logits, axis=1), [1], 0.0)
+            ce = cross_entropy(logits, [1], 0.0)
             align = alignment_loss(ag.reshape(out.word_emoji_weights, (3, 2)),
                                    text, attn.distance_w)
             return ag.add(ce, ag.mul(align, 0.5))

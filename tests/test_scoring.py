@@ -203,7 +203,7 @@ class TestScoringGroups:
             for b, i in enumerate(group):
                 assert outputs.n[b] == len(docs[i][0])
                 assert outputs.m[b] == len(docs[i][1])
-                rows[i] = outputs.probs.data[b]
+                rows[i] = outputs.probs[b]
         outputs = list(model.predictions(docs, False))
         assert sorted(rows) == list(range(len(docs)))
         assert len(outputs) == len(docs)

@@ -277,6 +277,8 @@ class TestCheckpoint:
         result = train(docs, docs, config)
         path = str(tmp_path / "model.faet")
         save_checkpoint(result.model, path)
+        with open(path, "rb") as fh:  # the magic, then u32 format version 2
+            assert fh.read(8) == b"FAET" + struct.pack("<I", 2)
         loaded = load_checkpoint(path)
         original = result.model.state()
         for name, arr in loaded.state().items():
