@@ -17,7 +17,9 @@ starts without a gradient buffer and borrows its first incoming gradient
 by reference through `accumulate`; the rules that add into part of a
 gradient (`narrow`, `take_rows`) first take a buffer the node owns
 through `scatter_target`.  So a model that only scores never allocates a
-gradient, and `zero_grad` drops a buffer instead of clearing it.
+gradient, and `zero_grad` drops a buffer instead of clearing it.  Backward
+frees as it goes, too: an intermediate drops its gradient once its own
+rule has run.
 `narrow` and `transpose` return views of their input rather than copies.
 
 Every op here except `narrow` and `take_rows` is a forward pass plus one
@@ -70,12 +72,13 @@ class Value:
     node its first gradient by reference, which may alias another node's
     gradient: treat `grad` as read-only after a backward.  Repeated
     `backward()` calls add up on grad-requiring leaves, which is the
-    documented behavior (callers reset with `zero_grad`); an
-    intermediate's gradient is reset per call.  Reading `grad` on a
-    grad-requiring leaf that no gradient reached gives an exact-zero
-    buffer of the leaf's own, which may be written into; an intermediate
-    no gradient reached reads None.  Graph code reads the `_grad` slot,
-    where an unreached leaf holds None.
+    documented behavior (callers reset with `zero_grad`).  An
+    intermediate holds its gradient only while backward runs: backward
+    drops it once the node's own rule has run, so an intermediate's
+    `grad` reads None afterwards.  Reading `grad` on a grad-requiring
+    leaf that no gradient reached gives an exact-zero buffer of the
+    leaf's own, which may be written into.  Graph code reads the `_grad`
+    slot, where an unreached leaf holds None.
     """
 
     __slots__ = ("data", "_grad", "requires_grad", "_prev", "_backward",
@@ -116,9 +119,12 @@ class Value:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable grad-requiring leaf.
 
-        Intermediate grads are reset per call; leaf grads accumulate across
-        calls.  A node that no gradient reaches keeps no gradient and its
-        rule is skipped.  Raises unless `self` is scalar.
+        Leaf grads accumulate across calls.  An intermediate's gradient
+        lives only from its first consumer's rule to its own: after its
+        rule has run, or been skipped because no gradient reached it, the
+        node drops it, so the sweep never holds the gradients of the nodes
+        it has passed.  Rules and what they saved stay, so the graph can
+        be swept again.  Raises unless `self` is scalar.
         """
         if self.size != 1:
             raise ShapeError(
@@ -126,13 +132,15 @@ class Value:
         if not self.requires_grad:
             return
         order = topo_order(self)
-        for node in order:
+        for node in order:  # a sweep that raised part-way left some behind
             if node._prev:
                 node._grad = None
         accumulate(self, np.ones_like(self.data))
         for node in reversed(order):
-            if node._backward is not None and node._grad is not None:
-                node._backward()
+            if node._prev:
+                if node._backward is not None and node._grad is not None:
+                    node._backward()
+                node._grad = None  # every consumer has run: drop it
 
     def __repr__(self) -> str:
         return f"Value(shape={self.shape}, op={self._op!r})"
@@ -200,9 +208,13 @@ def make_node(data, inputs: Sequence[Value], op: str) -> Value:
     `data` may be a view of an input's data, and a rule may read its
     inputs' data during backward.  That is safe because nothing writes
     into a non-leaf `Value.data`, and the optimizer writes leaves only
-    after backward.  Each op checks its operands itself before it builds
-    a node: an operand that is not a `Value` is a `TypeError` (`_check`),
-    and a misshapen operand, or bad `lengths` of a batched fused op
+    after backward.  A rule reads its own node's gradient, never another
+    node's: backward drops each intermediate's gradient once the node's
+    rule has run, so `out.grad` holds only while that rule runs.
+
+    Each op checks its operands itself before it builds a node: an
+    operand that is not a `Value` is a `TypeError` (`_check`), and a
+    misshapen operand, or bad `lengths` of a batched fused op
     (`_row_lengths`), a `ShapeError`, each naming the op."""
     needs = _grad_enabled and any(v.requires_grad for v in inputs)
     return Value(data, requires_grad=needs,
@@ -235,7 +247,9 @@ def accumulate(node: Value, g: np.ndarray) -> None:
     The first gradient is kept by reference, without a copy: `g` may alias
     another node's gradient or data, so it is never written into.  A second
     gradient replaces a borrowed one with a fresh sum, which the node owns
-    and adds any further gradient into in place."""
+    and adds any further gradient into in place.  Backward drops an
+    intermediate's gradient after the node's rule, which releases a
+    borrowed array only once no other node holds it."""
     if node._grad is None:
         node._grad = g
         node._owns_grad = False

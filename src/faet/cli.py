@@ -103,7 +103,13 @@ def _resolve_config(args) -> TrainConfig:
             values[name] = value
     if "seed" not in values:  # a flag or a file value wins over FAET_SEED
         values["seed"] = _seed(None)
-    return TrainConfig.from_json_dict(values)
+    config = TrainConfig.from_json_dict(values)
+    # a repeated width adds no capacity (its blocks would share one filter
+    # bank); refused where a model is configured, not where a file is read,
+    # so checkpoints written with one still load
+    if len(set(config.widths)) < len(config.widths):
+        raise ValueError(f"widths must not repeat, got {config.widths}")
+    return config
 
 
 def build_parser() -> _Parser:
@@ -333,6 +339,39 @@ def _one_blas_thread():
         put(before)
 
 
+# glibc mallopt parameters (malloc.h) and the values pinned for them: no
+# block is served by its own mmap below the largest threshold glibc takes
+# on 64-bit, and the heap top is never trimmed, so the pages a training
+# step frees are reused by the next step instead of being returned and
+# faulted in again
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = (1 << 31) - 1
+
+
+def _keep_freed_memory() -> None:
+    """Pin glibc malloc's mmap and trim thresholds for the rest of the
+    process; nothing happens where the C library has no `mallopt`."""
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):  # no C library to open by name None
+        return
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
+def console_main() -> int:
+    """The `faet` console script and `python -m faet`: the process is the
+    command's own, so it pins malloc's thresholds (`mallopt` cannot give
+    glibc's self-adjusting ones back) before `main()` runs.  A caller of
+    `main()` in its own process keeps its allocator as it is."""
+    _keep_freed_memory()
+    return main()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -369,4 +408,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

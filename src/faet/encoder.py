@@ -69,7 +69,8 @@ def bilstm_encode_batch(seq: Value, fwd: LstmParams, bwd: LstmParams,
     differences by the test suite.  Gate activations overwrite the input
     projection in place; without a gradient to compute, no per-step
     history is kept: each step's c, tanh(c) and h go into its own spent
-    forget, candidate and input gate columns.
+    forget, candidate and input gate columns, and the two directions run
+    one after the other through one `(total, 4d)` gate buffer.
 
     An operand that is not a `Value` is a `TypeError` naming `bilstm`.  A
     `seq` that is not 3-D, a direction whose `w_in`, `w_rec` and `bias`
@@ -108,27 +109,28 @@ def bilstm_encode_batch(seq: Value, fwd: LstmParams, bwd: LstmParams,
 
     out = ag.make_node(np.zeros((batch, length, 2 * d)), inputs, "bilstm")
     keep = out.requires_grad
-    gates = np.empty((2, total, 4 * d))
+    gates = np.empty((2 if keep else 1, total, 4 * d))
     if keep:
         xs = []
         cells, tanh_c, hidden = (np.empty((2, total, d)) for _ in range(3))
     for k, p in enumerate(params):
+        gk = gates[k if keep else 0]
         x = seq.data[row_of, positions[k]]                   # (N, d_in)
-        np.matmul(x, p.w_in.data, out=gates[k])
-        gates[k] += p.bias.data
+        np.matmul(x, p.w_in.data, out=gk)
+        gk += p.bias.data
         # each step's c, tanh(c) and h: the histories when training, else
         # that step's spent forget, candidate and input gate columns
         if keep:
             xs.append(x)
             c_of, tc_of, h_of = cells[k], tanh_c[k], hidden[k]
         else:
-            c_of, tc_of, h_of = (gates[k, :, d:2 * d], gates[k, :, 3 * d:],
-                                 gates[k, :, :d])
+            c_of, tc_of, h_of = gk[:, d:2 * d], gk[:, 3 * d:], gk[:, :d]
+        del x  # the next direction's gather does not overlap this one
         w_rec = p.w_rec.data
         for t in range(length):
             a, lo = active[t], starts[t]
             rows = slice(lo, lo + a)
-            z = gates[k, rows]                               # (a_t, 4d)
+            z = gk[rows]                                     # (a_t, 4d)
             if t:
                 prev = slice(starts[t - 1], starts[t - 1] + a)
                 z += h_of[prev] @ w_rec

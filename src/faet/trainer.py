@@ -192,8 +192,11 @@ def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
 
     log: list[dict] = []
     best_epoch = 0
-    # any accuracy beats this, so epoch 1 (there is always one) takes the
-    # first `best_state` snapshot
+    # any accuracy beats this, so epoch 1 (there is always one) fills the
+    # `best_state` snapshot; each new best refreshes it in place, as a
+    # second snapshot would raise the heap's high-water mark by the model
+    params = model.parameters()
+    best_state = model.state()
     best_val_acc = -1.0
     log_file = open(log_path, "w", encoding="utf-8") if log_path else None
     # step graphs are acyclic and die by reference counting, but their
@@ -235,7 +238,8 @@ def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
             if val_acc > best_val_acc:
                 best_val_acc = val_acc
                 best_epoch = epoch
-                best_state = model.state()
+                for name, p in params.items():
+                    np.copyto(best_state[name], p.data)
     finally:
         if gc_was_enabled:
             gc.enable()

@@ -10,7 +10,8 @@ LSTM cell folded one position at a time, the TextCNN head one window at
 a time, and the alignment loss and the cross-entropy as the graphs the
 fused nodes replaced, which keep their float order, as does the TextCNN
 head over full-width filters (checkpoint format 1).  The ops only these
-graphs use (sigmoid, the clamped log and the sum) live here too.
+graphs use (sigmoid, the clamped log and the sum) live here too, and a
+backward sweep that keeps every intermediate gradient.
 """
 
 from collections import namedtuple
@@ -330,6 +331,21 @@ def alignment_pairs(beta, text, w):
     np.add.at(g_text, i, np.outer(g1, w[:h]) + np.outer(g2, w[h:]))
     np.add.at(g_text, o, np.outer(g1, w[h:]) + np.outer(g2, w[:h]))
     return loss, g_beta, g_text, g_w
+
+
+def backward_keeping_intermediates(loss: ag.Value) -> None:
+    """`Value.backward` without its release: each intermediate starts the
+    sweep without a gradient and keeps it after its rule has run, so the
+    leaves' gradients are those of the plain chain rule over the same
+    rules in the same order."""
+    order = ag.topo_order(loss)
+    for node in order:
+        if node._prev:
+            node._grad = None
+    ag.accumulate(loss, np.ones_like(loss.data))
+    for node in reversed(order):
+        if node._backward is not None and node._grad is not None:
+            node._backward()
 
 
 def log(x: ag.Value) -> ag.Value:

@@ -11,10 +11,12 @@ import weakref
 
 import numpy as np
 import pytest
-from oracles import adam_step, log, sum_along
+from oracles import adam_step, backward_keeping_intermediates, log, sum_along
 
 from faet import autograd as ag
 from faet.autograd import ShapeError, Value
+from faet.corpus import TokenizedDoc, build_vocab, make_batches
+from faet.model import Model, TrainConfig
 from faet.optim import BLOCK, Adam
 
 
@@ -241,8 +243,9 @@ class TestBackwardAnalytic:
 
 
 class TestLazyGradients:
-    """Intermediate gradients are borrowed by reference and copied only
-    when a scatter rule (narrow, take_rows) adds into part of them."""
+    """Intermediate gradients are borrowed by reference, copied only when
+    a scatter rule (narrow, take_rows) adds into part of them, and dropped
+    once the node's own rule has run."""
 
     @pytest.mark.parametrize("consumer_first", [True, False])
     @pytest.mark.parametrize("consumer", ["narrow", "take_rows", "dense"])
@@ -286,22 +289,67 @@ class TestLazyGradients:
         expected[1:] += 1.0
         np.testing.assert_allclose(x.grad, expected, rtol=1e-15)
 
-    def test_second_backward_resets_intermediates(self):
-        x = ag.param([0.5, -1.0])
-        y = ag.tanh(x)
-        sum_along(ag.tanh(y)).backward()
-        sum_along(ag.mul(y, ag.constant([3.0, 4.0]))).backward()
-        np.testing.assert_array_equal(y.grad, [3.0, 4.0])
+    @staticmethod
+    def step_graph():
+        """A seeded `Model.batch_loss` graph with dropout and the alignment
+        term, and its parameters."""
+        docs = [TokenizedDoc(["bad", "day", "here"], ["E_C", "E_S"], 0),
+                TokenizedDoc(["fine", "enough", "today", "yes", "ugh"],
+                             ["E_S", "E_C", "E_C"], 1),
+                TokenizedDoc(["good"], ["E_S"], 1)]
+        model = Model(TrainConfig(d=6, d_w=5, n_filters=3, widths=(2, 3),
+                                  seed=0), build_vocab(docs))
+        (batch,) = make_batches(docs, model.vocab, batch_size=3, max_len=20,
+                                shuffle=False)
+        loss = model.batch_loss(batch, dropout_rng=np.random.default_rng(3))
+        return loss, model.parameters()
 
-    def test_zero_grad_of_an_intermediate_never_writes_through(self):
-        x = ag.param([0.5, -1.0])
-        y = ag.tanh(x)
-        z = ag.add(y, ag.constant(1.0))
-        sum_along(ag.mul(z, ag.constant([2.0, 3.0]))).backward()
-        assert y.grad is z.grad  # borrowed by reference
-        y.zero_grad()
-        assert y.grad is None
-        np.testing.assert_array_equal(z.grad, [2.0, 3.0])
+    def test_backward_drops_every_intermediate_and_keeps_leaves_bitwise(
+            self):
+        loss, params = self.step_graph()
+        loss.backward()
+        ops = [v._op for v in ag.topo_order(loss) if v._prev]
+        assert {"bilstm", "alignment", "dropout", "cross_entropy"} <= set(ops)
+        assert all(v._grad is None for v in ag.topo_order(loss) if v._prev)
+        kept_loss, kept = self.step_graph()
+        backward_keeping_intermediates(kept_loss)
+        for name, p in params.items():
+            assert p._grad is not None, name
+            assert p.grad.tobytes() == kept[name].grad.tobytes(), name
+
+    def test_a_second_backward_still_accumulates_on_leaves(self):
+        loss, params = self.step_graph()
+        loss.backward()
+        once = {name: p.grad.copy() for name, p in params.items()}
+        loss.backward()
+        kept_loss, kept = self.step_graph()
+        for _ in range(2):
+            backward_keeping_intermediates(kept_loss)
+        for name, p in params.items():
+            assert p.grad.tobytes() == kept[name].grad.tobytes(), name
+            np.testing.assert_allclose(p.grad, 2.0 * once[name], rtol=1e-12,
+                                       err_msg=name)
+
+    def test_zero_grad_of_a_shared_gradient_never_writes_through(self):
+        # `add` hands both operands its gradient by reference; y2's rule
+        # runs first, and zeroing y2 from inside it leaves y1's intact
+        a, b = ag.param([0.5, -1.0]), ag.param([2.0, 0.25])
+        y1, y2 = ag.tanh(a), ag.tanh(b)
+        loss = sum_along(ag.mul(ag.add(y1, y2), ag.constant([2.0, 3.0])))
+        seen = []
+
+        def spy(rule=y2._backward):
+            rule()
+            seen.append(y1._grad is y2._grad)
+            y2.zero_grad()
+            seen.append(y1._grad.tolist())
+        y2._backward = spy
+        loss.backward()
+        assert seen == [True, [2.0, 3.0]]
+        for leaf in (a, b):
+            np.testing.assert_array_equal(
+                leaf.grad, np.array([2.0, 3.0]) * (1.0 - np.tanh(leaf.data)
+                                                   ** 2))
 
     def test_views_share_memory_with_their_input(self):
         x = ag.param(np.arange(24.0).reshape(2, 3, 4))

@@ -5,6 +5,7 @@ import argparse
 import dataclasses
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -210,6 +211,66 @@ class TestOneBlasThread:
         if real:
             lib.symlink_to(real[0])
             assert cli._openblas_threads() is not None
+
+
+class TestMallocPin:
+    """The console script (`faet`, `python -m faet`) pins glibc malloc's
+    thresholds in its own process; `cli.main` leaves its caller's
+    allocator as it is."""
+
+    # a child that notes its minor faults at the start of each epoch and at
+    # exit, around `python -m faet` run as the console script runs it
+    CHILD = """
+import resource, runpy, sys
+import faet.trainer
+seed_of, faults = faet.trainer._epoch_seed, []
+def epoch_seed(base, epoch):
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return seed_of(base, epoch)
+faet.trainer._epoch_seed = epoch_seed
+try:
+    runpy.run_module("faet", run_name="__main__", alter_sys=True)
+finally:
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    print(*[b - a for a, b in zip(faults, faults[1:])], file=sys.stderr)
+"""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the pin is glibc's mallopt")
+    def test_stock_epochs_after_the_first_average_under_50_minor_faults(
+            self, tmp_path):
+        # glibc's self-adjusting thresholds cost about 4 000 per epoch here;
+        # pinned, an epoch reads 0 to some dozens, as the heap layout has it
+        corpus = str(tmp_path / "overfit.jsonl")
+        write_jsonl(gen_overfit(64, seed=0), corpus)
+        result = subprocess.run(
+            [sys.executable, "-c", self.CHILD, "train", "--train", corpus,
+             "--val", corpus, "--out", str(tmp_path / "m.faet"),
+             "--epochs", "5"], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        faults = [int(n) for n in result.stderr.split()]
+        assert len(faults) == 5 and sum(faults[1:]) < 50 * 4, faults
+
+    def test_only_the_console_entry_pins(self, monkeypatch, tmp_path):
+        pinned = []
+        monkeypatch.setattr(cli, "_keep_freed_memory",
+                            lambda: pinned.append(True))
+        argv = ["gen-synthetic", "--kind", "overfit", "--out-dir",
+                str(tmp_path)]
+        assert cli.main(argv) == 0 and pinned == []
+        monkeypatch.setattr(sys, "argv", ["faet", *argv])
+        assert cli.console_main() == 0 and pinned == [True]
+
+    @staticmethod
+    def no_c_library(name):
+        raise TypeError("no C library to open by name None")
+
+    @pytest.mark.parametrize("cdll", [lambda name: object(), no_c_library],
+                             ids=["no-mallopt", "no-c-library"])
+    def test_a_c_library_without_mallopt_is_left_alone(self, monkeypatch,
+                                                       cdll):
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        cli._keep_freed_memory()
 
 
 class TestConfigValidation:

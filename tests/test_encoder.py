@@ -76,9 +76,10 @@ class TestBilstmEncode:
 
 
 class TestScoringMemory:
-    def test_no_grad_call_keeps_no_history(self):
-        # scoring writes each step's c, tanh(c) and h into that step's spent
-        # gate columns; the training histories would take 3 * (2, total, d)
+    @staticmethod
+    def scoring_peak():
+        """tracemalloc peak of one no-grad call, with the call's total
+        packed (step, row) pairs, d, d_in and output."""
         batch, length, d_in, d = 32, 40, 32, 64
         rng = np.random.default_rng(70)
         lengths = rng.integers(1, length + 1, batch)
@@ -94,6 +95,23 @@ class TestScoringMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak, total, d, d_in, out
+
+    def test_no_grad_call_keeps_no_history(self):
+        # scoring writes each step's c, tanh(c) and h into that step's spent
+        # gate columns; the training histories would take 3 * (2, total, d)
+        peak, total, d, _, out = self.scoring_peak()
         gates = 2 * total * 4 * d * 8
         histories = 3 * 2 * total * d * 8
         assert peak < gates + out.data.nbytes + histories / 2
+
+    def test_no_grad_call_runs_both_directions_through_one_gate_buffer(self):
+        # one (total, 4d) gate buffer, the output and one direction's input
+        # gather at a time; the margin, a quarter of the gate buffer, holds
+        # the packing's index vectors and numpy's 64 KiB ufunc buffer (the
+        # bias add), and a second gate buffer would overrun it
+        peak, total, d, d_in, out = self.scoring_peak()
+        gate_buffer = total * 4 * d * 8
+        gather = total * d_in * 8
+        assert peak < (gate_buffer + out.data.nbytes + gather
+                       + gate_buffer / 4)

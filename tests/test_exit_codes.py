@@ -170,6 +170,12 @@ ROWS = [
     config_row("config-widths-float", {"widths": [2, 2.5]}, "widths"),
     config_row("config-widths-bool", {"widths": [2, True]}, "widths"),
     config_row("config-widths-int", {"widths": 3}, "widths"),
+    config_row("config-widths-repeated", {"widths": [2, 3, 2]},
+               r"widths must not repeat, got \(2, 3, 2\)$"),
+    Row("ablate-config-widths-repeated", f"ablate --train {{corpus}} "
+        f"--val {{corpus}} --test {{corpus}} {TINY} --config {{tmp}}/c.json",
+        1, r"widths must not repeat, got \(3, 3\)$",
+        write("c.json", '{"widths": [3, 3]}')),
     config_row("config-lr-bool", {"lr": True}, "lr"),
     config_row("config-lambda-align-bool", {"lambda_align": True},
                "lambda_align"),

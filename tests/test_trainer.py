@@ -258,6 +258,19 @@ class TestTrainLoop:
         assert result.best_epoch == 1
         assert len(copies) == 1
 
+    def test_snapshot_refreshed_in_place_holds_the_best_epoch(self):
+        # validation accuracy improves at epochs 3 and 5 of 6
+        docs, val_docs = gen_overfit(16, seed=1), gen_overfit(16, seed=101)
+        config = tiny_config(epochs=6, lr=0.01, seed=1)
+        result = train(docs, val_docs, config)
+        assert result.best_epoch == 5
+        at_best = train(docs, val_docs,
+                        dataclasses.replace(config, epochs=5)).model.state()
+        params = result.model.parameters()
+        for name, arr in result.best_state.items():
+            assert arr.tobytes() == at_best[name].tobytes(), name
+            assert not np.shares_memory(arr, params[name].data), name
+
     def test_loss_non_increasing_after_epoch_three_across_seeds(self):
         # statistical smoke: >= 9 of 10 seeded runs are monotone past epoch 3
         good = 0
