@@ -116,12 +116,13 @@ def textcnn_forward_batch(states: Value, summaries: Value,
 
 
 def _shift_products(length: int, width: int) -> bool:
-    """True when width `width` over rows of `length` positions takes the
-    per-shift form: pooling reads `(length - width + 1) * width` of the
-    `length * width` (position, shift) products that one GEMM over all
-    positions computes, and the per-shift form computes only those.  It
-    pays off once fewer than 3/4 of them are read (stock rows of 4
-    positions: widths 3 and 4; long rows keep the one GEMM)."""
+    """True when the backward of width `width` over rows of `length`
+    positions takes the per-shift form: the window gradients reach
+    `(length - width + 1) * width` of the `length * width` (position,
+    shift) products that one GEMM over all positions covers, and the
+    per-shift form covers only those.  It pays off once fewer than 3/4 of
+    them are reached (stock rows of 4 positions: widths 3 and 4; long
+    rows keep the one GEMM).  The forward always runs per shift."""
     return 4 * (length - width + 1) < 3 * length
 
 
@@ -131,15 +132,15 @@ def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
     features, width by width, as one graph node.
 
     A window is a sum of per-shift state products plus one per-row
-    summary term (see `TextCnnParams`).  Both forms of the state products
-    read one time-major `(L·B, 2d)` copy of the states and yield
-    `(n_out, B, F)` window sums; per width one form is taken
-    (`_shift_products`): one GEMM of all positions against every
-    (filter, shift) state block with the shifts summed on its output, or
-    one GEMM per shift of the rows that window at that shift against that
-    shift's block.  The summary terms of all widths are one GEMM against
-    `params.summary`.  Neither windows nor the broadcast summary are
-    built; the states' gradient is one time-major buffer.  Max-over-time
+    summary term (see `TextCnnParams`).  The forward reads one
+    time-major `(L·B, 2d)` copy of the states and builds each width's
+    `(n_out, B, F)` window sums as one GEMM per shift, of the rows that
+    window at that shift against that shift's state block.  The backward
+    takes one of two forms per width (`_shift_products`): the same
+    per-shift GEMMs, or one GEMM of all positions against every (filter,
+    shift) state block.  The summary terms of all widths are one GEMM
+    against `params.summary`.  Neither windows nor the broadcast summary
+    are built; the states' gradient is one time-major buffer.  Max-over-time
     pools each row's valid windows: ReLU outputs are >= 0, so zeroing
     invalid windows leaves every valid maximum in place and pools a
     window-less row (or a width longer than L) to 0.  Ties route the
@@ -167,18 +168,10 @@ def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
         if n_out < 1:
             args.append(None)
             continue
-        if _shift_products(length, w):
-            conv = steps[:n_out * batch] @ bank[:, 0].T
-            for i in range(1, w):
-                conv += steps[i * batch:(i + n_out) * batch] @ bank[:, i].T
-            conv = conv.reshape(n_out, batch, f)
-        else:
-            # (L, B, F, w): filter f's shift-i state block at every position
-            shifted = (steps @ bank.reshape(f * w, hidden).T
-                       ).reshape(length, batch, f, w)
-            conv = shifted[:n_out, :, :, 0].copy()
-            for i in range(1, w):
-                conv += shifted[i:i + n_out, :, :, i]
+        conv = steps[:n_out * batch] @ bank[:, 0].T
+        for i in range(1, w):
+            conv += steps[i * batch:(i + n_out) * batch] @ bank[:, i].T
+        conv = conv.reshape(n_out, batch, f)
         conv += per_row[:, k * f:(k + 1) * f]
         np.maximum(conv, 0.0, out=conv)
         conv *= (np.arange(n_out)[:, None] < valid - w + 1)[..., None]

@@ -175,12 +175,16 @@ def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
     the final model (ties keep the earlier epoch).  The validation
     documents are encoded once, before the first epoch and before the log
     file is opened, so an emoji outside the vocabulary is refused (naming
-    the document) with nothing trained or written.  A non-finite loss, or
-    an overflow, invalid value or division by zero in a step, aborts with
-    the offending batch named.
+    the document) with nothing trained or written; so is a training
+    document without emojis, before the model is built.  A non-finite
+    loss, or an overflow, invalid value or division by zero in a step,
+    aborts with the offending batch named.
     """
     _require_labels(train_docs, "train")
     _require_labels(val_docs, "validation")
+    for position, doc in enumerate(train_docs, 1):
+        if not doc.emoji_tokens:
+            raise CorpusError(f"train document {position}: no emoji tokens")
     if model is None:
         model = Model(config, build_vocab(train_docs,
                                           min_count=config.min_count))

@@ -1,5 +1,7 @@
 """TextCNN head behavior and label decisions."""
 
+import tracemalloc
+
 import numpy as np
 
 from faet import autograd as ag
@@ -87,7 +89,35 @@ class TestForward:
         np.testing.assert_array_equal(rated.data, base.data)
 
 
+class TestScoringMemory:
+    def test_no_grad_call_builds_no_all_position_products(self):
+        # stock width (2d = 400, 4d = 800, F = 64) at B 64, L 28: the
+        # time-major state copy, then per width a running window sum and one
+        # shift's product, both (L - w + 1, B, F); the margin, one more
+        # window buffer, holds the per-row summary terms, the validity mask
+        # and the pooled maxima.  All-position products of width 4 alone,
+        # (L, B, F, 4), would overrun it
+        batch, length, hidden, summary_dim, f = 64, 28, 400, 800, 64
+        rng = np.random.default_rng(0)
+        params = make_params(hidden, summary_dim, n_filters=f, seed=1)
+        states = ag.constant(rng.uniform(-1, 1, (batch, length, hidden)))
+        summaries = ag.constant(rng.uniform(-1, 1, (batch, summary_dim)))
+        lengths = rng.integers(1, length + 1, batch)
+        lengths[0] = length
+        tracemalloc.start()
+        try:
+            with ag.no_grad():
+                textcnn_forward_batch(states, summaries, params, lengths)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        steps = batch * length * hidden * 8
+        window = (length - 1) * batch * f * 8
+        assert peak < steps + 3 * window
+
+
 def test_form_per_width_is_pinned():
+    # the backward's form; the forward always runs per shift
     assert [classifier._shift_products(4, w) for w in (2, 3, 4)] == \
         [False, True, True]                 # stock rows
     assert [classifier._shift_products(7, w) for w in (2, 3, 4)] == \

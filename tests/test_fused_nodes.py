@@ -1,7 +1,7 @@
 """The fused graph nodes' shared contract as one table.
 
 One row per fused op: `bilstm_encode_batch`, `textcnn_forward_batch`
-under each form of its state products, `alignment_loss` and
+under each form of its backward's state products, `alignment_loss` and
 `cross_entropy`.  A row draws valid operands of random shape from a
 seed, with a seeded upstream gradient for the output, and names its
 references, its tolerance (that of the per-node tests it replaced) and
@@ -59,7 +59,7 @@ class Row(typing.NamedTuple):
     bad: tuple  # (id, case -> case with one operand misshapen)
     padded: tuple = ()  # batched operands: row axis 0, position axis 1
     batched: tuple = ()  # further operands with a row axis 0
-    form: typing.Callable | None = None  # TextCNN `_shift_products`
+    form: typing.Callable | None = None  # TextCNN backward's form
 
 
 def drawn(test):
@@ -332,7 +332,8 @@ BATCHED = pytest.mark.parametrize(
 
 @pytest.fixture(scope="module", params=ROWS, ids=[row.id for row in ROWS])
 def row(request):
-    """The row, with its TextCNN form in force through every backward."""
+    """The row, with its TextCNN backward form (`_shift_products`) in
+    force through every backward; the forward has only one form."""
     with pytest.MonkeyPatch.context() as patch:
         if request.param.form is not None:
             patch.setattr(classifier, "_shift_products", request.param.form)

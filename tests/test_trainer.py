@@ -237,6 +237,17 @@ class TestTrainLoop:
         assert losses == []
         assert not log.exists()
 
+    def test_emoji_free_training_document_leaves_the_prior_log(
+            self, tmp_path):
+        docs = gen_overfit(16, seed=10)
+        train_docs = list(docs)
+        train_docs[1] = TokenizedDoc(docs[1].text_tokens, [], docs[1].label)
+        log = tmp_path / "log.jsonl"
+        log.write_bytes(b'{"epoch": 1}\n')
+        with pytest.raises(CorpusError, match="^train document 2: "):
+            train(train_docs, docs, tiny_config(), log_path=str(log))
+        assert log.read_bytes() == b'{"epoch": 1}\n'
+
     def test_best_checkpoint_ties_keep_earlier_epoch(self):
         docs = gen_overfit(16, seed=5)
         config = tiny_config(lr=0.0, epochs=4)  # val accuracy constant
