@@ -38,7 +38,8 @@ def network_loss():
     return ag.matmul(out, out)  # a vector's dot with itself: sum of squares
 
 
-report = ag.finite_difference_check(network_loss, {"w": w, "b": b})
+report = ag.finite_difference_check(network_loss, {"w": w, "b": b},
+                                    samples_per_group=8)
 print("\nfinite-difference report:", {k: f"{v:.2e}" for k, v in report.items()})
 
 # --- Adam on f(p) = sum((p - 3)^2) ---------------------------------------

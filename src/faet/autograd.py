@@ -26,8 +26,9 @@ Every op here except `narrow` and `take_rows` is a forward pass plus one
 gradient function per input, wired into the graph by `_node`; the fused
 BiLSTM, TextCNN, alignment and cross-entropy nodes defined elsewhere
 attach a weak rule of their own, and refuse bad operands as the ops here
-do (`make_node`); `tests/test_fused_nodes.py` checks their shared
-contract as one table.  The module keeps only ops the package calls: the
+do (`make_node`).  `tests/test_graph_ops.py` checks the contract these
+sixteen ops share as one table, and that they are exactly the ops a
+training step builds.  The module keeps only ops the package calls: the
 fused nodes take their sigmoid, log and sums inside, so there is no
 sigmoid, log or sum op.
 """
@@ -228,6 +229,12 @@ def _check(op: str, operands: Iterable) -> None:
             raise TypeError(f"{op}: a {type(v).__name__} is not a Value")
 
 
+def _axis(op: str, x: Value, axis: int) -> None:
+    """An `axis` that `x` lacks is a `ShapeError` naming `op`."""
+    if not -x.ndim <= axis < x.ndim:
+        raise ShapeError(f"{op}: no axis {axis} in shape {x.shape}")
+
+
 def _row_lengths(op: str, lengths, batch: int, length: int) -> np.ndarray:
     """A fused batched op's `lengths` as a (batch,) integer vector with
     every entry in [1, length]; anything else is a `ShapeError` naming
@@ -346,7 +353,8 @@ def concat(parts: Iterable[Value], axis: int = 0) -> Value:
         data = np.concatenate([p.data for p in parts], axis=axis)
     except ValueError as exc:
         shapes = [p.shape for p in parts]
-        raise ShapeError(f"concat(axis={axis}): shapes {shapes}: {exc}") from exc
+        raise ShapeError(
+            f"concat: shapes {shapes} along axis {axis}: {exc}") from exc
 
     def rules():
         lead = (slice(None),) * (axis % data.ndim)
@@ -368,10 +376,11 @@ def softmax_array(z: np.ndarray, axis: int) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def softmax(x: Value, axis: int = -1) -> Value:
+def softmax(x: Value, axis: int) -> Value:
     """Shift-stabilized softmax along `axis`; rows sum to 1."""
     _check("softmax", (x,))
-    if x.data.shape[axis] == 0:
+    _axis("softmax", x, axis)
+    if x.shape[axis] == 0:
         raise ShapeError(f"softmax: empty axis {axis} in shape {x.shape}")
     p = softmax_array(x.data, axis)
     return _node(p, (x,), "softmax", lambda: (
@@ -381,7 +390,8 @@ def softmax(x: Value, axis: int = -1) -> Value:
 def max_along(x: Value, axis: int) -> Value:
     """Max along `axis`; ties route the gradient to the first maximal index."""
     _check("max_along", (x,))
-    if x.data.shape[axis] == 0:
+    _axis("max_along", x, axis)
+    if x.shape[axis] == 0:
         raise ShapeError(f"max_along: empty axis {axis} in shape {x.shape}")
 
     def rules():
@@ -389,7 +399,7 @@ def max_along(x: Value, axis: int) -> Value:
         np.put_along_axis(sel, np.expand_dims(np.argmax(x.data, axis=axis),
                                               axis), True, axis=axis)
         return (lambda g: np.where(sel, np.expand_dims(g, axis), 0.0),)
-    return _node(np.max(x.data, axis=axis), (x,), "max", rules)
+    return _node(np.max(x.data, axis=axis), (x,), "max_along", rules)
 
 
 def dropout(x: Value, rate: float, rng: np.random.Generator | None) -> Value:
@@ -411,9 +421,13 @@ def dropout(x: Value, rate: float, rng: np.random.Generator | None) -> Value:
 
 
 def take_rows(table: Value, ids) -> Value:
-    """Row lookup `table[ids]`; the gradient scatter-adds into the table."""
+    """Row lookup `table[ids]` by integer `ids`; the gradient scatter-adds
+    into the table."""
     _check("take_rows", (table,))
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = np.asarray(ids)
+    if table.ndim == 0 or ids.dtype.kind not in "iu":
+        raise ShapeError(f"take_rows: need a table of rows and integer ids, "
+                         f"got shape {table.shape} and {ids.dtype} ids")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexError(
             f"take_rows: ids outside [0, {table.shape[0]}): "
@@ -429,7 +443,8 @@ def take_rows(table: Value, ids) -> Value:
 def narrow(x: Value, axis: int, start: int, length: int) -> Value:
     """Contiguous slice [start, start+length) along `axis`, as a view."""
     _check("narrow", (x,))
-    if start < 0 or start + length > x.shape[axis]:
+    _axis("narrow", x, axis)
+    if start < 0 or length < 0 or start + length > x.shape[axis]:
         raise ShapeError(
             f"narrow: [{start}, {start + length}) outside axis {axis} "
             f"of shape {x.shape}")
@@ -456,14 +471,19 @@ def transpose(x: Value) -> Value:
 
 def reshape(x: Value, shape) -> Value:
     _check("reshape", (x,))
-    return _node(x.data.reshape(shape), (x,), "reshape",
+    try:
+        data = x.data.reshape(shape)
+    except ValueError as exc:
+        raise ShapeError(
+            f"reshape: shape {x.shape} to {shape}: {exc}") from exc
+    return _node(data, (x,), "reshape",
                  lambda: (lambda g: g.reshape(x.shape),))
 
 
 def finite_difference_check(
     f: Callable[[], Value],
     params: dict[str, Value],
-    samples_per_group: int = 8,
+    samples_per_group: int,
 ) -> dict[str, float]:
     """Compare analytic gradients of `f` against central differences of
     step `FD_STEP`.

@@ -186,13 +186,20 @@ def _cmd_split(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _resolve_config(args)
-    # refused before training, not when the first checkpoint is written
+    # refused before training, not when a checkpoint is written
+    if not args.out:
+        raise ValueError("--out must name a file")
     out_dir = os.path.dirname(args.out) or "."
     if not os.path.isdir(out_dir):
         raise FileNotFoundError(
             f"--out {args.out}: no directory {out_dir!r}")
     if os.path.isdir(args.out):
         raise IsADirectoryError(f"--out {args.out} is a directory")
+    final_path = args.out + ".final"
+    for path in (final_path, args.out + ".tmp", final_path + ".tmp"):
+        if os.path.isdir(path):
+            raise IsADirectoryError(
+                f"--out {args.out}: {path!r} is a directory")
     train_docs = read_jsonl(args.train_file, mode="train")
     val_docs = read_jsonl(args.val_file, mode="train")
     model = None
@@ -204,7 +211,6 @@ def _cmd_train(args) -> int:
             args.emoji_vectors, model.emoji_table, vocab)
     result = train(train_docs, val_docs, config, model=model,
                    log_path=args.log)
-    final_path = args.out + ".final"
     save_checkpoint(result.model, final_path)
     save_checkpoint(Model.from_state(config, result.model.vocab,
                                      result.best_state), args.out)

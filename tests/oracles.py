@@ -11,7 +11,8 @@ a time, and the alignment loss and the cross-entropy as the graphs the
 fused nodes replaced, which keep their float order, as does the TextCNN
 head over full-width filters (checkpoint format 1).  The ops only these
 graphs use (sigmoid, the clamped log and the sum) live here too, and a
-backward sweep that keeps every intermediate gradient.
+backward sweep that keeps every intermediate gradient, and a seeded
+training step's graph.
 """
 
 from collections import namedtuple
@@ -19,6 +20,8 @@ from collections import namedtuple
 import numpy as np
 
 from faet import autograd as ag
+from faet.corpus import TokenizedDoc, build_vocab, make_batches
+from faet.model import Model, TrainConfig
 
 
 def recount_confusion(pairs):
@@ -346,6 +349,21 @@ def backward_keeping_intermediates(loss: ag.Value) -> None:
     for node in reversed(order):
         if node._backward is not None and node._grad is not None:
             node._backward()
+
+
+def step_graph(variant):
+    """A seeded `Model.batch_loss` graph of `variant` with dropout and the
+    alignment term, and the model's parameters."""
+    docs = [TokenizedDoc(["bad", "day", "here"], ["E_C", "E_S"], 0),
+            TokenizedDoc(["fine", "enough", "today", "yes", "ugh"],
+                         ["E_S", "E_C", "E_C"], 1),
+            TokenizedDoc(["good"], ["E_S"], 1)]
+    model = Model(TrainConfig(d=6, d_w=5, n_filters=3, widths=(2, 3), seed=0,
+                              variant=variant), build_vocab(docs))
+    (batch,) = make_batches(docs, model.vocab, batch_size=3, max_len=20,
+                            shuffle=False)
+    loss = model.batch_loss(batch, dropout_rng=np.random.default_rng(3))
+    return loss, model.parameters()
 
 
 def log(x: ag.Value) -> ag.Value:

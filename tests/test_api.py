@@ -18,8 +18,6 @@ EXPECTED = [
     "autograd.Value.__init__(_prev)",
     "autograd.Value.__init__(_op)",
     "autograd.concat(axis)",
-    "autograd.softmax(axis)",
-    "autograd.finite_difference_check(samples_per_group)",
     "classifier.textcnn_forward_batch(dropout_rate)",
     "classifier.textcnn_forward_batch(dropout_rng)",
     "cli._emit(pretty)",

@@ -1,50 +1,28 @@
-"""Tensor core: forward values, backward rules, and the gradient oracle.
+"""Tensor core: op semantics a numpy forward does not pin down, backward
+bookkeeping, the gradient oracle and Adam.
 
-Every differentiable primitive is fuzzed against central finite
-differences, which stay the independent reference throughout the suite.
+`tests/test_graph_ops.py` checks every op's forward, gradients and
+operand checks as one table, against finite differences, which stay the
+independent reference throughout the suite.
 """
 
 import contextlib
-import gc
-import inspect
-import weakref
 
 import numpy as np
 import pytest
-from oracles import adam_step, backward_keeping_intermediates, log, sum_along
+from oracles import (
+    adam_step, backward_keeping_intermediates, log, step_graph, sum_along,
+)
 
 from faet import autograd as ag
 from faet.autograd import ShapeError, Value
-from faet.corpus import TokenizedDoc, build_vocab, make_batches
-from faet.model import Model, TrainConfig
 from faet.optim import BLOCK, Adam
-
-
-def central_diff(f, x, i, h=1e-6):
-    """Scalar central difference of f at coordinate i of flat array x."""
-    flat = x.reshape(-1)
-    orig = flat[i]
-    flat[i] = orig + h
-    fp = f()
-    flat[i] = orig - h
-    fm = f()
-    flat[i] = orig
-    return (fp - fm) / (2.0 * h)
 
 
 class TestForwardValues:
     def test_softmax_equal_logits(self):
-        out = ag.softmax(Value([0.0, 0.0]))
+        out = ag.softmax(Value([0.0, 0.0]), axis=-1)
         np.testing.assert_allclose(out.data, [0.5, 0.5], atol=1e-15)
-
-    def test_tanh_at_zero(self):
-        assert float(ag.tanh(Value(0.0)).data) == 0.0
-
-    def test_matmul_identity(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(3, 5))
-        out = ag.matmul(Value(np.eye(3)), Value(a))
-        np.testing.assert_array_equal(out.data, a)
 
     def test_log_clamped_at_floor(self):
         out = log(Value([0.0, 1.0]))
@@ -94,86 +72,20 @@ class TestForwardValues:
             ag.dropout(Value(np.arange(4.0)), 1.5, rng)
 
 
-class TestShapeErrors:
-    def test_matmul_mismatch_names_op_and_shapes(self):
-        with pytest.raises(ShapeError, match=r"matmul.*\(2, 3\).*\(4,\)"):
-            ag.matmul(Value(np.zeros((2, 3))), Value(np.zeros(4)))
-
-    def test_add_mismatch(self):
-        with pytest.raises(ShapeError, match="add"):
-            ag.add(Value(np.zeros(3)), Value(np.zeros(4)))
-
-    def test_concat_mismatch(self):
-        with pytest.raises(ShapeError, match="concat"):
-            ag.concat([Value(np.zeros((2, 3))), Value(np.zeros((2, 4)))], axis=0)
-
-    def test_softmax_empty_axis(self):
-        with pytest.raises(ShapeError, match="empty"):
-            ag.softmax(Value(np.zeros((3, 0))), axis=1)
-
-    def test_nonscalar_loss(self):
-        x = ag.param(np.zeros(3))
-        with pytest.raises(ShapeError, match="scalar"):
-            ag.mul(x, 2.0).backward()
-
-
-class TestOperands:
-    """Ops take `Value` operands; only `mul` also takes a number."""
-
-    # every op, called with the operand `a` where a `Value` is due
-    OPS = {
-        "add": lambda x, a: ag.add(x, a),
-        "mul": lambda x, a: ag.mul(a, x),
-        "matmul": lambda x, a: ag.matmul(x, a),
-        "concat": lambda x, a: ag.concat([x, a]),
-        "tanh": lambda x, a: ag.tanh(a),
-        "softmax": lambda x, a: ag.softmax(a),
-        "max_along": lambda x, a: ag.max_along(a, 0),
-        "dropout": lambda x, a: ag.dropout(a, 0.5, np.random.default_rng(0)),
-        "take_rows": lambda x, a: ag.take_rows(a, [0]),
-        "narrow": lambda x, a: ag.narrow(a, 0, 0, 1),
-        "transpose": lambda x, a: ag.transpose(a),
-        "reshape": lambda x, a: ag.reshape(a, (3, 1)),
-    }
-
-    def test_the_table_holds_every_op(self):
-        ops = {name for name, fn in vars(ag).items()
-               if inspect.isfunction(fn) and fn.__module__ == ag.__name__
-               and not name.startswith("_")
-               and fn.__annotations__.get("return") == "Value"}
-        assert ops - {"param", "constant", "make_node"} == set(self.OPS)
-
-    @pytest.mark.parametrize("graph", [True, False])
-    @pytest.mark.parametrize("operand", [1.0, 2, np.ones(3), [1.0, 2.0, 3.0]],
-                             ids=["float", "int", "ndarray", "list"])
-    @pytest.mark.parametrize("name", list(OPS))
-    def test_a_non_value_operand_is_a_type_error_naming_the_op(
-            self, name, operand, graph):
-        x = ag.param(np.ones(3))
-        message = f"{name}: a {type(operand).__name__} is not a Value"
-        with contextlib.nullcontext() if graph else ag.no_grad():
-            with pytest.raises(TypeError, match=f"^{message}$"):
-                self.OPS[name](x, operand)
-
-    @pytest.mark.parametrize("graph", [True, False])
-    @pytest.mark.parametrize("operand", [np.ones(3), [1.0, 2.0, 3.0]],
-                             ids=["ndarray", "list"])
-    def test_mul_takes_no_array_as_its_scale(self, operand, graph):
-        # an ndarray's `.data` is a memoryview, so only the check stops it
-        x = ag.param(np.ones(3))
-        message = f"mul: a {type(operand).__name__} is not a Value"
-        with contextlib.nullcontext() if graph else ag.no_grad():
-            with pytest.raises(TypeError, match=f"^{message}$"):
-                ag.mul(x, operand)
-
-    @pytest.mark.parametrize("scale", [2, 2.0])
-    def test_mul_takes_a_number_as_a_constant_scale(self, scale):
-        x = ag.param([1.0, -3.0])
-        out = ag.mul(x, scale)
-        assert [v.requires_grad for v in out._prev] == [True, False]
-        sum_along(out).backward()
-        np.testing.assert_array_equal(out.data, [2.0, -6.0])
-        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+@pytest.mark.parametrize("graph", [True, False])
+@pytest.mark.parametrize("operand", [1.0, 2, np.ones(3), [1.0, 2.0, 3.0]],
+                         ids=["float", "int", "ndarray", "list"])
+def test_mul_takes_a_number_only_as_its_scale(operand, graph):
+    # an ndarray's `.data` is a memoryview, so only the check stops it
+    x = ag.param(np.ones(3))
+    calls = [lambda: ag.mul(operand, x)]
+    if not isinstance(operand, (int, float)):
+        calls.append(lambda: ag.mul(x, operand))
+    message = f"^mul: a {type(operand).__name__} is not a Value$"
+    with contextlib.nullcontext() if graph else ag.no_grad():
+        for call in calls:
+            with pytest.raises(TypeError, match=message):
+                call()
 
 
 class TestBackwardAnalytic:
@@ -181,24 +93,6 @@ class TestBackwardAnalytic:
         x = ag.param(3.0)
         ag.mul(x, x).backward()
         np.testing.assert_allclose(x.grad, 6.0)
-
-    def test_cross_entropy_softmax_grad_is_p_minus_y(self):
-        # d(-log softmax(z)[y])/dz == p - onehot(y), checked both ways
-        rng = np.random.default_rng(3)
-        z = ag.param(rng.uniform(-2, 2, size=4))
-        y = 2
-        p = ag.softmax(z)
-        loss = ag.mul(log(ag.take_rows(ag.reshape(p, (4, 1)), [y])), -1.0)
-        sum_along(loss).backward()
-        expected = p.data - np.eye(4)[y]
-        np.testing.assert_allclose(z.grad, expected, atol=1e-12)
-
-        def f():
-            pp = ag.softmax(z)
-            return -float(np.log(pp.data[y]))
-        for i in range(4):
-            num = central_diff(f, z.data, i)
-            np.testing.assert_allclose(z.grad[i], num, atol=1e-6)
 
     def test_unused_leaf_gets_exact_zero(self):
         x = ag.param([1.0, 2.0])
@@ -234,6 +128,11 @@ class TestBackwardAnalytic:
         np.testing.assert_array_equal(ga1, ga2)
         np.testing.assert_array_equal(gb1, gb2)
 
+    def test_backward_of_a_nonscalar_is_a_shape_error(self):
+        x = ag.param(np.zeros(3))
+        with pytest.raises(ShapeError, match="^backward: .*scalar"):
+            ag.mul(x, 2.0).backward()
+
     def test_no_grad_builds_no_graph(self):
         x = ag.param([1.0, 2.0])
         with ag.no_grad():
@@ -267,8 +166,12 @@ class TestLazyGradients:
             other = sum_along(others[consumer](y))
             pair = (other, shared) if consumer_first else (shared, other)
             return ag.add(last, ag.add(*pair))
-        _fd_fuzz(lambda r: (r.uniform(-2, 2, 6), r.uniform(-2, 2, 6)),
-                 forward, 15, seed=130)
+        rng = np.random.default_rng(130)
+        for _ in range(15):
+            a, b = (ag.param(rng.uniform(-2, 2, 6)) for _ in range(2))
+            report = ag.finite_difference_check(
+                lambda: forward(a, b), {"a": a, "b": b}, samples_per_group=3)
+            assert max(report.values()) < 1e-4
 
     def test_add_of_an_intermediate_to_itself(self):
         x = ag.param([0.5, -1.0, 2.0])
@@ -289,40 +192,25 @@ class TestLazyGradients:
         expected[1:] += 1.0
         np.testing.assert_allclose(x.grad, expected, rtol=1e-15)
 
-    @staticmethod
-    def step_graph():
-        """A seeded `Model.batch_loss` graph with dropout and the alignment
-        term, and its parameters."""
-        docs = [TokenizedDoc(["bad", "day", "here"], ["E_C", "E_S"], 0),
-                TokenizedDoc(["fine", "enough", "today", "yes", "ugh"],
-                             ["E_S", "E_C", "E_C"], 1),
-                TokenizedDoc(["good"], ["E_S"], 1)]
-        model = Model(TrainConfig(d=6, d_w=5, n_filters=3, widths=(2, 3),
-                                  seed=0), build_vocab(docs))
-        (batch,) = make_batches(docs, model.vocab, batch_size=3, max_len=20,
-                                shuffle=False)
-        loss = model.batch_loss(batch, dropout_rng=np.random.default_rng(3))
-        return loss, model.parameters()
-
     def test_backward_drops_every_intermediate_and_keeps_leaves_bitwise(
             self):
-        loss, params = self.step_graph()
+        loss, params = step_graph("fine")
         loss.backward()
         ops = [v._op for v in ag.topo_order(loss) if v._prev]
         assert {"bilstm", "alignment", "dropout", "cross_entropy"} <= set(ops)
         assert all(v._grad is None for v in ag.topo_order(loss) if v._prev)
-        kept_loss, kept = self.step_graph()
+        kept_loss, kept = step_graph("fine")
         backward_keeping_intermediates(kept_loss)
         for name, p in params.items():
             assert p._grad is not None, name
             assert p.grad.tobytes() == kept[name].grad.tobytes(), name
 
     def test_a_second_backward_still_accumulates_on_leaves(self):
-        loss, params = self.step_graph()
+        loss, params = step_graph("fine")
         loss.backward()
         once = {name: p.grad.copy() for name, p in params.items()}
         loss.backward()
-        kept_loss, kept = self.step_graph()
+        kept_loss, kept = step_graph("fine")
         for _ in range(2):
             backward_keeping_intermediates(kept_loss)
         for name, p in params.items():
@@ -397,178 +285,11 @@ class TestLeafGradientsOnDemand:
             np.testing.assert_array_equal(first, c)
 
 
-# every op in the module, applied to a (2, 3) param
-EVERY_OP = {
-    "add": lambda x: ag.add(x, ag.constant(1.0)),
-    "mul": lambda x: ag.mul(x, x),
-    "matmul": lambda x: ag.matmul(x, ag.constant(np.ones((3, 2)))),
-    "concat": lambda x: ag.concat([x, x], axis=1),
-    "tanh": ag.tanh,
-    "softmax": ag.softmax,
-    "max_along": lambda x: ag.max_along(x, 1),
-    "dropout": lambda x: ag.dropout(x, 0.5, np.random.default_rng(0)),
-    "take_rows": lambda x: ag.take_rows(x, [1, 0, 1]),
-    "narrow": lambda x: ag.narrow(x, 1, 1, 2),
-    "transpose": ag.transpose,
-    "reshape": lambda x: ag.reshape(x, (3, 2)),
-}
-
-
-@pytest.mark.parametrize("op", list(EVERY_OP))
-def test_graph_freed_without_cyclic_gc(op):
-    # a rule that held its node strongly would keep the graph alive until
-    # a cyclic collection
-    x = ag.param(np.arange(1.0, 7.0).reshape(2, 3))
-    gc.disable()
-    try:
-        loss = sum_along(EVERY_OP[op](x))
-        loss.backward()
-        nodes = [weakref.ref(v) for v in ag.topo_order(loss) if v._prev]
-        assert len(nodes) == 2
-        del loss
-        assert [r() for r in nodes if r() is not None] == []
-    finally:
-        gc.enable()
-    assert x.grad.any()
-
-
-def _fd_fuzz(make_inputs, forward, n_trials, seed, tol=1e-4, h=1e-6):
-    """Fuzz one primitive: analytic grad vs central differences."""
-    rng = np.random.default_rng(seed)
-    for _ in range(n_trials):
-        arrays = make_inputs(rng)
-        params = [ag.param(a) for a in arrays]
-        loss = forward(*params)
-        loss.backward()
-        for p in params:
-            flat = p.data.reshape(-1)
-            for i in rng.choice(flat.size, size=min(3, flat.size), replace=False):
-                def f(p=p):
-                    with ag.no_grad():
-                        fresh = forward(*params)
-                    return float(fresh.data)
-                num = central_diff(f, p.data, i, h=h)
-                ana = p.grad.reshape(-1)[i]
-                err = abs(ana - num) / max(1.0, abs(ana), abs(num))
-                assert err < tol, f"rel err {err:.2e} at coord {i}"
-
-
-class TestPrimitiveGradientFuzz:
-    """Each primitive vs the finite-difference oracle, inputs in [-3, 3].
-
-    Trial counts sum past 1000 fuzzed inputs across the primitive set.
-    """
-
-    def test_add(self):
-        _fd_fuzz(lambda r: (r.uniform(-3, 3, (3, 4)), r.uniform(-3, 3, (3, 4))),
-                 lambda a, b: sum_along(ag.tanh(ag.add(a, b))), 90, seed=100)
-
-    def test_add_broadcast(self):
-        _fd_fuzz(lambda r: (r.uniform(-3, 3, (3, 4)), r.uniform(-3, 3, (4,))),
-                 lambda a, b: sum_along(ag.tanh(ag.add(a, b))), 80, seed=101)
-
-    def test_mul(self):
-        _fd_fuzz(lambda r: (r.uniform(-3, 3, (2, 5)), r.uniform(-3, 3, (2, 5))),
-                 lambda a, b: sum_along(ag.tanh(ag.mul(a, b))), 90, seed=102)
-
-    def test_mul_broadcast_column(self):
-        _fd_fuzz(lambda r: (r.uniform(-3, 3, (4, 1)), r.uniform(-3, 3, (4, 3))),
-                 lambda a, b: sum_along(ag.tanh(ag.mul(a, b))), 80, seed=103)
-
-    def test_matmul_2d_2d(self):
-        _fd_fuzz(lambda r: (r.uniform(-3, 3, (3, 4)), r.uniform(-3, 3, (4, 2))),
-                 lambda a, b: sum_along(ag.tanh(ag.matmul(a, b))), 80, seed=104)
-
-    def test_matmul_1d_2d(self):
-        _fd_fuzz(lambda r: (r.uniform(-3, 3, (4,)), r.uniform(-3, 3, (4, 3))),
-                 lambda a, b: sum_along(ag.tanh(ag.matmul(a, b))), 80, seed=105)
-
-    def test_matmul_2d_1d(self):
-        _fd_fuzz(lambda r: (r.uniform(-3, 3, (3, 4)), r.uniform(-3, 3, (4,))),
-                 lambda a, b: sum_along(ag.tanh(ag.matmul(a, b))), 80, seed=106)
-
-    def test_matmul_stacked_3d_3d(self):
-        _fd_fuzz(lambda r: (r.uniform(-3, 3, (2, 3, 4)),
-                            r.uniform(-3, 3, (2, 4, 2))),
-                 lambda a, b: sum_along(ag.tanh(ag.matmul(a, b))), 40,
-                 seed=121)
-
-    def test_matmul_stacked_3d_2d(self):
-        _fd_fuzz(lambda r: (r.uniform(-3, 3, (2, 3, 4)),
-                            r.uniform(-3, 3, (4, 2))),
-                 lambda a, b: sum_along(ag.tanh(ag.matmul(a, b))), 40,
-                 seed=122)
-
-    def test_matmul_stacked_3d_1d(self):
-        _fd_fuzz(lambda r: (r.uniform(-3, 3, (2, 3, 4)),
-                            r.uniform(-3, 3, (4,))),
-                 lambda a, b: sum_along(ag.tanh(ag.matmul(a, b))), 40,
-                 seed=123)
-
-    def test_transpose_stacked(self):
-        weights = np.arange(24.0).reshape(2, 4, 3) / 10.0
-        _fd_fuzz(lambda r: (r.uniform(-3, 3, (2, 3, 4)),),
-                 lambda x: sum_along(ag.mul(ag.tanh(ag.transpose(x)),
-                                            ag.constant(weights))),
-                 40, seed=124)
-
-    def test_concat(self):
-        _fd_fuzz(lambda r: (r.uniform(-3, 3, (2, 3)), r.uniform(-3, 3, (4, 3))),
-                 lambda a, b: sum_along(ag.tanh(ag.concat([a, b], axis=0))),
-                 80, seed=107)
-
-    def test_tanh(self):
-        _fd_fuzz(lambda r: (r.uniform(-3, 3, (7,)),),
-                 lambda a: sum_along(ag.tanh(a)), 80, seed=109)
-
-    def test_log_positive_domain(self):
-        _fd_fuzz(lambda r: (r.uniform(0.05, 3, (6,)),),
-                 lambda a: sum_along(log(a)), 80, seed=111)
-
-    def test_softmax(self):
-        _fd_fuzz(lambda r: (r.uniform(-3, 3, (3, 5)),),
-                 lambda a: sum_along(ag.mul(ag.softmax(a, axis=1),
-                                            ag.constant(np.arange(5.0)))),
-                 80, seed=113)
-
-    def test_max_along_distinct_entries(self):
-        def mk(r):
-            a = r.uniform(-3, 3, (4, 5))
-            return (a + np.arange(20).reshape(4, 5) * 1e-3,)  # break near-ties
-        _fd_fuzz(mk, lambda a: sum_along(
-                     ag.mul(ag.max_along(a, axis=1),
-                            ag.constant([1.0, -2.0, 0.5, 1.5]))),
-                 60, seed=114)
-
-    def test_take_rows_with_duplicates(self):
-        ids = np.array([0, 2, 2, 1])
-        _fd_fuzz(lambda r: (r.uniform(-3, 3, (4, 3)),),
-                 lambda t: sum_along(ag.tanh(ag.take_rows(t, ids))),
-                 60, seed=117)
-
-    def test_narrow(self):
-        _fd_fuzz(lambda r: (r.uniform(-3, 3, (6, 3)),),
-                 lambda x: sum_along(ag.tanh(ag.narrow(x, 0, 1, 3))),
-                 60, seed=118)
-
-    def test_reshape_broadcast(self):
-        _fd_fuzz(lambda r: (r.uniform(-3, 3, (4,)),),
-                 lambda x: sum_along(
-                     ag.tanh(ag.add(ag.reshape(x, (4, 1)),
-                                    ag.constant(np.arange(12.0).reshape(4, 3)
-                                                / 10.0)))),
-                 60, seed=119)
-
-    def test_dropout_fixed_mask(self):
-        def fwd(x):
-            return sum_along(ag.tanh(ag.dropout(x, 0.3, np.random.default_rng(5))))
-        _fd_fuzz(lambda r: (r.uniform(-3, 3, (5, 2)),), fwd, 40, seed=120)
-
-
 class TestFiniteDifferenceHarness:
     def test_square_relative_error_tiny(self):
         x = ag.param(3.0)
-        report = ag.finite_difference_check(lambda: ag.mul(x, x), {"x": x})
+        report = ag.finite_difference_check(lambda: ag.mul(x, x), {"x": x},
+                                            samples_per_group=8)
         assert report["x"] < 1e-8
 
     def test_covers_every_group(self):

@@ -17,8 +17,9 @@ through that script again.  Each run must give:
 - the workspace and the row's directory byte for byte as they were: a
   refused command creates, changes and removes nothing.
 
-`{corpus}` and `{model}` in a row's arguments name the workspace files
-and `{tmp}` the row's directory; in `err` they stand for the same paths,
+`{corpus}` and `{model}` in a row's arguments name the workspace files,
+`{tmp}` the row's directory, which is also the working directory, and
+`{empty}` an empty word; in `err` they stand for the same paths,
 regex-escaped.  Edits derive their files from the workspace's, the
 vectors file included, or write them whole.
 """
@@ -248,6 +249,16 @@ ROWS = [
     Row("train-out-a-directory", "train --train {corpus} --val {corpus} "
         f"--out {{tmp}}/. --log {{tmp}}/log.jsonl {TINY}", 2,
         r"--out {tmp}/\. is a directory$"),
+    # each checkpoint train writes, and the file each is written through
+    *(Row(f"train-out{suffix.replace('.', '-')}-a-directory",
+          f"{TRAIN} --log {{tmp}}/log.jsonl {TINY}", 2,
+          r"--out {tmp}/m\.faet: '{tmp}/m\.faet" + re.escape(suffix)
+          + "' is a directory$",
+          lambda ws, tmp, suffix=suffix: (tmp / f"m.faet{suffix}").mkdir())
+      for suffix in (".final", ".tmp", ".final.tmp")),
+    Row("train-out-empty", "train --train {corpus} --val {corpus} "
+        f"--out {{empty}} --log {{tmp}}/log.jsonl {TINY}", 1,
+        "--out must name a file$"),
     # --- data (2): corpora --------------------------------------------------
     Row("corpus-record-malformed", "eval --model {model} --data {tmp}/bad.jsonl", 2,
         "{tmp}/bad.jsonl: line 1: text_tokens must be a non-empty array",
@@ -402,9 +413,11 @@ def test_row(row, workspace, tmp_path, capsys, monkeypatch):
     if row.edit is not None:
         row.edit(workspace, tmp_path)
     paths = {"corpus": str(workspace / "corpus.jsonl"),
-             "model": str(workspace / "model.faet"), "tmp": str(tmp_path)}
+             "model": str(workspace / "model.faet"), "tmp": str(tmp_path),
+             "empty": ""}
     argv = [word.format(**paths) for word in row.argv.split()]
     before = _snapshot(workspace, tmp_path)
+    monkeypatch.chdir(tmp_path)
     for name, value in row.env.items():
         monkeypatch.setenv(name, value)
 
