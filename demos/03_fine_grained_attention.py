@@ -40,9 +40,9 @@ print("interaction matrix (rows = words, cols = emojis):")
 for word, row in zip(WORDS, out.interaction.data[0]):
     print(f"  {word:7s} {np.round(row, 3)}")
 print("emoji weights  :",
-      dict(zip(EMOJIS, np.round(out.emoji_weights.data[0], 3))))
+      dict(zip(EMOJIS, np.round(out.emoji_weights[0], 3))))
 print("text weights   :",
-      dict(zip(WORDS, np.round(out.text_weights.data[0], 3))))
+      dict(zip(WORDS, np.round(out.text_weights[0], 3))))
 print("per-word emoji distributions:")
 for word, row in zip(WORDS, out.word_emoji_weights.data[0]):
     print(f"  {word:7s} {np.round(row, 3)}")

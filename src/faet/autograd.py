@@ -2,7 +2,8 @@
 
 A `Value` wraps a numpy array together with an accumulated gradient and a
 backward rule.  Ops take `Value` operands (an array enters as a `constant`;
-only `mul` also takes a Python number, as a scale; any other operand is a
+only `mul` also takes a Python number, as a scale; any other operand, or
+an axis, start, length or shape entry that is not an integer, is a
 `TypeError` naming the op) and build a graph through the `_prev` links;
 `Value.backward()` topologically sorts the graph and applies the chain
 rule in reverse.  Everything is float64 in a fixed float order, and the
@@ -20,23 +21,25 @@ through `scatter_target`.  So a model that only scores never allocates a
 gradient, and `zero_grad` drops a buffer instead of clearing it.  Backward
 frees as it goes, too: an intermediate drops its gradient once its own
 rule has run.
-`narrow` and `transpose` return views of their input rather than copies.
+`narrow` returns a view of its input rather than a copy.
 
 Every op here except `narrow` and `take_rows` is a forward pass plus one
-gradient function per input, wired into the graph by `_node`; the fused
-BiLSTM, TextCNN, alignment and cross-entropy nodes defined elsewhere
-attach a weak rule of their own, and refuse bad operands as the ops here
-do (`make_node`).  `tests/test_graph_ops.py` checks the contract these
-sixteen ops share as one table, and that they are exactly the ops a
-training step builds.  The module keeps only ops the package calls: the
-fused nodes take their sigmoid, log and sums inside, so there is no
-sigmoid, log or sum op.
+gradient function per input, wired into the graph by `_node`; the six
+fused nodes defined elsewhere (BiLSTM, TextCNN, the attention's
+interaction and pooling, alignment and cross-entropy) attach a weak rule
+of their own, and refuse bad operands as the ops here do (`make_node`).
+`tests/test_graph_ops.py` checks the contract these sixteen ops share as
+one table, and that they are exactly the ops a training step builds.
+The module keeps only ops the package calls: the fused nodes take their
+sigmoid, log, sums, maxima and transposes inside, so there is no
+sigmoid, log, sum, max or transpose op.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
+import numbers
 import weakref
 from typing import Callable, Iterable, Sequence
 
@@ -152,6 +155,17 @@ def param(data) -> Value:
     return Value(data, requires_grad=True)
 
 
+def uniform_param(rng: np.random.Generator | None, low: float, high: float,
+                  shape, divisor: float | None = None) -> Value:
+    """A trainable leaf of `shape` drawn uniform in [low, high) from `rng`
+    (over `divisor`, if given); with `rng=None`, a draw-free build, it is
+    `np.empty` for the caller to overwrite."""
+    if rng is None:
+        return param(np.empty(shape))
+    values = rng.uniform(low, high, shape)
+    return param(values if divisor is None else values / divisor)
+
+
 def constant(data) -> Value:
     return Value(data, requires_grad=False)
 
@@ -229,22 +243,34 @@ def _check(op: str, operands: Iterable) -> None:
             raise TypeError(f"{op}: a {type(v).__name__} is not a Value")
 
 
+def _integers(op: str, **args) -> None:
+    """An argument, or a shape's entry, that is not an integer is a
+    `TypeError` naming `op` and the argument."""
+    for name, value in args.items():
+        for v in value if isinstance(value, (tuple, list)) else (value,):
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise TypeError(f"{op}: {name} {value!r} is not integer")
+
+
 def _axis(op: str, x: Value, axis: int) -> None:
-    """An `axis` that `x` lacks is a `ShapeError` naming `op`."""
+    """A non-integer `axis` is a `TypeError`, one that `x` lacks a
+    `ShapeError`, each naming `op`."""
+    _integers(op, axis=axis)
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"{op}: no axis {axis} in shape {x.shape}")
 
 
-def _row_lengths(op: str, lengths, batch: int, length: int) -> np.ndarray:
-    """A fused batched op's `lengths` as a (batch,) integer vector with
-    every entry in [1, length]; anything else is a `ShapeError` naming
-    `op`."""
+def _row_lengths(op: str, name: str, lengths, batch: int, low: int,
+                 high: int) -> np.ndarray:
+    """A fused batched op's per-row `lengths` as a (batch,) integer vector
+    with every entry in [low, high]; anything else is a `ShapeError`
+    naming `op` and the argument's `name`."""
     lengths = np.asarray(lengths)
     if (lengths.shape != (batch,) or lengths.dtype.kind not in "iu" or batch
-            and not 1 <= lengths.min() <= lengths.max() <= length):
+            and not low <= lengths.min() <= lengths.max() <= high):
         raise ShapeError(
-            f"{op}: lengths must be a ({batch},) integer vector with "
-            f"entries in [1, {length}], got {lengths!r}")
+            f"{op}: {name} must be a ({batch},) integer vector with "
+            f"entries in [{low}, {high}], got {lengths!r}")
     return lengths
 
 
@@ -347,6 +373,7 @@ def matmul(a: Value, b: Value) -> Value:
 def concat(parts: Iterable[Value], axis: int = 0) -> Value:
     parts = list(parts)
     _check("concat", parts)
+    _integers("concat", axis=axis)
     if not parts:
         raise ShapeError("concat: no operands")
     try:
@@ -385,21 +412,6 @@ def softmax(x: Value, axis: int) -> Value:
     p = softmax_array(x.data, axis)
     return _node(p, (x,), "softmax", lambda: (
         lambda g: p * (g - np.sum(g * p, axis=axis, keepdims=True)),))
-
-
-def max_along(x: Value, axis: int) -> Value:
-    """Max along `axis`; ties route the gradient to the first maximal index."""
-    _check("max_along", (x,))
-    _axis("max_along", x, axis)
-    if x.shape[axis] == 0:
-        raise ShapeError(f"max_along: empty axis {axis} in shape {x.shape}")
-
-    def rules():
-        sel = np.zeros(x.shape, dtype=bool)
-        np.put_along_axis(sel, np.expand_dims(np.argmax(x.data, axis=axis),
-                                              axis), True, axis=axis)
-        return (lambda g: np.where(sel, np.expand_dims(g, axis), 0.0),)
-    return _node(np.max(x.data, axis=axis), (x,), "max_along", rules)
 
 
 def dropout(x: Value, rate: float, rng: np.random.Generator | None) -> Value:
@@ -444,6 +456,7 @@ def narrow(x: Value, axis: int, start: int, length: int) -> Value:
     """Contiguous slice [start, start+length) along `axis`, as a view."""
     _check("narrow", (x,))
     _axis("narrow", x, axis)
+    _integers("narrow", start=start, length=length)
     if start < 0 or length < 0 or start + length > x.shape[axis]:
         raise ShapeError(
             f"narrow: [{start}, {start + length}) outside axis {axis} "
@@ -459,18 +472,9 @@ def narrow(x: Value, axis: int, start: int, length: int) -> Value:
     return out
 
 
-def transpose(x: Value) -> Value:
-    """Swap the last two axes of a matrix or of a (B, n, m) stack, as a
-    view."""
-    _check("transpose", (x,))
-    if x.ndim not in (2, 3):
-        raise ShapeError(f"transpose: need 2-D or 3-D, got {x.shape}")
-    return _node(np.swapaxes(x.data, -1, -2), (x,), "transpose",
-                 lambda: (lambda g: np.swapaxes(g, -1, -2),))
-
-
 def reshape(x: Value, shape) -> Value:
     _check("reshape", (x,))
+    _integers("reshape", shape=shape)
     try:
         data = x.data.reshape(shape)
     except ValueError as exc:

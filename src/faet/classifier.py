@@ -26,8 +26,7 @@ class TextCnnParams:
     shift i.  The summary is the same at every shift, so its columns are
     stored once, summed over the shifts: `summary` rows [k*F, (k+1)*F)
     serve `widths[k]`.  A seeded build draws full-width filters
-    (`set_full_width`); `rng=None` (`Model.blank`) draws nothing and
-    leaves every weight uninitialized."""
+    (`set_full_width`); `rng=None` draws nothing (`ag.uniform_param`)."""
 
     def __init__(self, hidden: int, summary_dim: int, n_filters: int,
                  rng: np.random.Generator | None, widths):
@@ -39,16 +38,14 @@ class TextCnnParams:
         self.filter_bias = {w: ag.param(np.zeros(n_filters))
                             for w in self.widths}
         self.summary = ag.param(np.empty((pooled, summary_dim)))
-        self.out_w = ag.param(np.empty((pooled, 2)))
+        channels = hidden + summary_dim
+        for w in self.widths if rng is not None else ():
+            scale = 1.0 / np.sqrt(w * channels)
+            self.set_full_width(w, rng.uniform(
+                -scale, scale, (n_filters, w * channels)))
+        scale = 1.0 / np.sqrt(pooled)
+        self.out_w = ag.uniform_param(rng, -scale, scale, (pooled, 2))
         self.out_b = ag.param(np.zeros(2))
-        if rng is not None:
-            channels = hidden + summary_dim
-            for w in self.widths:
-                scale = 1.0 / np.sqrt(w * channels)
-                self.set_full_width(w, rng.uniform(
-                    -scale, scale, (n_filters, w * channels)))
-            scale = 1.0 / np.sqrt(pooled)
-            self.out_w.data[:] = rng.uniform(-scale, scale, (pooled, 2))
 
     def set_full_width(self, w: int, full: np.ndarray) -> None:
         """Set width `w` from an (F, w * (hidden + summary_dim)) filter with
@@ -109,7 +106,8 @@ def textcnn_forward_batch(states: Value, summaries: Value,
             f"textcnn: states {states.shape} and summaries "
             f"{summaries.shape} do not fit the filters, biases, summary "
             f"weights and output layer of widths {widths}: {shapes}")
-    lengths = ag._row_lengths("textcnn", lengths, *states.shape[:2])
+    lengths = ag._row_lengths("textcnn", "lengths", lengths,
+                              len(states.data), 1, states.shape[1])
     feats = ag.dropout(_conv_pool(states, summaries, params, lengths),
                        dropout_rate, dropout_rng)
     return ag.add(ag.matmul(feats, params.out_w), params.out_b)
@@ -120,10 +118,10 @@ def _shift_products(length: int, width: int) -> bool:
     positions takes the per-shift form: the window gradients reach
     `(length - width + 1) * width` of the `length * width` (position,
     shift) products that one GEMM over all positions covers, and the
-    per-shift form covers only those.  It pays off once fewer than 3/4 of
-    them are reached (stock rows of 4 positions: widths 3 and 4; long
-    rows keep the one GEMM).  The forward always runs per shift."""
-    return 4 * (length - width + 1) < 3 * length
+    per-shift form covers only those.  It pays off once at most 3/4 of
+    them are reached (stock rows of 4 positions: every width; long rows
+    keep the one GEMM).  The forward always runs per shift."""
+    return 4 * (length - width + 1) <= 3 * length
 
 
 def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage error (a model too large to allocate
 included: its sizes come from the flags; from a checkpoint's config it is
-a data error), 2 data error, 3 numeric failure
-(non-finite loss or failed gradient check), 141 output pipe closed by its
+a data error), 2 data error, 3 numeric failure (non-finite loss
+or score, or failed gradient check), 141 output pipe closed by its
 reader (128 + SIGPIPE, as a shell reports a tool that SIGPIPE ended).
 Every subcommand is reproducible byte for byte under a fixed --seed,
 whatever the CPU or BLAS thread count, for one numpy/OpenBLAS build on
@@ -31,7 +31,7 @@ from .corpus import (
     write_jsonl,
 )
 from .embedding import load_pretrained_emoji_vectors
-from .model import VARIANTS, Model, TrainConfig
+from .model import VARIANTS, Model, NonFiniteScoreError, TrainConfig
 from .synthetic import gen_overfit, gen_xor
 from .trainer import (
     NanLossError, _encoded, ablate, evaluate, gradient_check_report, train,
@@ -65,10 +65,9 @@ def _seed(flag: int | None) -> int:
 
 
 def _emit(obj, pretty: bool = False) -> None:
-    if pretty:
-        print(json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False))
-    else:
-        print(json.dumps(obj, sort_keys=True, ensure_ascii=False))
+    # NaN and infinity are not JSON (RFC 8259): refused, never printed
+    print(json.dumps(obj, indent=2 if pretty else None, sort_keys=True,
+                     ensure_ascii=False, allow_nan=False))
 
 
 def _add_config_flags(sub, *skip: str) -> None:
@@ -399,7 +398,7 @@ def main(argv=None) -> int:
             IsADirectoryError, NotADirectoryError) as exc:
         print(f"faet: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except NanLossError as exc:
+    except (NanLossError, NonFiniteScoreError) as exc:
         print(f"faet: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ShapeError:

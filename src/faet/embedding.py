@@ -22,10 +22,10 @@ class TextEncoder:
     sequences from a constant zero row.
     """
 
-    def __init__(self, dim: int, vocab_size: int, rng: np.random.Generator):
-        init = rng.uniform(-0.1, 0.1, size=(vocab_size, dim))
-        init[PAD_ID] = 0.0
-        self.table = ag.param(init)
+    def __init__(self, dim: int, vocab_size: int,
+                 rng: np.random.Generator | None):
+        self.table = ag.uniform_param(rng, -0.1, 0.1, (vocab_size, dim))
+        self.table.data[PAD_ID] = 0.0
 
     def parameters(self) -> dict[str, Value]:
         return {"text_embed": self.table}
@@ -43,15 +43,16 @@ class BisenseEmojiEmbedding:
     convex combination of the sense vectors.
     """
 
-    def __init__(self, n_emoji: int, dim: int, rng: np.random.Generator):
+    def __init__(self, n_emoji: int, dim: int,
+                 rng: np.random.Generator | None):
         self.n_emoji = n_emoji
         self.dim = dim
-        self.sense_pos = ag.param(rng.uniform(-0.1, 0.1, size=(n_emoji, dim)))
-        self.sense_neg = ag.param(rng.uniform(-0.1, 0.1, size=(n_emoji, dim)))
+        self.sense_pos = ag.uniform_param(rng, -0.1, 0.1, (n_emoji, dim))
+        self.sense_neg = ag.uniform_param(rng, -0.1, 0.1, (n_emoji, dim))
         scale = 1.0 / np.sqrt(2 * dim)
         # attention projection stored input-major: [e ; w] @ att_w -> (dim,)
-        self.att_w = ag.param(rng.uniform(-scale, scale, size=(2 * dim, dim)))
-        self.att_v = ag.param(rng.uniform(-scale, scale, size=dim))
+        self.att_w = ag.uniform_param(rng, -scale, scale, (2 * dim, dim))
+        self.att_v = ag.uniform_param(rng, -scale, scale, dim)
 
     def parameters(self) -> dict[str, Value]:
         return {"emoji_sense_pos": self.sense_pos,

@@ -39,11 +39,11 @@ class LstmParams:
     for stable early training.
     """
 
-    def __init__(self, d: int, d_in: int, rng: np.random.Generator):
+    def __init__(self, d: int, d_in: int, rng: np.random.Generator | None):
         self.d = d
         scale = 1.0 / np.sqrt(d)
-        self.w_in = ag.param(rng.uniform(-scale, scale, (d_in, 4 * d)))
-        self.w_rec = ag.param(rng.uniform(-scale, scale, (d, 4 * d)))
+        self.w_in = ag.uniform_param(rng, -scale, scale, (d_in, 4 * d))
+        self.w_rec = ag.uniform_param(rng, -scale, scale, (d, 4 * d))
         bias = np.zeros(4 * d)
         bias[d:2 * d] = 1.0
         self.bias = ag.param(bias)
@@ -89,7 +89,7 @@ def bilstm_encode_batch(seq: Value, fwd: LstmParams, bwd: LstmParams,
             f"bilstm: need a (B, L, d_in) seq and (d_in, 4d), (d, 4d) and "
             f"(4d,) weights per direction, d = {d}; got {shapes}")
     batch, length, d_in = seq.shape
-    lengths = ag._row_lengths("bilstm", lengths, batch, length)
+    lengths = ag._row_lengths("bilstm", "lengths", lengths, batch, 1, length)
 
     # packed index p runs over (step, rank) pairs, step-major, where rank
     # orders the rows longest first; step t is the block

@@ -48,13 +48,8 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-class _NoDraw:
-    """Stands in for a seeded generator in a draw-free build: `uniform`
-    returns an uninitialized array of the requested shape."""
-
-    @staticmethod
-    def uniform(low, high, size):
-        return np.empty(size)
+class NonFiniteScoreError(ArithmeticError):
+    """Scoring gave a document a probability that is NaN or infinite."""
 
 
 @dataclass
@@ -154,9 +149,7 @@ class Model:
         number.  Its parameter values are unspecified: the caller must
         overwrite every parameter before the model is used."""
         model = cls.__new__(cls)
-        with np.errstate(all="ignore"):  # arithmetic on placeholder values
-            # the TextCNN head takes None for a draw-free build
-            model._build(config, vocab, [_NoDraw] * 5 + [None])
+        model._build(config, vocab, [None] * 6)
         return model
 
     @classmethod
@@ -184,7 +177,7 @@ class Model:
 
     def _build(self, config: TrainConfig, vocab: Vocab, rngs: list) -> None:
         """Create every parameter container, each drawing its initial
-        values from its own one of the six `rngs`."""
+        values from its own one of the six `rngs` (None: draw nothing)."""
         if vocab.n_emoji < 1:
             raise ValueError("emoji vocabulary is empty")
         self.config = config
@@ -293,8 +286,8 @@ class Model:
             if word_emoji is not None:
                 dumps.update(
                     interaction=att.interaction.data[b, :n_b, :m_b],
-                    emoji_weights=att.emoji_weights.data[b, :m_b],
-                    text_weights=att.text_weights.data[b, :n_b],
+                    emoji_weights=att.emoji_weights[b, :m_b],
+                    text_weights=att.text_weights[b, :n_b],
                     word_emoji_weights=word_emoji.data[b, :n_b, :m_b])
             else:
                 dumps["coarse_weights"] = coarse_weights.data[b, :m_b]
@@ -313,7 +306,10 @@ class Model:
         document; each group reaches `forward_docs` in input order.  An
         input of at most `SCORE_CHUNK` documents is therefore one pass over
         the list as given.  A document without text ids is a `ValueError`
-        naming its input position, before any pass.
+        naming its input position, before any pass.  A NaN or infinite
+        probability is a `NonFiniteScoreError` naming the input position of
+        the pass's first such document (numpy's warnings on the way are
+        silenced: the error reports them).
         """
         for position, (text_ids, _) in enumerate(docs):
             if not len(text_ids):
@@ -324,8 +320,14 @@ class Model:
                            key=lambda i: len(docs[i][0]) + len(docs[i][1]))
             for first in range(0, len(order), SCORE_CHUNK):
                 group = sorted(order[first:first + SCORE_CHUNK])
-                with ag.no_grad():
+                with ag.no_grad(), np.errstate(all="ignore"):
                     outputs = self.forward_docs([docs[i] for i in group])
+                finite = np.isfinite(outputs.probs).all(axis=1)
+                if not finite.all():
+                    bad = int(np.argmin(finite))
+                    raise NonFiniteScoreError(
+                        f"document {group[bad]}: non-finite probabilities "
+                        f"{outputs.probs[bad].tolist()}")
                 yield group, outputs
 
     def predictions(self, docs: list[tuple], explain: bool):

@@ -9,10 +9,12 @@ generic autograd ops, whose rules then give the reference gradients: the
 LSTM cell folded one position at a time, the TextCNN head one window at
 a time, and the alignment loss and the cross-entropy as the graphs the
 fused nodes replaced, which keep their float order, as does the TextCNN
-head over full-width filters (checkpoint format 1).  The ops only these
-graphs use (sigmoid, the clamped log and the sum) live here too, and a
-backward sweep that keeps every intermediate gradient, and a seeded
-training step's graph.
+head over full-width filters (checkpoint format 1), and the fine
+attention's interaction and pooling as the generic-op graphs the two
+fused nodes replaced, bit for bit in the forward.  The ops only these
+graphs use (sigmoid, the clamped log, the sum, the max along an axis and
+the transpose) live here too, and a backward sweep that keeps every
+intermediate gradient, and a seeded training step's graph.
 """
 
 from collections import namedtuple
@@ -20,6 +22,7 @@ from collections import namedtuple
 import numpy as np
 
 from faet import autograd as ag
+from faet.attention import _masked, _pool, valid_mask
 from faet.corpus import TokenizedDoc, build_vocab, make_batches
 from faet.model import Model, TrainConfig
 
@@ -257,7 +260,7 @@ def textcnn_windows(states, summaries, params, lengths):
             windows = [ag.reshape(ag.add(ag.matmul(
                 params.filters[w], ag.reshape(ag.narrow(row, 1, t, w), (-1,))),
                 extra), (1, f)) for t in range(n - w + 1)]
-            pooled.append(ag.max_along(ag.concat(
+            pooled.append(max_along(ag.concat(
                 windows + [ag.constant(np.zeros((1, f)))]), 0))
         feats.append(ag.reshape(ag.concat(pooled), (1, -1)))
     return ag.add(ag.matmul(ag.concat(feats), params.out_w), params.out_b)
@@ -442,6 +445,59 @@ def fine_attention_doc(text, emoji, w):
     beta = np.array([softmax_direct(row) for row in u]).reshape(n, m)
     return u, emoji_w, text_w, beta, np.concatenate([text_w @ text,
                                                      emoji_w @ emoji])
+
+
+def max_along(x: ag.Value, axis: int) -> ag.Value:
+    """Max along `axis`; ties route the gradient to the first maximal
+    index."""
+    ag._check("max_along", (x,))
+
+    def rules():
+        sel = np.zeros(x.shape, dtype=bool)
+        np.put_along_axis(sel, np.expand_dims(np.argmax(x.data, axis=axis),
+                                              axis), True, axis=axis)
+        return (lambda g: np.where(sel, np.expand_dims(g, axis), 0.0),)
+    return ag._node(np.max(x.data, axis=axis), (x,), "max_along", rules)
+
+
+def transpose(x: ag.Value) -> ag.Value:
+    """Swap the last two axes, as a view."""
+    ag._check("transpose", (x,))
+    return ag._node(np.swapaxes(x.data, -1, -2), (x,), "transpose",
+                    lambda: (lambda g: np.swapaxes(g, -1, -2),))
+
+
+def interaction_composite(text, emoji, weights):
+    """The fused `interaction` node's (B, n, m) scores as the graph of
+    generic ops it replaced, in its float order: with w = [w_e ; w_t ; w_p],
+    ((T * w_p) E^T + T w_t) + E w_e."""
+    batch, n, feat = text.shape
+    m = emoji.shape[1]
+    w_e, w_t, w_p = (ag.narrow(weights, 0, k * feat, feat) for k in range(3))
+    product = ag.matmul(ag.mul(text, w_p), transpose(emoji))
+    return ag.add(ag.add(product, ag.reshape(ag.matmul(text, w_t),
+                                             (batch, n, 1))),
+                  ag.reshape(ag.matmul(emoji, w_e), (batch, 1, m)))
+
+
+def fine_pool_composite(scores, text, emoji, text_lengths, emoji_lengths):
+    """The fused `fine_pool` node as the graph of generic ops it replaced,
+    in its float order -> (fused (B, 4d), emoji weights (B, m), text
+    weights (B, n)), all graph values: column maxima over the valid words
+    and row maxima over the valid emojis (each row's scores zeroed where
+    it has no emoji), each softmaxed over its valid entries and pooled
+    with its own states."""
+    text_valid = valid_mask(text_lengths, text.shape[1])
+    emoji_valid = valid_mask(emoji_lengths, emoji.shape[1])
+    emoji_w = ag.mul(ag.softmax(_masked(max_along(
+        _masked(scores, text_valid[..., None]), 1), emoji_valid), axis=1),
+        ag.constant(emoji_valid))
+    text_w = ag.softmax(_masked(ag.mul(
+        max_along(_masked(scores, emoji_valid[:, None]), 2),
+        ag.constant(emoji_valid.any(axis=1, keepdims=True))), text_valid),
+        axis=1)
+    return (ag.concat([_pool(text_w, text), _pool(emoji_w, emoji)], axis=-1),
+            emoji_w, text_w)
 
 
 def coarse_attention_doc(text, emoji, w, v):

@@ -21,9 +21,7 @@ from oracles import (
 )
 
 from faet import autograd as ag
-from faet.attention import (
-    emoji_to_text, interaction_matrix, text_to_emoji, word_emoji_attention,
-)
+from faet.attention import FineAttentionParams, fine_attention
 from faet.classifier import TextCnnParams, textcnn_forward_batch
 from faet.corpus import split_sizes, write_jsonl
 from faet.embedding import BisenseEmojiEmbedding
@@ -108,17 +106,14 @@ class TestNormalizationFuzz:
                 n, m = int(rng.integers(1, 7)), int(rng.integers(1, 5))
                 text = ag.constant(rng.uniform(-3, 3, (1, n, 6)))
                 emoji = ag.constant(rng.uniform(-3, 3, (1, m, 6)))
-                inter = interaction_matrix(
-                    text, emoji, ag.constant(rng.uniform(-3, 3, 18)))
-                text_ok = np.ones((1, n), dtype=bool)
-                emoji_ok = np.ones((1, m), dtype=bool)
-                emoji_w, _ = emoji_to_text(inter, emoji, text_ok, emoji_ok)
-                check(emoji_w)
-                text_w, _ = text_to_emoji(inter, text, text_ok, emoji_ok)
-                check(text_w)
+                scorer = FineAttentionParams(6, None)
+                scorer.interaction_w.data[:] = rng.uniform(-3, 3, 18)
+                out = fine_attention(text, emoji, scorer, [n], [m])
+                check(ag.constant(out.emoji_weights))
+                check(ag.constant(out.text_weights))
 
                 # 4. per-word emoji rows
-                check(word_emoji_attention(inter, emoji_ok), axis=2)
+                check(out.word_emoji_weights, axis=2)
 
                 # 5. class probabilities
                 params = TextCnnParams(6, 4, 3, np.random.default_rng(trial + 1),

@@ -17,6 +17,7 @@ EXPECTED = [
     "autograd.Value.__init__(requires_grad)",
     "autograd.Value.__init__(_prev)",
     "autograd.Value.__init__(_op)",
+    "autograd.uniform_param(divisor)",
     "autograd.concat(axis)",
     "classifier.textcnn_forward_batch(dropout_rate)",
     "classifier.textcnn_forward_batch(dropout_rng)",

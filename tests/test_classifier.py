@@ -119,7 +119,12 @@ class TestScoringMemory:
 def test_form_per_width_is_pinned():
     # the backward's form; the forward always runs per shift
     assert [classifier._shift_products(4, w) for w in (2, 3, 4)] == \
-        [False, True, True]                 # stock rows
+        [True, True, True]                  # stock rows
+    # at exactly 3/4 of the products reached, per shift
+    assert [classifier._shift_products(4 * (w - 1), w) for w in (2, 3, 4)] \
+        == [True, True, True]
+    assert [classifier._shift_products(4 * (w - 1) + 1, w)
+            for w in (2, 3, 4)] == [False, False, False]
     assert [classifier._shift_products(7, w) for w in (2, 3, 4)] == \
         [False, True, True]                 # mid-length rows mix forms
     assert [classifier._shift_products(54, w) for w in (2, 3, 4)] == \

@@ -34,6 +34,7 @@ import subprocess
 import sys
 import typing
 
+import numpy as np
 import pytest
 
 from faet import cli
@@ -118,6 +119,16 @@ def without_out_b(ws, tmp):
     full = model.parameters()
     model.parameters = lambda: {k: v for k, v in full.items() if k != "out_b"}
     save_checkpoint(model, str(tmp / "bad.faet"))
+
+
+def weight(name, value):
+    """An edit that saves the workspace model with `value` in place of the
+    first entry of parameter `name` as `bad.faet`."""
+    def edit(ws, tmp):
+        model = load_checkpoint(str(ws / "model.faet"))
+        model.parameters()[name].data.flat[0] = value
+        save_checkpoint(model, str(tmp / "bad.faet"))
+    return edit
 
 
 def config_row(id, config, name, flags=""):
@@ -368,6 +379,16 @@ ROWS = [
         "{tmp}/bad.faet: Unable to allocate",
         checkpoint(config=lambda c: {**c, "d": 10 ** 12})),
     # --- numeric (3) -------------------------------------------------------
+    # scoring refuses a probability that is not finite, naming the first
+    # document it reached: here every document's, as a NaN recurrent
+    # weight or an infinite output bias reaches each
+    *(Row(f"{command}-{id}-weight", f"{command} --model {{tmp}}/bad.faet "
+          "--data {corpus}", 3,
+          r"^faet: numeric failure: document 0: non-finite probabilities",
+          weight(name, value))
+      for command in ("eval", "predict")
+      for id, name, value in (("nan", "lstm_fwd.w_rec", np.nan),
+                              ("inf", "out_b", np.inf))),
     Row("gradcheck-tolerance-unreachable",
         "gradcheck --samples 2 --tolerance 1e-30", 3, None,
         out=r'^\{.*"pass": false.*\}\n$'),

@@ -1,23 +1,29 @@
 """Every graph op's shared contract as one table.
 
-One row per op and form.  The twelve generic ops of `faet.autograd`
-(`add`, `mul`, `matmul`, `concat`, `tanh`, `softmax`, `max_along`,
-`dropout`, `take_rows`, `narrow`, `transpose`, `reshape`) have a row for
-each form they are used in; the four fused nodes are
-`bilstm_encode_batch`, `textcnn_forward_batch` under each form of its
-backward's state products, `alignment_loss` and `cross_entropy`.  A row
-draws valid operands of random shape from a seed, with a seeded upstream
-gradient for the output, and names its references, its tolerance and
-its documented bad shapes.  A generic op's reference is its direct numpy
-forward, bitwise (tolerance 0), and finite differences alone check its
-gradients; a fused node keeps the tolerance of the per-node tests it
-replaced.  `close` allows `tol` times the reference's largest magnitude,
-capped at `tol`, so it is never looser than an absolute or a relative
-bound of `tol`, and it wants exact zeros where the reference has them.
-Backward runs from the upstream gradient, through one product with the
-output (`loss_of`).  Each test below checks one property of the contract
-for every row; the batched ops alone have the two on rows of a batch.
-The last test ties the table to the ops a training step builds.
+One row per op and form.  The ten generic ops of `faet.autograd` (`add`,
+`mul`, `matmul`, `concat`, `tanh`, `softmax`, `dropout`, `take_rows`,
+`narrow`, `reshape`) have a row for each form they are used in; the six
+fused nodes are `bilstm_encode_batch`, `textcnn_forward_batch` under
+each form of its backward's state products, the fine attention's
+`interaction` and `fine_pool`, `alignment_loss` and `cross_entropy`.  A
+row draws valid operands of random shape from a seed, with a seeded
+upstream gradient for the output, and names its references, its
+tolerance, its documented bad shapes and the arguments that must be
+integers.  A generic op's reference is its direct numpy forward, bitwise
+(tolerance 0), and finite differences alone check its gradients; a fused
+node keeps the tolerance of the per-node tests it replaced, and the
+attention's two nodes match the generic-op graph they replaced bit for
+bit in the forward and within 1e-12 in the gradients.  Finite
+differences cannot probe an exact tie of a maximum, so a row that draws
+ties names a copy of its case with each tie lowered by 1e-3 on its later
+entry, which keeps the gradient's routing to the first maximum.  `close`
+allows `tol` times the reference's largest magnitude, capped at `tol`,
+so it is never looser than an absolute or a relative bound of `tol`, and
+it wants exact zeros where the reference has them.  Backward runs from
+the upstream gradient, through one product with the output (`loss_of`).
+Each test below checks one property of the contract for every row; the
+batched ops alone have the two on rows of a batch.  The last test ties
+the table to the ops a training step builds.
 """
 
 from __future__ import annotations
@@ -33,12 +39,14 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     alignment_composite, alignment_pairs, bilstm_folded, conv_pool_full_width,
-    cross_entropy_composite, cross_entropy_rows, full_width_filter,
+    cross_entropy_composite, cross_entropy_rows, fine_attention_doc,
+    fine_pool_composite, full_width_filter, interaction_composite,
     softmax_direct, step_graph, textcnn_windows,
 )
 
 from faet import autograd as ag
 from faet import classifier
+from faet.attention import fine_pool, interaction
 from faet.autograd import ShapeError
 from faet.classifier import TextCnnParams, textcnn_forward_batch
 from faet.encoder import bilstm_encode_batch
@@ -47,7 +55,8 @@ from faet.objective import alignment_loss, cross_entropy
 
 class Case(typing.NamedTuple):
     arrays: dict  # operand name -> array, in the op's operand order
-    lengths: np.ndarray | None  # per-row lengths of a batched op
+    lengths: np.ndarray | None  # per-row lengths of a batched op: (B,) or
+    # (B, k), one column per kind of length
     upstream: np.ndarray  # d(loss)/d(output)
     args: dict = {}  # the op's other arguments, by name
 
@@ -60,9 +69,13 @@ class Row(typing.NamedTuple):
     refs: tuple  # (reference, forward tolerance); case -> (out, grads)
     tol: float
     bad: tuple  # (id, case -> case with one operand misshapen)
-    padded: tuple = ()  # batched operands: row axis 0, position axis 1
+    # batched operands: row axis 0, then for each padded axis the column
+    # of `lengths` that pads it
+    padded: dict = {}
     batched: tuple = ()  # further operands with a row axis 0
     form: typing.Callable | None = None  # TextCNN backward's form
+    integers: tuple = ()  # arguments that must be integers (or hold them)
+    untie: typing.Callable | None = None  # case -> a copy without ties
 
 
 def drawn(test):
@@ -104,6 +117,24 @@ def close(got, want, tol):
 
 def edit(case, **arrays):
     return case._replace(arrays={**case.arrays, **arrays})
+
+
+def columns(case):
+    """The case's lengths as (B, k): one column per kind of length."""
+    return np.reshape(case.lengths, (len(case.lengths), -1))
+
+
+def padding(case, name, axes):
+    """Where operand `name` is padding: past its row's length, column
+    `axes[k]` of the lengths, on axis k + 1."""
+    a, lengths = case.arrays[name], columns(case)
+    pad = np.zeros(a.shape, bool)
+    for axis, column in enumerate(axes, 1):
+        positions = np.arange(a.shape[axis]).reshape(
+            [-1 if k == axis else 1 for k in range(a.ndim)])
+        pad |= positions >= lengths[:, column].reshape(
+            (-1,) + (1,) * (a.ndim - 1))
+    return pad
 
 
 def with_args(**changes):
@@ -178,11 +209,12 @@ def splat(op):  # `op` on the operands in order and the other arguments
 
 # --- the generic ops ------------------------------------------------------
 
-def generic(id, operands, forward, apply=None, bad=()):
+def generic(id, operands, forward, apply=None, bad=(), integers=()):
     """The row of the op that starts `id`.  `operands(draw, rng)` draws
     its arrays and its other arguments, `forward(*arrays, **args)` is its
     numpy reference, and `apply` builds it; by default the op on the
-    arrays in order and the arguments by name."""
+    arrays in order and the arguments by name.  `integers` names the
+    arguments that must be integers."""
     op = id.split("-")[0]
 
     @st.composite
@@ -194,7 +226,7 @@ def generic(id, operands, forward, apply=None, bad=()):
     reference = (lambda case: (forward(*case.arrays.values(), **case.args),
                                {}), 0.0)
     return Row(id, op, cases(), apply or splat(getattr(ag, op)),
-               (reference,), 0.0, bad)
+               (reference,), 0.0, bad, integers=integers)
 
 
 def shaped(*forms, low=1):
@@ -215,15 +247,6 @@ def along_axis(draw, rng):
     a = rng.uniform(-3, 3, [draw(st.integers(1, 4))
                             for _ in range(draw(st.integers(1, 3)))])
     return {"a": a}, {"axis": draw(st.integers(-a.ndim, a.ndim - 1))}
-
-
-def distinct(draw, rng):
-    """`along_axis` with entries at least 0.5 apart: no two within a
-    finite-difference step of a tie."""
-    arrays, args = along_axis(draw, rng)
-    a = arrays["a"]
-    ranks = rng.permutation(a.size).reshape(a.shape)
-    return {"a": ranks + rng.uniform(0, 0.5, a.shape) - a.size / 2}, args
 
 
 def concatenated(draw, rng):
@@ -328,10 +351,11 @@ GENERIC = [
                 ("part1-longer-off-axis", lambda c: edit(c, part1=np.repeat(
                     c.arrays["part1"], 2, axis=int(c.args["axis"] % c.arrays[
                         "part1"].ndim == 0)))),
-                ("no-operands", lambda c: c._replace(arrays={})))),
+                ("no-operands", lambda c: c._replace(arrays={}))),
+            integers=("axis",)),
     generic("tanh", shaped(*ANY), np.tanh),
-    generic("softmax", along_axis, softmax_forward, bad=AXIS_BAD),
-    generic("max_along-distinct", distinct, np.max, bad=AXIS_BAD),
+    generic("softmax", along_axis, softmax_forward, bad=AXIS_BAD,
+            integers=("axis",)),
     generic("dropout-seeded-mask", plus(shaped(*ANY), rate=st.floats(0.05, 0.9),
                                         seed=st.integers(0, 2 ** 32 - 1)),
             dropout_forward,
@@ -350,15 +374,12 @@ GENERIC = [
                 ("negative-start", with_args(start=lambda c: -1)),
                 ("negative-length", with_args(length=lambda c: -1)),
                 ("past-end", with_args(length=lambda c: c.arrays["a"].shape[
-                    c.args["axis"]] - c.args["start"] + 1)))),
-    generic("transpose", shaped(("nm",)), lambda a: np.swapaxes(a, -1, -2),
-            bad=misshapen(("a", "fewer-axes"))),
-    generic("transpose-stacked", shaped(("Bnm",)),
-            lambda a: np.swapaxes(a, -1, -2),
-            bad=misshapen(("a", "more-axes"))),
+                    c.args["axis"]] - c.args["start"] + 1))),
+            integers=("axis", "start", "length")),
     generic("reshape", reshaped, lambda a, shape: a.reshape(shape),
             bad=(("size", with_args(
-                shape=lambda c: (c.arrays["a"].size + 1,))),)),
+                shape=lambda c: (c.arrays["a"].size + 1,))),),
+            integers=("shape",)),
     generic("reshape-broadcast", column_and_grid,
             lambda a, shape, grid: a.reshape(shape) + grid,
             lambda values, case: ag.add(
@@ -497,12 +518,90 @@ def bad_labels(change):
     return with_args(labels=lambda case: change(case.args["labels"]))
 
 
+@st.composite
+def interaction_cases(draw):
+    batch, n, m, f = (draw(st.integers(1, 4)) for _ in range(4))
+    rng = seeded(draw)
+    return Case({"text": rng.uniform(-1, 1, (batch, n, f)),
+                 "emoji": rng.uniform(-1, 1, (batch, m, f)),
+                 "weights": rng.uniform(-1, 1, 3 * f)},
+                None, rng.normal(size=(batch, n, m)))
+
+
+def interaction_by_pairs(case):
+    """Each row's scores from the pair form, one (word, emoji) at a time."""
+    a = case.arrays
+    return np.array([fine_attention_doc(t, e, a["weights"])[0]
+                     for t, e in zip(a["text"], a["emoji"])]), {}
+
+
+@st.composite
+def fine_pool_cases(draw):
+    """A padded batch whose rows have 1 to 4 words and 0 to 3 emojis,
+    emoji-free and single-emoji rows among them, scored at least 0.037
+    apart; in a row with two valid words or two valid emojis a column or
+    row maximum may then be copied onto a second entry, an exact tie.
+    Lengths are (B, 2): words, emojis."""
+    batch = draw(st.integers(1, 4))
+    words = draw(st.lists(st.integers(1, 4), min_size=batch,
+                          max_size=batch))
+    emojis = draw(st.lists(st.sampled_from([0, 1, 1, 2, 3]), min_size=batch,
+                           max_size=batch))
+    n = max(words) + draw(st.integers(0, 1))
+    m = max(1, max(emojis)) + draw(st.integers(0, 1))
+    f, rng = draw(st.integers(1, 3)), seeded(draw)
+    size = batch * n * m
+    scores = ((rng.permutation(size) + rng.uniform(0, 0.5, size))
+              * (6.0 / size) - 3.0).reshape(batch, n, m)
+    ties = np.zeros(scores.shape, bool)
+    for b, (n_b, m_b) in enumerate(zip(words, emojis)):
+        # no tie, or one in a column's maximum over the words (axis 0) or
+        # in a row's over the emojis (axis 1) of the row's valid block
+        axis = draw(st.sampled_from([None] + [axis for axis, k in (
+            (0, n_b), (1, m_b)) if k >= 2 and m_b]))
+        if axis is None:
+            continue
+        valid = scores[b, :n_b, :m_b]     # a view: ties are made in place
+        line = draw(st.integers(0, valid.shape[1 - axis] - 1))
+        along = valid[:, line] if axis == 0 else valid[line]
+        best = int(np.argmax(along))
+        other = draw(st.sampled_from(
+            [k for k in range(len(along)) if k != best]))
+        along[other] = along[best]
+        later = (max(best, other), line)[::1 if axis == 0 else -1]
+        ties[(b, *later)] = True
+    return Case({"scores": scores,
+                 "text": rng.uniform(-1, 1, (batch, n, f)),
+                 "emoji": rng.uniform(-1, 1, (batch, m, f))},
+                np.stack([words, emojis], axis=1),
+                rng.normal(size=(batch, 2 * f)), {"ties": ties})
+
+
+def pool(fine):
+    """The fused vector of `fine` on the case's operands and lengths."""
+    return lambda values, case: fine(*values.values(), *case.lengths.T)[0]
+
+
+def untied(case):
+    return edit(case, scores=case.arrays["scores"] - 1e-3 * case.args["ties"])
+
+
+def bad_lengths(column, change):
+    """An edit of one column of the lengths, (words, emojis), to
+    `change(column, case)`."""
+    def edited(case):
+        lengths = case.lengths.copy()
+        lengths[:, column] = change(lengths[:, column], case)
+        return case._replace(lengths=lengths)
+    return edited
+
+
 FUSED = [
     Row("bilstm", "bilstm", bilstm_cases(), bilstm(bilstm_encode_batch),
         ((graph(bilstm(bilstm_folded)), 1e-14),), 1e-14,
         misshapen(("seq", "fewer-axes"), ("seq", "wider"),
                   ("fwd.w_rec", "taller"), ("bwd.bias", "shorter"),
-                  padded="seq"), padded=("seq",)),
+                  padded="seq"), padded={"seq": (0,)}),
     *(Row(f"textcnn-{form}", "textcnn", textcnn_cases(),
           textcnn(textcnn_forward_batch),
           ((graph(textcnn(textcnn_windows)), 1e-12),
@@ -513,9 +612,38 @@ FUSED = [
                     ("cnn.bias", "wider"), ("cnn.summary", "taller"),
                     ("out_w", "wider"), ("out_b", "shorter"),
                     padded="states"),
-          padded=("states",), batched=("summaries",), form=rule)
+          padded={"states": (0,)}, batched=("summaries",), form=rule)
       for form, rule in [("one-gemm", lambda length, width: False),
                          ("per-shift", lambda length, width: True)]),
+    Row("interaction", "interaction", interaction_cases(), splat(interaction),
+        ((graph(splat(interaction_composite)), 0.0),
+         (interaction_by_pairs, 1e-12)), 1e-12,
+        misshapen(("text", "fewer-axes"), ("text", "wider"),
+                  ("emoji", "taller"), ("weights", "wider"),
+                  ("weights", "more-axes"))),
+    Row("fine_pool", "fine_pool", fine_pool_cases(), pool(fine_pool),
+        ((graph(pool(fine_pool_composite)), 0.0),), 1e-12,
+        misshapen(("scores", "fewer-axes"), ("scores", "wider"),
+                  ("text", "wider"), ("text", "more-axes"),
+                  ("emoji", "taller")) + (
+            ("no-emoji-axis", lambda c: edit(
+                c, scores=c.arrays["scores"][:, :, :0],
+                emoji=c.arrays["emoji"][:, :0])),
+            ("lengths-one-short", lambda c: c._replace(
+                lengths=c.lengths[:-1])),
+            ("lengths-float", lambda c: c._replace(
+                lengths=c.lengths.astype(float))),
+            ("lengths-bool", lambda c: c._replace(
+                lengths=c.lengths.astype(bool))),
+            ("lengths-zero", bad_lengths(0, lambda n, c: np.r_[0, n[1:]])),
+            ("lengths-past-n", bad_lengths(0, lambda n, c: np.r_[
+                c.arrays["text"].shape[1] + 1, n[1:]])),
+            ("emoji-lengths-negative", bad_lengths(
+                1, lambda m, c: np.r_[-1, m[1:]])),
+            ("emoji-lengths-past-m", bad_lengths(1, lambda m, c: np.r_[
+                c.arrays["emoji"].shape[1] + 1, m[1:]]))),
+        padded={"scores": (0, 1), "text": (0,), "emoji": (1,)},
+        untie=untied),
     Row("alignment", "alignment", alignment_cases(), splat(alignment_loss),
         ((graph(splat(alignment_composite)), 0.0),
          (alignment_by_pairs, 1e-12)), 1e-12,
@@ -561,9 +689,10 @@ def test_forward_and_gradients_match_references_and_differences(row, data):
         close(out, want, tol)
         for name, grad in want_grads.items():
             close(grads[name], grad, row.tol)
-    values = values_of(case, case.arrays)
+    probed = row.untie(case) if row.untie else case
+    values = values_of(probed, probed.arrays)
     report = ag.finite_difference_check(
-        lambda: loss_of(row.apply(values, case), case.upstream), values,
+        lambda: loss_of(row.apply(values, probed), probed.upstream), values,
         samples_per_group=8)
     assert max(report.values()) < 1e-4
 
@@ -616,6 +745,23 @@ def test_a_bad_shape_is_a_shape_error(row, bad, data):
         row.apply(values_of(case, case.arrays), case)
 
 
+@pytest.mark.parametrize("row, name", [
+    (row, name) for row in ROWS for name in row.integers], indirect=["row"],
+    ids=[f"{row.id}-{name}-not-an-integer" for row in ROWS
+         for name in row.integers])
+@drawn
+def test_a_non_integer_argument_is_a_type_error(row, name, data):
+    # a float, even a whole one; for a shape, its last entry
+    case = data.draw(row.cases)
+    value = case.args[name]
+    bad = ((*value[:-1], float(value[-1])) if isinstance(value, tuple)
+           else float(value))
+    case = with_args(**{name: lambda c: bad})(case)
+    with pytest.raises(TypeError, match=f"^{row.op}: {name} .* is not "
+                                        "integer$"):
+        row.apply(values_of(case, case.arrays), case)
+
+
 @drawn
 def test_graph_freed_without_cyclic_gc(row, data):
     # a rule that held its node strongly would keep the graph alive until
@@ -640,21 +786,25 @@ def test_graph_freed_without_cyclic_gc(row, data):
 def test_each_row_equals_that_row_alone_whatever_the_padding(row, data):
     case = data.draw(row.cases)
     out, grads = run(row.apply, case, case.arrays)
-    length = case.arrays[row.padded[0]].shape[1]
-    pad = np.arange(length) >= case.lengths[:, None]
-    assert not any(np.any(grads[name][pad]) for name in row.padded)
+    pads = {name: padding(case, name, axes)
+            for name, axes in row.padded.items()}
+    assert not any(np.any(grads[name][pad]) for name, pad in pads.items())
     # padding filled with other values changes no output bit
     rng = np.random.default_rng(0)
     noisy = edit(case, **{name: np.where(
-        pad[..., None], rng.normal(size=case.arrays[name].shape),
-        case.arrays[name]) for name in row.padded})
+        pad, rng.normal(size=pad.shape), case.arrays[name])
+        for name, pad in pads.items()})
     np.testing.assert_array_equal(run(row.apply, noisy, ())[0], out)
-    for b, n in enumerate(case.lengths):
+    for b, lengths in enumerate(columns(case)):
+        # each padded axis cut to the row's length, keeping one position
         alone = edit(case._replace(lengths=case.lengths[b:b + 1]), **{
-            name: case.arrays[name][b:b + 1, :n] for name in row.padded}, **{
+            name: case.arrays[name][(slice(b, b + 1), *(
+                slice(max(1, lengths[column])) for column in axes))]
+            for name, axes in row.padded.items()}, **{
             name: case.arrays[name][b:b + 1] for name in row.batched})
         single, _ = run(row.apply, alone, ())
         if out.ndim == 3:   # a per-position output: padding reads 0
+            n = lengths[0]
             assert not np.any(out[b, n:])
             close(out[b, :n], single[0], row.tol)
         else:
@@ -666,7 +816,7 @@ def test_each_row_equals_that_row_alone_whatever_the_padding(row, data):
 def test_permuting_rows_permutes_outputs_and_gradients(row, data):
     case = data.draw(row.cases)
     perm = np.array(data.draw(st.permutations(range(len(case.lengths)))))
-    rows = row.padded + row.batched
+    rows = (*row.padded, *row.batched)
     out, grads = run(row.apply, case, case.arrays)
     moved = edit(case._replace(lengths=case.lengths[perm],
                                upstream=case.upstream[perm]),
