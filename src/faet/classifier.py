@@ -142,7 +142,8 @@ def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
     pools each row's valid windows: ReLU outputs are >= 0, so zeroing
     invalid windows leaves every valid maximum in place and pools a
     window-less row (or a width longer than L) to 0.  Ties route the
-    gradient to the first maximal window.
+    gradient to the first maximal window; the winning windows are found
+    only when the node can run backward.
     """
     batch, length, hidden = states.shape
     f = params.n_filters
@@ -160,7 +161,9 @@ def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
     steps = np.ascontiguousarray(states.data.transpose(1, 0, 2)).reshape(
         length * batch, hidden)
     valid = lengths[None]
-    args = []  # per width: each (row, filter)'s winning window, or None
+    # per width, for the backward only: each (row, filter)'s winning
+    # window, or None (no window fits, or no backward will run)
+    args = []
     for k, (w, bank) in enumerate(zip(widths, banks)):
         n_out = length - w + 1
         if n_out < 1:
@@ -173,7 +176,8 @@ def _conv_pool(states: Value, summaries: Value, params: TextCnnParams,
         conv += per_row[:, k * f:(k + 1) * f]
         np.maximum(conv, 0.0, out=conv)
         conv *= (np.arange(n_out)[:, None] < valid - w + 1)[..., None]
-        args.append(conv.argmax(axis=0))                          # (B, F)
+        args.append(conv.argmax(axis=0) if out.requires_grad      # (B, F)
+                    else None)
         feats[:, k * f:(k + 1) * f] = conv.max(axis=0)
 
     if out.requires_grad:

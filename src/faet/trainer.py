@@ -154,11 +154,33 @@ def _mean_loss_and_accuracy(model: Model, rows: list[tuple],
 
 @dataclass
 class TrainResult:
+    """What `train` returns.  `model` holds no gradient buffer: training
+    drops the gradients when each step ends."""
+
     model: Model                        # final-epoch parameters
     log: list                           # per-epoch dicts
     best_epoch: int
     best_val_acc: float
     best_state: dict                    # parameter arrays at the best epoch
+
+
+# The `TrainConfig` fields that only the training loop reads.  A model
+# handed to `train` must agree with its `config` on every other field.
+LOOP_FIELDS = ("epochs", "batch_size", "lr", "seed", "min_count")
+
+
+def _require_model_config(config: TrainConfig, model_config: TrainConfig
+                          ) -> None:
+    """Refuse a `config` that differs from the given model's own on a
+    field the model reads, naming every such field."""
+    differ = [f"{f.name} ({getattr(config, f.name)!r} != model's "
+              f"{getattr(model_config, f.name)!r})"
+              for f in dataclasses.fields(TrainConfig)
+              if f.name not in LOOP_FIELDS
+              and getattr(config, f.name) != getattr(model_config, f.name)]
+    if differ:
+        raise ValueError("train: config differs from the model's on "
+                         + ", ".join(differ))
 
 
 def _epoch_seed(base_seed: int, epoch: int) -> int:
@@ -170,6 +192,13 @@ def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
           log_path: str | None = None) -> TrainResult:
     """Epochs of forward / total loss / backward / Adam, logging one JSONL
     line per epoch; fully deterministic for a fixed seed.
+
+    A given `model` trains under its own config: `config` may differ from
+    it only on the `LOOP_FIELDS`, and any other difference is a
+    `ValueError` naming each field.  Each parameter's gradient is dropped
+    as soon as the Adam step that read it returns (and once before the
+    first step, and when a step raises), so validation, the snapshot and
+    the returned model hold no gradient buffer.
 
     The best-validation-accuracy parameter snapshot is returned alongside
     the final model (ties keep the earlier epoch).  The validation
@@ -188,6 +217,8 @@ def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
     if model is None:
         model = Model(config, build_vocab(train_docs,
                                           min_count=config.min_count))
+    else:
+        _require_model_config(config, model.config)
     val_rows = _encoded(val_docs, model.vocab, model.config.max_len,
                         "validation")
     optimizer = Adam(model.parameters(), lr=config.lr)
@@ -207,17 +238,19 @@ def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
     # many short-lived nodes would keep triggering cyclic collections
     gc_was_enabled = gc.isenabled()
     gc.disable()
+    # a gradient lives from one backward to the end of its step: none is
+    # left from the caller, and none outlives a step, normal or raised
+    optimizer.zero_grad()
     try:
         for epoch in range(1, config.epochs + 1):
             batches = make_batches(train_docs, model.vocab, config.batch_size,
-                                   max_len=config.max_len,
+                                   max_len=model.config.max_len,
                                    seed=_epoch_seed(config.seed, epoch))
             loss_sum = 0.0
             for batch_index, batch in enumerate(batches):
                 try:
                     with np.errstate(over="raise", invalid="raise",
                                      divide="raise"):
-                        optimizer.zero_grad()
                         loss = model.batch_loss(batch, dropout_rng=dropout_rng)
                         loss_value = float(loss.data)
                         if not np.isfinite(loss_value):
@@ -225,6 +258,7 @@ def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
                                 f"the loss is {loss_value}")
                         loss.backward()
                         optimizer.step()
+                        optimizer.zero_grad()
                 except FloatingPointError as exc:
                     raise NanLossError(f"non-finite loss at epoch {epoch}, "
                                        f"batch {batch_index}: {exc}") from exc
@@ -245,6 +279,7 @@ def train(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
                 for name, p in params.items():
                     np.copyto(best_state[name], p.data)
     finally:
+        optimizer.zero_grad()
         if gc_was_enabled:
             gc.enable()
         if log_file:
@@ -261,7 +296,9 @@ def ablate(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
     documents' predictions.
 
     The test documents are encoded against the training vocabulary before
-    either variant trains, so an emoji outside it is refused up front."""
+    either variant trains, so an emoji outside it is refused up front.
+    One variant's models are released once its predictions are lists, so
+    the next variant does not train beside them."""
     _require_labels(train_docs, "train")
     _require_labels(test_docs, "test")
     vocab = build_vocab(train_docs, min_count=config.min_count)
@@ -272,7 +309,7 @@ def ablate(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
         cfg = dataclasses.replace(config, variant=variant)
         result = train(train_docs, val_docs, cfg, model=Model(cfg, vocab))
         best = Model.from_state(cfg, vocab, result.best_state)
-        pairs = [(result["label"], doc.label) for result, doc
+        pairs = [(pred["label"], doc.label) for pred, doc
                  in zip(best.predictions(test_rows, False), test_docs)]
         variants[variant] = {
             "metrics": metrics_from_pairs(pairs).to_dict(),
@@ -280,6 +317,7 @@ def ablate(train_docs: list[TokenizedDoc], val_docs: list[TokenizedDoc],
             "best_val_acc": result.best_val_acc,
         }
         predictions[variant] = [pred for pred, _ in pairs]
+        del result, best  # the next variant trains without them
 
     agreement = {"both_correct": 0, "only_fine": 0, "only_coarse": 0,
                  "both_wrong": 0}

@@ -5,6 +5,7 @@ import gc
 import json
 import os
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -248,6 +249,70 @@ class TestTrainLoop:
             train(train_docs, docs, tiny_config(), log_path=str(log))
         assert log.read_bytes() == b'{"epoch": 1}\n'
 
+    def test_gradients_are_dropped_when_each_step_ends(self, monkeypatch):
+        docs = gen_overfit(16, seed=7)
+        config = tiny_config(epochs=2)
+        model = Model(config, build_vocab(docs))
+        params = list(model.parameters().values())
+        for p in params:  # leftovers of the caller's own backward
+            p.grad[...] = 1.0
+        held = []  # (what began, parameters holding a gradient)
+
+        def recorder(fn, what):
+            def recorded(*args, **kwargs):
+                held.append((what, sum(p._grad is not None for p in params)))
+                return fn(*args, **kwargs)
+            return recorded
+        monkeypatch.setattr(Model, "batch_loss",
+                            recorder(Model.batch_loss, "step"))
+        monkeypatch.setattr(faet.trainer, "_mean_loss_and_accuracy",
+                            recorder(faet.trainer._mean_loss_and_accuracy,
+                                     "validation"))
+        train(docs, docs, config, model=model)
+        # 2 steps and a validation per epoch
+        assert [what for what, _ in held] == ["step", "step", "validation"] * 2
+        assert [n for _, n in held] == [0] * 6
+        assert all(p._grad is None for p in params)
+
+    def test_a_raising_step_leaves_no_gradient(self, monkeypatch):
+        docs = gen_overfit(16, seed=7)
+        config = tiny_config()
+        model = Model(config, build_vocab(docs))
+        step = Adam.step
+
+        def overflowing_step(self):
+            step(self)
+            raise FloatingPointError("overflow encountered in multiply")
+        monkeypatch.setattr(Adam, "step", overflowing_step)
+        with pytest.raises(NanLossError, match="epoch 1, batch 0: overflow"):
+            train(docs, docs, config, model=model)
+        assert all(p._grad is None for p in model.parameters().values())
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"dropout": 0.1}, "dropout (0.1 != model's 0.0)"),
+        ({"max_len": 12}, "max_len (12 != model's 20)"),
+        ({"d": 4, "widths": (2,), "lambda_align": 0.5},
+         "d (4 != model's 6), widths ((2,) != model's (2, 3)), "
+         "lambda_align (0.5 != model's 0.1)"),
+    ])
+    def test_a_config_the_model_does_not_have_is_refused(self, overrides,
+                                                         named):
+        docs = gen_overfit(16, seed=7)
+        model = Model(tiny_config(), build_vocab(docs))
+        with pytest.raises(ValueError) as info:
+            train(docs, docs, tiny_config(**overrides), model=model)
+        assert str(info.value) == ("train: config differs from the model's "
+                                   "on " + named)
+
+    def test_loop_fields_may_differ_from_the_model(self):
+        docs = gen_overfit(16, seed=7)
+        config = tiny_config(epochs=3)
+        model = Model(config, build_vocab(docs))
+        loop = dataclasses.replace(config, epochs=1, batch_size=4, lr=1e-3,
+                                   seed=5, min_count=2)
+        result = train(docs, docs, loop, model=model)
+        assert len(result.log) == 1
+
     def test_best_checkpoint_ties_keep_earlier_epoch(self):
         docs = gen_overfit(16, seed=5)
         config = tiny_config(lr=0.0, epochs=4)  # val accuracy constant
@@ -316,7 +381,8 @@ class TestCheckpoint:
         model = Model(tiny_config(), build_vocab(docs))
         path = str(tmp_path / "model.faet")
         save_checkpoint(model, path)
-        for scorer in (model, load_checkpoint(path)):
+        trained = train(docs, docs, tiny_config(epochs=1)).model
+        for scorer in (model, load_checkpoint(path), trained):
             params = scorer.parameters().values()
             assert all(p._grad is None for p in params)
             evaluate(scorer, docs)
@@ -488,6 +554,21 @@ class TestAblate:
         assert (standalone.best_val_acc
                 == report["variants"]["coarse"]["best_val_acc"])
 
+
+    def test_a_finished_variant_is_released_before_the_next_trains(
+            self, monkeypatch):
+        train_docs, test_docs = gen_xor(32, 16, seed=12)
+        trained = []  # weak references to each variant's trained model
+        live_at_start = []
+
+        def tracked(*args, _train=faet.trainer.train, **kwargs):
+            live_at_start.append([ref() is not None for ref in trained])
+            result = _train(*args, **kwargs)
+            trained.append(weakref.ref(result.model))
+            return result
+        monkeypatch.setattr(faet.trainer, "train", tracked)
+        ablate(train_docs, test_docs, test_docs, tiny_config(epochs=1))
+        assert live_at_start == [[], [False]]
 
     def test_unknown_test_emoji_fails_before_training(self, monkeypatch):
         train_docs, test_docs = gen_xor(32, 16, seed=12)
